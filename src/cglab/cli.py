@@ -1,19 +1,21 @@
 """Command-line front end.
 
 Commands: ``solve`` (one problem, JSON result on stdout), ``suite`` (grid
-run, CSV/JSON artifacts), ``sweep-tau`` (NEW-update tau sweep),
-``check-gradients`` (analytic vs finite-difference audit), and
-``list-problems``.
+run, CSV/JSON artifacts, digest on stdout), ``sweep-tau`` (NEW-update tau
+sweep, digest on stdout), ``check-gradients`` (analytic vs
+finite-difference audit), and ``list-problems``.
 
 Exit codes: 0 success, 1 bad arguments or unusable output directory, 2 a
 run or check failed.  Config precedence is defaults < ``--config`` JSON
 file < command-line flags; ``--print-config`` shows the effective solver
-config without running anything.
+config without running anything.  Config-file values go through the same
+type conversion as the matching flag's text.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -22,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .bench import (
+    CostMatrix,
     performance_profile,
     run_suite,
     win_fractions,
@@ -73,16 +76,13 @@ DEFAULT_TAU_GRID = (
     0.9,
 )
 
-_SOLVER_FIELDS = (
-    "tau",
-    "rho",
-    "c1",
-    "eps_scale",
-    "max_iters",
-    "step_floor",
-    "bb_guard",
-    "hz_eta",
-)
+# Solver settings with a flag and a config-file key, typed by their
+# defaults.  The method comes from --method/--methods, tracing from --trace.
+_SOLVER_FIELDS = {
+    f.name: type(f.default)
+    for f in dataclasses.fields(SolverConfig)
+    if f.init and f.name not in ("method", "record_trace")
+}
 
 
 class _CliError(Exception):
@@ -97,14 +97,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_solver_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", metavar="FILE", help="JSON file with solver settings")
-    p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--rho", type=float, default=None)
-    p.add_argument("--c1", type=float, default=None)
-    p.add_argument("--eps-scale", type=float, default=None, dest="eps_scale")
-    p.add_argument("--max-iters", type=int, default=None, dest="max_iters")
-    p.add_argument("--step-floor", type=float, default=None, dest="step_floor")
-    p.add_argument("--bb-guard", type=float, default=None, dest="bb_guard")
-    p.add_argument("--hz-eta", type=float, default=None, dest="hz_eta")
+    for name, kind in _SOLVER_FIELDS.items():
+        p.add_argument("--" + name.replace("_", "-"), type=kind, dest=name)
     p.add_argument(
         "--print-config",
         action="store_true",
@@ -198,10 +192,20 @@ def _load_config_file(path: str) -> dict:
     unknown = set(data) - set(_SOLVER_FIELDS) - {"method"}
     if unknown:
         raise _CliError(f"unknown config keys: {sorted(unknown)}")
-    return data
+    settings = {}
+    for name, kind in _SOLVER_FIELDS.items():
+        if name in data:
+            # the flag's own conversion: 2.5 is no int, null and true no number
+            try:
+                settings[name] = kind(str(data[name]))
+            except ValueError:
+                raise _CliError(
+                    f"config key {name!r} must be {kind.__name__}, got {data[name]!r}"
+                )
+    return settings
 
 
-def _solver_config(args, method: MethodId | None = None) -> SolverConfig:
+def _solver_config(args, method: MethodId) -> SolverConfig:
     """defaults < config file < flags, then validate."""
     settings: dict = {}
     if getattr(args, "config", None):
@@ -210,13 +214,9 @@ def _solver_config(args, method: MethodId | None = None) -> SolverConfig:
         value = getattr(args, name, None)
         if value is not None:
             settings[name] = value
-    if method is not None:
-        settings["method"] = method
-    elif "method" in settings:
-        settings["method"] = MethodId(settings["method"])
     try:
-        return SolverConfig(**settings)
-    except (ValueError, KeyError) as e:
+        return SolverConfig(method=method, **settings)
+    except ValueError as e:
         raise _CliError(str(e))
 
 
@@ -259,7 +259,7 @@ def _write_json(path: Path, payload) -> None:
 def cmd_solve(args) -> int:
     cfg = _solver_config(args, MethodId(args.method))
     if args.trace:
-        cfg = SolverConfig(**{**vars(cfg), "record_trace": True})
+        cfg = dataclasses.replace(cfg, record_trace=True)
     if args.print_config:
         _print_config(cfg)
         return 0
@@ -298,7 +298,8 @@ def _suite_artifacts(out_dir, problems, configs, labels, parallelism, time_repea
     write_profile_csv(
         performance_profile(matrices["time"]), out_dir / "profile_time.csv"
     )
-    _write_json(out_dir / "wins.json", win_fractions(matrices["f_evals"]))
+    wins = win_fractions(matrices["f_evals"])
+    _write_json(out_dir / "wins.json", wins)
     _write_json(
         out_dir / "runs.json",
         [
@@ -311,7 +312,24 @@ def _suite_artifacts(out_dir, problems, configs, labels, parallelism, time_repea
             for r in runs
         ],
     )
-    return matrices
+    return _column_totals(matrices["f_evals"], wins)
+
+
+def _column_totals(fevals: CostMatrix, wins: dict[str, float]) -> list[tuple]:
+    """(label, solved runs, f_evals summed over them, win rate) per column."""
+    rows = []
+    for si, label in enumerate(fevals.solvers):
+        col = fevals.costs[:, si]
+        solved = col[np.isfinite(col)]
+        rows.append((label, solved.size, int(solved.sum()), wins[label]))
+    return rows
+
+
+def _print_digest(title: str, out_dir: Path, n_problems: int, rows) -> None:
+    print(f"{title}: {n_problems} problems, artifacts in {out_dir}/")
+    print(f"{'solver':12} {'solved':>6} {'f_evals':>10} {'win rate':>8}")
+    for label, solved, total, win in rows:
+        print(f"{label:12} {solved:>6} {total:>10} {win:>8.2f}")
 
 
 def cmd_suite(args) -> int:
@@ -336,7 +354,7 @@ def cmd_suite(args) -> int:
     problems = _select_problems(args)
     out_dir = _output_dir(args)
     try:
-        _suite_artifacts(
+        rows = _suite_artifacts(
             out_dir,
             problems,
             configs,
@@ -347,6 +365,7 @@ def cmd_suite(args) -> int:
     except OSError as e:
         print(f"error: cannot write artifacts: {e}", file=sys.stderr)
         return 1
+    _print_digest("suite", out_dir, len(problems), rows)
     return 0
 
 
@@ -367,7 +386,7 @@ def cmd_sweep_tau(args) -> int:
     if args.print_config:
         _print_config(base)
         return 0
-    configs = [SolverConfig(**{**vars(base), "tau": t}) for t in taus]
+    configs = [dataclasses.replace(base, tau=t) for t in taus]
     labels = [f"tau={t!r}" for t in taus]
 
     problems = _select_problems(args)
@@ -381,19 +400,17 @@ def cmd_sweep_tau(args) -> int:
             labels=labels,
         )
         fevals = matrices["f_evals"]
-        wins = win_fractions(fevals)
+        rows = _column_totals(fevals, win_fractions(fevals))
         lines = ["tau,solved,total_fevals,wins_vs_self"]
-        for si, t in enumerate(taus):
-            col = fevals.costs[:, si]
-            solved = int(np.isfinite(col).sum())
-            total = int(col[np.isfinite(col)].sum())
-            lines.append(f"{t!r},{solved},{total},{wins[labels[si]]!r}")
+        for t, (_, solved, total, win) in zip(taus, rows):
+            lines.append(f"{t!r},{solved},{total},{win!r}")
         with open(out_dir / "sweep.csv", "w", newline="") as fh:
             fh.write("\n".join(lines) + "\n")
         write_cost_csv(fevals, out_dir / "cost_fevals.csv")
     except OSError as e:
         print(f"error: cannot write artifacts: {e}", file=sys.stderr)
         return 1
+    _print_digest("tau sweep", out_dir, len(problems), rows)
     return 0
 
 

@@ -8,11 +8,18 @@ grid point that passes, which the solver's theory layer relies on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import CountingProblem, DimensionMismatch, NonFiniteOutput, Vector
+from .problems import (
+    CountingProblem,
+    DimensionMismatch,
+    NonFiniteInput,
+    NonFiniteOutput,
+    Vector,
+)
 
 __all__ = [
     "LineSearchConfig",
@@ -50,16 +57,19 @@ class LineSearchConfig:
             raise ValueError(f"rho must be in (0, 1), got {self.rho}")
         if not 0.0 < self.c1 < 1.0:
             raise ValueError(f"c1 must be in (0, 1), got {self.c1}")
-        if self.step_floor <= 0.0:
-            raise ValueError(f"step_floor must be positive, got {self.step_floor}")
+        if not 0.0 < self.step_floor < math.inf:
+            raise ValueError(
+                f"step_floor must be positive and finite, got {self.step_floor}"
+            )
 
 
 @dataclass(frozen=True)
 class LineSearchOutcome:
-    """Accepted step plus the trial bookkeeping the solver records."""
+    """Accepted step and trial point plus the bookkeeping the solver records."""
 
     alpha: float
     f_new: float
+    x_new: Vector
     backtracks: int
     alpha_bar: float
 
@@ -98,10 +108,11 @@ def armijo_backtrack(
 ) -> LineSearchOutcome:
     """Largest step in ``{alpha_bar * rho**i}`` with sufficient decrease.
 
-    Every trial charges one objective evaluation to ``problem``.  Trial
-    points whose objective overflows, or that are themselves non-finite
-    (possible when ``alpha_bar * d`` overflows), are treated as plain Armijo
-    rejections and backtracked past.
+    Every trial at a finite point charges one objective evaluation to
+    ``problem``.  Trial points whose objective overflows, or that are
+    themselves non-finite (possible when ``alpha_bar * d`` overflows), are
+    treated as plain Armijo rejections and backtracked past;
+    :class:`CountingProblem` refuses the latter before charging anything.
     """
     dg = float(np.dot(d, g))
     if not np.isfinite(dg) or dg >= 0.0:
@@ -119,18 +130,18 @@ def armijo_backtrack(
         # an overflowing trial point is handled below, so keep numpy quiet
         with np.errstate(over="ignore", invalid="ignore"):
             trial = x + alpha * d
-        accepted = False
-        if np.isfinite(trial).all():
-            try:
-                f_trial = problem.evaluate(trial)
-            except NonFiniteOutput:
-                pass
-            else:
-                if f_trial <= f + config.c1 * alpha * dg:
-                    accepted = True
-        if accepted:
-            return LineSearchOutcome(
-                alpha=alpha, f_new=f_trial, backtracks=backtracks, alpha_bar=alpha_bar
-            )
+        try:
+            f_trial = problem.evaluate(trial)
+        except (NonFiniteInput, NonFiniteOutput):
+            pass
+        else:
+            if f_trial <= f + config.c1 * alpha * dg:
+                return LineSearchOutcome(
+                    alpha=alpha,
+                    f_new=f_trial,
+                    x_new=trial,
+                    backtracks=backtracks,
+                    alpha_bar=alpha_bar,
+                )
         alpha *= config.rho
         backtracks += 1

@@ -31,11 +31,9 @@ __all__ = [
     "Vector",
     "build",
     "catalog",
-    "catalog_names",
     "desk_suite",
     "fd_gradient",
     "filter_catalog",
-    "lookup",
     "quadratic_instance",
 ]
 
@@ -696,24 +694,6 @@ def catalog() -> list[ProblemInstance]:
     return out
 
 
-def catalog_names() -> list[str]:
-    return sorted(_CATALOG)
-
-
-def lookup(name: str, dim: int | None = None) -> ProblemInstance:
-    """Fetch one instance; ``dim=None`` is allowed only for single-dim names."""
-    if name not in _CATALOG:
-        raise NotInCatalog(name)
-    dims = _CATALOG[name][1]
-    if dim is None:
-        if len(dims) != 1:
-            raise NotInCatalog(f"{name} has dims {dims}; specify one")
-        dim = dims[0]
-    if dim not in dims:
-        raise NotInCatalog(f"{name} has no catalog dim {dim} (choices: {dims})")
-    return build(name, dim)
-
-
 def filter_catalog(
     pattern: str = "*", min_dim: int | None = None, max_dim: int | None = None
 ) -> list[ProblemInstance]:
@@ -732,7 +712,7 @@ def filter_catalog(
 
 def desk_suite() -> list[ProblemInstance]:
     """The designated 20-problem desk suite (one instance per family)."""
-    return [lookup(name, dim) for name, dim in _DESK_SUITE]
+    return [build(name, dim) for name, dim in _DESK_SUITE]
 
 
 def quadratic_instance(

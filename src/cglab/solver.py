@@ -8,6 +8,7 @@ descent-cone and steplength bounds the NEW update is designed to satisfy.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -60,7 +61,8 @@ class SolverConfig:
     truncation eta 0.01.
 
     tau = 0 is accepted (the NEW update degenerates to steepest descent);
-    the sweep grid uses it as its baseline point.
+    the sweep grid uses it as its baseline point.  ``line_search`` is built
+    from rho, c1 and step_floor, and owns their validation.
     """
 
     method: MethodId = MethodId.NEW
@@ -73,28 +75,22 @@ class SolverConfig:
     bb_guard: float = 1.0e-8
     hz_eta: float = 0.01
     record_trace: bool = False
+    line_search: LineSearchConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "method", MethodId(self.method))
         if not 0.0 <= self.tau < 1.0:
             raise ValueError(f"tau must be in [0, 1), got {self.tau}")
-        if not 0.0 < self.rho < 1.0:
-            raise ValueError(f"rho must be in (0, 1), got {self.rho}")
-        if not 0.0 < self.c1 < 1.0:
-            raise ValueError(f"c1 must be in (0, 1), got {self.c1}")
-        if self.eps_scale <= 0.0:
-            raise ValueError(f"eps_scale must be positive, got {self.eps_scale}")
+        object.__setattr__(
+            self, "line_search", LineSearchConfig(self.rho, self.c1, self.step_floor)
+        )
+        # comparisons written so that NaN fails them too
+        for name in ("eps_scale", "bb_guard", "hz_eta"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.step_floor <= 0.0:
-            raise ValueError(f"step_floor must be positive, got {self.step_floor}")
-        if self.bb_guard <= 0.0:
-            raise ValueError(f"bb_guard must be positive, got {self.bb_guard}")
-        if self.hz_eta <= 0.0:
-            raise ValueError(f"hz_eta must be positive, got {self.hz_eta}")
-
-    def linesearch_config(self) -> LineSearchConfig:
-        return LineSearchConfig(rho=self.rho, c1=self.c1, step_floor=self.step_floor)
 
 
 @dataclass(frozen=True)
@@ -151,7 +147,6 @@ def minimize(p: ProblemInstance, cfg: SolverConfig) -> RunResult:
     """
     t0 = time.perf_counter()
     cp = CountingProblem(p)
-    ls_cfg = cfg.linesearch_config()
     trace: list[IterationRecord] = []
 
     def _result(status: Status, iters: int, f: float, gnorm: float) -> RunResult:
@@ -192,11 +187,10 @@ def minimize(p: ProblemInstance, cfg: SolverConfig) -> RunResult:
         except ZeroDivisionError:
             res = DirectionResult(d=-g, beta=0.0, restarted=True)
         d = res.d
-        dg = float(np.dot(d, g))
         alpha_bar = initial_step(s_prev, y_prev, cfg.bb_guard)
 
         try:
-            ls = armijo_backtrack(cp, x, f, g, d, alpha_bar, ls_cfg)
+            ls = armijo_backtrack(cp, x, f, g, d, alpha_bar, cfg.line_search)
         except StepFloorReached:
             return _result(Status.STEP_FLOOR, k, f, gnorm)
         except NotDescent:
@@ -209,7 +203,7 @@ def minimize(p: ProblemInstance, cfg: SolverConfig) -> RunResult:
                     f=f,
                     gnorm=gnorm,
                     dnorm=float(np.linalg.norm(d)),
-                    dg=dg,
+                    dg=float(np.dot(d, g)),
                     beta=res.beta,
                     alpha=ls.alpha,
                     alpha_bar=ls.alpha_bar,
@@ -219,7 +213,7 @@ def minimize(p: ProblemInstance, cfg: SolverConfig) -> RunResult:
             )
 
         s_prev = ls.alpha * d
-        x = x + s_prev
+        x = ls.x_new
         f = ls.f_new
         g_prev = g
         try:

@@ -166,13 +166,32 @@ def test_config_file_errors(tmp_path, capsys):
     assert code == 1
     assert "JSON object" in err
 
+    # values go through the flags' type conversion: no traceback, no int
+    # truncation, and the solver config still rejects non-finite numbers
+    bad_value = tmp_path / "bad_value.json"
+    for bad in (
+        {"tau": "x"},
+        {"max_iters": None},
+        {"max_iters": 2.5},
+        {"bb_guard": True},
+        {"eps_scale": float("nan")},
+    ):
+        bad_value.write_text(json.dumps(bad))
+        argv = ["solve", "--problem", "TRIDIA", "--config", str(bad_value)]
+        code, out, err = run_cli([*argv, "--print-config"], capsys)
+        assert code == 1, bad
+        assert out == ""
+        assert err.startswith("error:") and next(iter(bad)) in err
+
 
 def test_invalid_config_value_exit_one(capsys):
-    code, _, err = run_cli(
-        ["solve", "--problem", "TRIDIA", "--dim", "50", "--tau", "1.5"], capsys
-    )
-    assert code == 1
-    assert "tau" in err
+    bad_flags = (("--tau", "1.5"), ("--eps-scale", "nan"), ("--bb-guard", "nan"))
+    for flag, value in bad_flags:
+        code, _, err = run_cli(
+            ["solve", "--problem", "TRIDIA", "--dim", "50", flag, value], capsys
+        )
+        assert code == 1
+        assert flag[2:].replace("-", "_") in err
 
 
 SUITE_ARTIFACTS = (
@@ -218,6 +237,51 @@ def test_suite_artifacts(tmp_path, capsys):
     wins = json.loads((out_dir / "wins.json").read_text())
     assert set(wins) == {"NEW", "FR"}
     assert all(0.0 <= v <= 1.0 for v in wins.values())
+
+
+def _digest_rows(out):
+    """solver -> (solved, f_evals, win rate) from a suite or sweep digest."""
+    rows = {}
+    for line in out.splitlines()[2:]:
+        label, solved, fevals, win = line.split()
+        rows[label] = (int(solved), int(fevals), win)
+    return rows
+
+
+def test_suite_digest_reads_this_run(tmp_path, capsys, monkeypatch):
+    # a stale ./results must not leak into the digest of a run sent elsewhere
+    monkeypatch.chdir(tmp_path)
+    stale = tmp_path / "results"
+    stale.mkdir()
+    (stale / "wins.json").write_text(json.dumps({"NEW": 0.0, "FR": 1.0}))
+    out_dir = tmp_path / "fresh"
+    code, out, _ = run_cli(
+        [
+            "suite",
+            "--problems",
+            "TRIDIA",
+            "--max-dim",
+            "100",
+            "--methods",
+            "NEW,FR",
+            "--time-repeats",
+            "1",
+            f"--output={out_dir}",
+        ],
+        capsys,
+    )
+    assert code == 0
+    assert out.splitlines()[0] == f"suite: 2 problems, artifacts in {out_dir}/"
+    wins = json.loads((out_dir / "wins.json").read_text())
+    runs = json.loads((out_dir / "runs.json").read_text())
+    digest = _digest_rows(out)
+    assert set(digest) == set(wins) == {"NEW", "FR"}
+    for solver, (solved, fevals, win) in digest.items():
+        done = [r for r in runs if r["solver"] == solver and r["status"] == "Converged"]
+        assert solved == len(done)
+        assert fevals == sum(r["f_evals"] for r in done)
+        assert win == f"{wins[solver]:.2f}"
+    assert json.loads((stale / "wins.json").read_text()) == {"NEW": 0.0, "FR": 1.0}
 
 
 def test_suite_single_method_wins_everything(tmp_path, capsys):
@@ -306,7 +370,7 @@ def test_unwritable_output_exit_one(tmp_path, capsys):
 
 def test_sweep_tau(tmp_path, capsys):
     out_dir = tmp_path / "sweep"
-    code, _, _ = run_cli(
+    code, out, _ = run_cli(
         [
             "sweep-tau",
             "--taus",
@@ -334,6 +398,12 @@ def test_sweep_tau(tmp_path, capsys):
         assert 0.0 <= float(cells[3]) <= 1.0
     header = (out_dir / "cost_fevals.csv").read_text().splitlines()[0]
     assert header == "problem,dim,tau=0.002,tau=0.5"
+    digest = _digest_rows(out)
+    assert list(digest) == ["tau=0.002", "tau=0.5"]
+    for (solved, fevals, win), line in zip(digest.values(), lines[1:]):
+        cells = line.split(",")
+        assert (solved, fevals) == (int(cells[1]), int(cells[2]))
+        assert win == f"{float(cells[3]):.2f}"
 
 
 def test_sweep_tau_validation(tmp_path, capsys):

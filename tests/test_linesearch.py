@@ -51,10 +51,12 @@ def test_hand_trace_one_backtrack():
     # lands at the exact minimum
     p = CountingProblem(one_d_parabola())
     x = np.array([1.0])
-    out = armijo_backtrack(p, x, 1.0, np.array([2.0]), np.array([-2.0]), 1.0, CFG)
+    d = np.array([-2.0])
+    out = armijo_backtrack(p, x, 1.0, np.array([2.0]), d, 1.0, CFG)
     assert out.alpha == 0.5
     assert out.backtracks == 1
     assert out.f_new == 0.0
+    assert out.x_new.tobytes() == (x + out.alpha * d).tobytes()
     assert out.alpha_bar == 1.0
     assert p.counter.f_evals == 2
 

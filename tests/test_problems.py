@@ -21,11 +21,9 @@ from cglab.problems import (
     ProblemInstance,
     build,
     catalog,
-    catalog_names,
     desk_suite,
     fd_gradient,
     filter_catalog,
-    lookup,
     quadratic_instance,
 )
 
@@ -333,7 +331,7 @@ def test_catalog_structure():
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
     assert all(1 <= p.dim <= 1000 for p in cat)
-    assert len(catalog_names()) == 21
+    assert len({p.name for p in cat}) == 21
 
 
 def test_desk_suite_structure():
@@ -346,14 +344,6 @@ def test_desk_suite_structure():
 
 
 def test_lookup_and_build_errors():
-    assert lookup("TRIDIA", 50).dim == 50
-    assert lookup("EDENSCH").dim == 1000  # single catalog dim
-    with pytest.raises(NotInCatalog):
-        lookup("NOSUCH", 10)
-    with pytest.raises(NotInCatalog):
-        lookup("TRIDIA", 33)
-    with pytest.raises(NotInCatalog):
-        lookup("TRIDIA")  # ambiguous dim
     with pytest.raises(NotInCatalog):
         build("NOSUCH", 10)
     with pytest.raises(ValueError):

@@ -36,6 +36,9 @@ def test_config_defaults_match_protocol():
     assert cfg.record_trace is False
 
 
+FLOAT_FIELDS = ("tau", "rho", "c1", "eps_scale", "step_floor", "bb_guard", "hz_eta")
+
+
 def test_config_validation():
     assert SolverConfig(tau=0.0).tau == 0.0  # steepest-descent degenerate case
     assert SolverConfig(method="FR").method is MethodId.FR
@@ -50,6 +53,7 @@ def test_config_validation():
         {"bb_guard": 0.0},
         {"hz_eta": 0.0},
         {"method": "XX"},
+        *({name: v} for name in FLOAT_FIELDS for v in (np.nan, np.inf)),
     ):
         with pytest.raises(ValueError):
             SolverConfig(**bad)

@@ -7,9 +7,10 @@ finite-difference audit), and ``list-problems``.
 
 Exit codes: 0 success, 1 bad arguments or unusable output directory, 2 a
 run or check failed.  Config precedence is defaults < ``--config`` JSON
-file < command-line flags; ``--print-config`` shows the effective solver
-config without running anything.  Config-file values go through the same
-type conversion as the matching flag's text.
+file < command-line flags, and a file's ``method`` key sets the method of
+``solve``; ``--print-config`` shows the effective solver config without
+running anything.  Config-file values go through the same type conversion
+as the matching flag's text.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -133,6 +135,26 @@ def _add_problem_filter(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-dim", type=int, default=None, dest="max_dim")
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cglab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -140,9 +162,7 @@ def _build_parser() -> _Parser:
     p_solve = sub.add_parser("solve", help="run one solver on one problem")
     p_solve.add_argument("--problem", required=True, help="catalog name (glob allowed)")
     p_solve.add_argument("--dim", type=int, default=None)
-    p_solve.add_argument(
-        "--method", default=MethodId.NEW.value, choices=[m.value for m in MethodId]
-    )
+    p_solve.add_argument("--method", choices=[m.value for m in MethodId])
     p_solve.add_argument(
         "--trace", action="store_true", help="include the iteration trace in the JSON"
     )
@@ -172,8 +192,8 @@ def _build_parser() -> _Parser:
         "check-gradients", help="compare analytic gradients with finite differences"
     )
     p_check.add_argument("--problems", default=None, metavar="GLOB")
-    p_check.add_argument("--seed", type=int, default=0)
-    p_check.add_argument("--tol", type=float, default=1.0e-6)
+    p_check.add_argument("--seed", type=_nonnegative_int, default=0)
+    p_check.add_argument("--tol", type=_positive_float, default=1.0e-6)
 
     sub.add_parser("list-problems", help="print the catalog as NAME<TAB>DIM")
     return parser
@@ -193,6 +213,14 @@ def _load_config_file(path: str) -> dict:
     if unknown:
         raise _CliError(f"unknown config keys: {sorted(unknown)}")
     settings = {}
+    if "method" in data:
+        try:
+            settings["method"] = MethodId(data["method"])
+        except ValueError:
+            choices = [m.value for m in MethodId]
+            raise _CliError(
+                f"config key 'method' must be one of {choices}, got {data['method']!r}"
+            )
     for name, kind in _SOLVER_FIELDS.items():
         if name in data:
             # the flag's own conversion: 2.5 is no int, null and true no number
@@ -205,8 +233,12 @@ def _load_config_file(path: str) -> dict:
     return settings
 
 
-def _solver_config(args, method: MethodId) -> SolverConfig:
-    """defaults < config file < flags, then validate."""
+def _solver_config(args, method: MethodId | None) -> SolverConfig:
+    """defaults < config file < flags, then validate.
+
+    ``method`` is the command's own choice; ``None`` leaves it to the config
+    file, then to the default.
+    """
     settings: dict = {}
     if getattr(args, "config", None):
         settings.update(_load_config_file(args.config))
@@ -214,8 +246,10 @@ def _solver_config(args, method: MethodId) -> SolverConfig:
         value = getattr(args, name, None)
         if value is not None:
             settings[name] = value
+    if method is not None:
+        settings["method"] = method
     try:
-        return SolverConfig(method=method, **settings)
+        return SolverConfig(**settings)
     except ValueError as e:
         raise _CliError(str(e))
 
@@ -257,7 +291,7 @@ def _write_json(path: Path, payload) -> None:
 
 
 def cmd_solve(args) -> int:
-    cfg = _solver_config(args, MethodId(args.method))
+    cfg = _solver_config(args, None if args.method is None else MethodId(args.method))
     if args.trace:
         cfg = dataclasses.replace(cfg, record_trace=True)
     if args.print_config:
@@ -278,7 +312,8 @@ def cmd_solve(args) -> int:
     return 0 if result.status is Status.CONVERGED else 2
 
 
-def _suite_artifacts(out_dir, problems, configs, labels, parallelism, time_repeats):
+def _run_grid(problems, configs, labels, parallelism, time_repeats):
+    """run_suite, refusing a grid where no run converged: it has no profile."""
     matrices, runs = run_suite(
         problems,
         configs,
@@ -286,6 +321,13 @@ def _suite_artifacts(out_dir, problems, configs, labels, parallelism, time_repea
         time_repeats=time_repeats,
         labels=labels,
     )
+    if not np.isfinite(matrices["f_evals"].costs).any():
+        raise _CliError(f"no run converged ({len(runs)} attempted); no artifacts written")
+    return matrices, runs
+
+
+def _suite_artifacts(out_dir, problems, configs, labels, parallelism, time_repeats):
+    matrices, runs = _run_grid(problems, configs, labels, parallelism, time_repeats)
     write_cost_csv(matrices["f_evals"], out_dir / "cost_fevals.csv")
     write_cost_csv(matrices["iters"], out_dir / "cost_iters.csv")
     write_cost_csv(matrices["time"], out_dir / "cost_time.csv")
@@ -392,12 +434,8 @@ def cmd_sweep_tau(args) -> int:
     problems = _select_problems(args)
     out_dir = _output_dir(args)
     try:
-        matrices, _ = run_suite(
-            problems,
-            configs,
-            parallelism=args.parallelism,
-            time_repeats=args.time_repeats,
-            labels=labels,
+        matrices, _ = _run_grid(
+            problems, configs, labels, args.parallelism, args.time_repeats
         )
         fevals = matrices["f_evals"]
         rows = _column_totals(fevals, win_fractions(fevals))

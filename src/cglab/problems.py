@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -59,13 +60,18 @@ class ProblemInstance:
     """A named objective with analytic gradient and a standard start point.
 
     ``value_fn`` and ``grad_fn`` must be deterministic: the same ``x`` gives
-    bit-identical output.  Instances are immutable and safe to share.
+    bit-identical output.  ``value_fn`` also evaluates batches: given a
+    C-ordered ``(..., n)`` array it returns the ``(...)`` array of values,
+    and each entry has the same bits as the 1-D call on that row
+    (:func:`fd_gradient` relies on this; a Fortran-ordered batch sums in
+    another order).  ``grad_fn`` takes one point.  Instances are immutable
+    and safe to share.
     """
 
     name: str
     dim: int
     start: Vector
-    value_fn: Callable[[Vector], float]
+    value_fn: Callable[[Vector], float | np.ndarray]
     grad_fn: Callable[[Vector], Vector]
 
     def __post_init__(self):
@@ -143,28 +149,72 @@ class CountingProblem:
 
 _CBRT_EPS = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
+# Elements per batched value_fn call in fd_gradient.  Larger chunks save
+# little once numpy's per-call overhead is amortised, and cost peak memory.
+_FD_CHUNK = 8192
+
 
 def fd_gradient(p: ProblemInstance, x: Vector, h: float = _CBRT_EPS) -> Vector:
     """Central-difference gradient oracle; never touches counters.
 
     The per-coordinate step is ``h * (1 + |x_i|)``; the default base step is
     cbrt(machine eps), the usual balance of truncation vs. cancellation for
-    central differences.
+    central differences.  The perturbed points go to ``value_fn`` in
+    ``(2k, n)`` batches, the ``x + h_i e_i`` rows of k coordinates followed
+    by their ``x - h_i e_i`` rows; by the batch contract each component has
+    the bits of two 1-D calls.
     """
-    if h <= 0:
-        raise ValueError("h must be positive")
+    if not (np.isfinite(h) and h > 0):
+        raise ValueError(f"h must be positive and finite, got {h!r}")
     x = _check_point(p, x)
+    n = p.dim
+    steps = h * (1.0 + np.abs(x))
+    up, down = x + steps, x - steps
     g = np.empty_like(x)
-    for i in range(p.dim):
-        hi = h * (1.0 + abs(x[i]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += hi
-        xm[i] -= hi
-        g[i] = (p.value_fn(xp) - p.value_fn(xm)) / (2.0 * hi)
+    k = max(1, _FD_CHUNK // (2 * n))
+    buf = np.empty((2 * k, n))
+    for lo in range(0, n, k):
+        hi = min(lo + k, n)
+        m = hi - lo
+        block = buf[: 2 * m]
+        block[:] = x
+        # rows j and m + j move coordinate lo + j: n + 1 apart when flat
+        flat = block.reshape(-1)
+        flat[lo : m * n : n + 1] = up[lo:hi]
+        flat[m * n + lo :: n + 1] = down[lo:hi]
+        f = np.asarray(p.value_fn(block), dtype=float)
+        if f.shape != (2 * m,):
+            raise DimensionMismatch(
+                f"{p.name}: value_fn gave shape {f.shape} for a batch of shape "
+                f"{block.shape}; it must map (..., n) to (...)"
+            )
+        g[lo:hi] = (f[:m] - f[m:]) / (2.0 * steps[lo:hi])
     if not np.isfinite(g).all():
         raise NonFiniteOutput(f"{p.name}: finite-difference gradient overflowed")
     return g
+
+
+# ---------------------------------------------------------------------------
+# Batch helpers.  Where the 1-D objective raises a numpy scalar to a power or
+# takes np.dot, the batched form must repeat that per row: array ``**`` goes
+# through squaring and SIMD pow, and matmul through another summation order,
+# and either can change the last bit.
+# ---------------------------------------------------------------------------
+
+
+def _scalar_pow(t, k: int):
+    """``t ** k`` elementwise, each element rounded as a numpy scalar pow."""
+    if t.ndim == 0:
+        return np.float64(t) ** k
+    return np.array([v**k for v in t.ravel()]).reshape(t.shape)
+
+
+def _per_row(fn, x: np.ndarray):
+    """``fn(row)`` for each row of ``x``, shaped like ``x`` minus its last axis."""
+    if x.ndim == 1:
+        return fn(x)
+    rows = x.reshape(-1, x.shape[-1])
+    return np.array([fn(r) for r in rows]).reshape(x.shape[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +231,8 @@ def _srosenbr(n: int):
         raise ValueError("SROSENBR needs even n >= 2")
 
     def value(x):
-        o, e = x[0::2], x[1::2]
-        return float(np.sum(100.0 * (e - o**2) ** 2 + (1.0 - o) ** 2))
+        o, e = x[..., 0::2], x[..., 1::2]
+        return np.sum(100.0 * (e - o**2) ** 2 + (1.0 - o) ** 2, axis=-1)
 
     def grad(x):
         o, e = x[0::2], x[1::2]
@@ -204,16 +254,15 @@ def _woods(n: int):
         raise ValueError("WOODS needs n divisible by 4")
 
     def value(x):
-        a, b, c, d = x[0::4], x[1::4], x[2::4], x[3::4]
-        return float(
-            np.sum(
-                100.0 * (b - a**2) ** 2
-                + (1.0 - a) ** 2
-                + 90.0 * (d - c**2) ** 2
-                + (1.0 - c) ** 2
-                + 10.0 * (b + d - 2.0) ** 2
-                + 0.1 * (b - d) ** 2
-            )
+        a, b, c, d = x[..., 0::4], x[..., 1::4], x[..., 2::4], x[..., 3::4]
+        return np.sum(
+            100.0 * (b - a**2) ** 2
+            + (1.0 - a) ** 2
+            + 90.0 * (d - c**2) ** 2
+            + (1.0 - c) ** 2
+            + 10.0 * (b + d - 2.0) ** 2
+            + 0.1 * (b - d) ** 2,
+            axis=-1,
         )
 
     def grad(x):
@@ -240,14 +289,13 @@ def _powellsg(n: int):
         raise ValueError("POWELLSG needs n divisible by 4")
 
     def value(x):
-        a, b, c, d = x[0::4], x[1::4], x[2::4], x[3::4]
-        return float(
-            np.sum(
-                (a + 10.0 * b) ** 2
-                + 5.0 * (c - d) ** 2
-                + (b - 2.0 * c) ** 4
-                + 10.0 * (a - d) ** 4
-            )
+        a, b, c, d = x[..., 0::4], x[..., 1::4], x[..., 2::4], x[..., 3::4]
+        return np.sum(
+            (a + 10.0 * b) ** 2
+            + 5.0 * (c - d) ** 2
+            + (b - 2.0 * c) ** 4
+            + 10.0 * (a - d) ** 4,
+            axis=-1,
         )
 
     def grad(x):
@@ -274,8 +322,8 @@ def _tridia(n: int):
     w = np.arange(2.0, n + 1.0)
 
     def value(x):
-        r = 2.0 * x[1:] - x[:-1]
-        return float((x[0] - 1.0) ** 2 + np.sum(w * r**2))
+        r = 2.0 * x[..., 1:] - x[..., :-1]
+        return _scalar_pow(x[..., 0] - 1.0, 2) + np.sum(w * r**2, axis=-1)
 
     def grad(x):
         r = 2.0 * x[1:] - x[:-1]
@@ -299,7 +347,7 @@ def _dqdrtic(n: int):
     c[2:n] += 100.0
 
     def value(x):
-        return float(np.sum(c * x**2))
+        return np.sum(c * x**2, axis=-1)
 
     def grad(x):
         return 2.0 * c * x
@@ -314,8 +362,12 @@ def _dixon3dq(n: int):
         raise ValueError("DIXON3DQ needs n >= 2")
 
     def value(x):
-        d = x[:-1] - x[1:]
-        return float((x[0] - 1.0) ** 2 + np.sum(d**2) + (x[-1] - 1.0) ** 2)
+        d = x[..., :-1] - x[..., 1:]
+        return (
+            _scalar_pow(x[..., 0] - 1.0, 2)
+            + np.sum(d**2, axis=-1)
+            + _scalar_pow(x[..., -1] - 1.0, 2)
+        )
 
     def grad(x):
         d = x[:-1] - x[1:]
@@ -335,8 +387,8 @@ def _arwhead(n: int):
         raise ValueError("ARWHEAD needs n >= 2")
 
     def value(x):
-        h = x[:-1] ** 2 + x[-1] ** 2
-        return float(np.sum(h**2 - 4.0 * x[:-1] + 3.0))
+        h = x[..., :-1] ** 2 + _scalar_pow(x[..., -1], 2)[..., None]
+        return np.sum(h**2 - 4.0 * x[..., :-1] + 3.0, axis=-1)
 
     def grad(x):
         h = x[:-1] ** 2 + x[-1] ** 2
@@ -351,8 +403,8 @@ def _arwhead(n: int):
 def _liarwhd(n: int):
     # LIARWHD: f = sum_i 4 (x_i^2 - x_1)^2 + (x_i - 1)^2, start all 4
     def value(x):
-        r = x**2 - x[0]
-        return float(np.sum(4.0 * r**2 + (x - 1.0) ** 2))
+        r = x**2 - x[..., :1]
+        return np.sum(4.0 * r**2 + (x - 1.0) ** 2, axis=-1)
 
     def grad(x):
         r = x**2 - x[0]
@@ -370,8 +422,8 @@ def _nondia(n: int):
         raise ValueError("NONDIA needs n >= 2")
 
     def value(x):
-        r = x[0] - x[:-1] ** 2
-        return float((x[0] - 1.0) ** 2 + 100.0 * np.sum(r**2))
+        r = x[..., :1] - x[..., :-1] ** 2
+        return _scalar_pow(x[..., 0] - 1.0, 2) + 100.0 * np.sum(r**2, axis=-1)
 
     def grad(x):
         r = x[0] - x[:-1] ** 2
@@ -389,8 +441,8 @@ def _engval1(n: int):
         raise ValueError("ENGVAL1 needs n >= 2")
 
     def value(x):
-        h = x[:-1] ** 2 + x[1:] ** 2
-        return float(np.sum(h**2 - 4.0 * x[:-1] + 3.0))
+        h = x[..., :-1] ** 2 + x[..., 1:] ** 2
+        return np.sum(h**2 - 4.0 * x[..., :-1] + 3.0, axis=-1)
 
     def grad(x):
         h = x[:-1] ** 2 + x[1:] ** 2
@@ -410,14 +462,14 @@ def _freuroth(n: int):
         raise ValueError("FREUROTH needs n >= 2")
 
     def _residuals(x):
-        y = x[1:]
-        r1 = x[:-1] - 13.0 + ((5.0 - y) * y - 2.0) * y
-        r2 = x[:-1] - 29.0 + ((y + 1.0) * y - 14.0) * y
+        y = x[..., 1:]
+        r1 = x[..., :-1] - 13.0 + ((5.0 - y) * y - 2.0) * y
+        r2 = x[..., :-1] - 29.0 + ((y + 1.0) * y - 14.0) * y
         return r1, r2
 
     def value(x):
         r1, r2 = _residuals(x)
-        return float(np.sum(r1**2 + r2**2))
+        return np.sum(r1**2 + r2**2, axis=-1)
 
     def grad(x):
         y = x[1:]
@@ -442,8 +494,8 @@ def _extrosnb(n: int):
         raise ValueError("EXTROSNB needs n >= 2")
 
     def value(x):
-        r = x[1:] - x[:-1] ** 2
-        return float((x[0] - 1.0) ** 2 + 100.0 * np.sum(r**2))
+        r = x[..., 1:] - x[..., :-1] ** 2
+        return _scalar_pow(x[..., 0] - 1.0, 2) + 100.0 * np.sum(r**2, axis=-1)
 
     def grad(x):
         r = x[1:] - x[:-1] ** 2
@@ -462,7 +514,7 @@ def _cosine(n: int):
         raise ValueError("COSINE needs n >= 2")
 
     def value(x):
-        return float(np.sum(np.cos(x[:-1] ** 2 - 0.5 * x[1:])))
+        return np.sum(np.cos(x[..., :-1] ** 2 - 0.5 * x[..., 1:]), axis=-1)
 
     def grad(x):
         s = np.sin(x[:-1] ** 2 - 0.5 * x[1:])
@@ -481,10 +533,9 @@ def _edensch(n: int):
         raise ValueError("EDENSCH needs n >= 2")
 
     def value(x):
-        a = x[:-1] - 2.0
-        return float(
-            16.0 + np.sum(a**4 + (a * x[1:]) ** 2 + (x[1:] + 1.0) ** 2)
-        )
+        a = x[..., :-1] - 2.0
+        y = x[..., 1:]
+        return 16.0 + np.sum(a**4 + (a * y) ** 2 + (y + 1.0) ** 2, axis=-1)
 
     def grad(x):
         a = x[:-1] - 2.0
@@ -501,7 +552,7 @@ def _dqrtic(n: int):
     idx = np.arange(1.0, n + 1.0)
 
     def value(x):
-        return float(np.sum((x - idx) ** 4))
+        return np.sum((x - idx) ** 4, axis=-1)
 
     def grad(x):
         return 4.0 * (x - idx) ** 3
@@ -515,8 +566,8 @@ def _penalty1(n: int):
     a = 1.0e-5
 
     def value(x):
-        s = np.sum(x**2) - 0.25
-        return float(a * np.sum((x - 1.0) ** 2) + s**2)
+        s = np.sum(x**2, axis=-1) - 0.25
+        return a * np.sum((x - 1.0) ** 2, axis=-1) + _scalar_pow(s, 2)
 
     def grad(x):
         s = np.sum(x**2) - 0.25
@@ -531,8 +582,10 @@ def _vardim(n: int):
     w = np.arange(1.0, n + 1.0)
 
     def value(x):
-        s = np.dot(w, x - 1.0)
-        return float(np.sum((x - 1.0) ** 2) + s**2 + s**4)
+        s = _per_row(partial(np.dot, w), x - 1.0)
+        return (
+            np.sum((x - 1.0) ** 2, axis=-1) + _scalar_pow(s, 2) + _scalar_pow(s, 4)
+        )
 
     def grad(x):
         s = np.dot(w, x - 1.0)
@@ -550,19 +603,19 @@ def _bdqrtic(n: int):
     m = n - 4
 
     def _parts(x):
-        lin = 3.0 - 4.0 * x[:m]
+        lin = 3.0 - 4.0 * x[..., :m]
         q = (
-            x[:m] ** 2
-            + 2.0 * x[1 : m + 1] ** 2
-            + 3.0 * x[2 : m + 2] ** 2
-            + 4.0 * x[3 : m + 3] ** 2
-            + 5.0 * x[-1] ** 2
+            x[..., :m] ** 2
+            + 2.0 * x[..., 1 : m + 1] ** 2
+            + 3.0 * x[..., 2 : m + 2] ** 2
+            + 4.0 * x[..., 3 : m + 3] ** 2
+            + 5.0 * _scalar_pow(x[..., -1], 2)[..., None]
         )
         return lin, q
 
     def value(x):
         lin, q = _parts(x)
-        return float(np.sum(lin**2 + q**2))
+        return np.sum(lin**2 + q**2, axis=-1)
 
     def grad(x):
         lin, q = _parts(x)
@@ -587,10 +640,10 @@ def _tointgss(n: int):
     t = 10.0 / (n - 2.0)
 
     def value(x):
-        a = x[:-2] - x[1:-1]
-        b2 = x[2:] ** 2
+        a = x[..., :-2] - x[..., 1:-1]
+        b2 = x[..., 2:] ** 2
         e = np.exp(-(a**2) / (0.1 + b2))
-        return float(np.sum((t + b2) * (2.0 - e)))
+        return np.sum((t + b2) * (2.0 - e), axis=-1)
 
     def grad(x):
         a = x[:-2] - x[1:-1]
@@ -614,7 +667,7 @@ def _power(n: int):
     w = np.arange(1.0, n + 1.0)
 
     def value(x):
-        return float(np.dot(w, x**2) ** 2)
+        return _per_row(lambda r: np.dot(w, r) ** 2, x**2)
 
     def grad(x):
         s = np.dot(w, x**2)
@@ -727,7 +780,7 @@ def quadratic_instance(
         start = np.ones(n)
 
     def value(x):
-        return float(0.5 * x @ a @ x)
+        return _per_row(lambda r: 0.5 * r @ a @ r, x)
 
     def grad(x):
         return a @ x

@@ -135,6 +135,18 @@ def test_config_precedence(tmp_path, capsys):
     assert cfg["c1"] == 1.0e-4  # default survives
 
 
+def test_config_file_sets_method(tmp_path, capsys):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"method": "FR"}))
+    argv = ["solve", "--problem", "TRIDIA", "--config", str(cfg_file), "--print-config"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert json.loads(out)["method"] == "FR"  # file beats default
+    code, out, _ = run_cli([*argv, "--method", "HZ"], capsys)
+    assert code == 0
+    assert json.loads(out)["method"] == "HZ"  # flag beats file
+
+
 def test_config_file_errors(tmp_path, capsys):
     bad_key = tmp_path / "bad_key.json"
     bad_key.write_text(json.dumps({"tau": 0.01, "momentum": 0.9}))
@@ -175,6 +187,7 @@ def test_config_file_errors(tmp_path, capsys):
         {"max_iters": 2.5},
         {"bb_guard": True},
         {"eps_scale": float("nan")},
+        {"method": "SD"},
     ):
         bad_value.write_text(json.dumps(bad))
         argv = ["solve", "--problem", "TRIDIA", "--config", str(bad_value)]
@@ -330,6 +343,21 @@ def test_suite_empty_filter_exit_one(tmp_path, capsys):
     assert "no catalog problems" in err
 
 
+def test_grid_without_converged_run_exit_one(tmp_path, capsys):
+    # one iteration converges nowhere, so there is no profile to normalize
+    no_progress = ["--problems", "TRIDIA", "--max-dim", "50", "--max-iters", "1"]
+    for argv in (
+        ["suite", *no_progress, "--methods", "NEW"],
+        ["sweep-tau", *no_progress, "--taus", "0.1"],
+    ):
+        out_dir = tmp_path / argv[0]
+        code, out, err = run_cli([*argv, "--output", str(out_dir)], capsys)
+        assert code == 1, argv
+        assert out == ""
+        assert err.startswith("error:") and "no run converged" in err
+        assert list(out_dir.iterdir()) == []
+
+
 def test_output_dir_env_var(tmp_path, capsys, monkeypatch):
     out_dir = tmp_path / "from-env"
     monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(out_dir))
@@ -448,9 +476,28 @@ def test_check_gradients_empty_filter(capsys):
     assert "no catalog problems" in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+def test_check_gradients_rejects_bad_tol(tol, capsys):
+    code, out, err = run_cli(
+        ["check-gradients", "--problems", "TRIDIA", f"--tol={tol}"], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "--tol" in err
+
+
+def test_check_gradients_rejects_negative_seed(capsys):
+    code, out, err = run_cli(
+        ["check-gradients", "--problems", "TRIDIA", "--seed", "-1"], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "--seed" in err
+
+
 def test_check_gradients_detects_wrong_gradient(capsys, monkeypatch):
     def liar_value(x):
-        return float(x @ x)
+        return np.sum(x * x, axis=-1)
 
     def liar_grad(x):
         return 2.0 * x + 0.01  # constant offset the difference quotient exposes

@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 from cglab.problems import (
+    _FD_CHUNK,
+    _scalar_pow,
     CountingProblem,
     DimensionMismatch,
     NonFiniteInput,
@@ -408,11 +410,103 @@ def test_counting_problem_charges_overflowing_trials():
 
 def test_fd_gradient_validation():
     p = build("TRIDIA", 10)
-    with pytest.raises(ValueError):
-        fd_gradient(p, p.start, h=0.0)
+    for h in (0.0, -1.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="h must be"):
+            fd_gradient(p, p.start, h=h)
     cp = CountingProblem(p)
     fd_gradient(p, p.start)
     assert cp.counter.f_evals == 0  # the oracle never touches counters
+    one_point_only = ProblemInstance(
+        name="SCALAR",
+        dim=3,
+        start=np.ones(3),
+        value_fn=lambda x: float(np.sum(x * x)),
+        grad_fn=lambda x: 2.0 * x,
+    )
+    with pytest.raises(DimensionMismatch, match=r"\(\.\.\., n\)"):
+        fd_gradient(one_point_only, one_point_only.start)
+
+
+# ---------------------------------------------------------------------------
+# Batch contract: value_fn on a stack of points gives, row for row, the bits
+# of the 1-D call, and fd_gradient's batched differences give the bits of the
+# coordinate loop it replaced.
+# ---------------------------------------------------------------------------
+
+CBRT_EPS = float(np.finfo(float).eps) ** (1.0 / 3.0)
+
+
+def coordinate_loop_fd(p, x, h=CBRT_EPS):
+    """Central differences one perturbed point per value_fn call."""
+    x = np.asarray(x, dtype=float)
+    g = np.empty_like(x)
+    for i in range(p.dim):
+        hi = h * (1.0 + abs(x[i]))
+        xp = x.copy()
+        xm = x.copy()
+        xp[i] += hi
+        xm[i] -= hi
+        g[i] = (p.value_fn(xp) - p.value_fn(xm)) / (2.0 * hi)
+    return g
+
+
+def assert_batch_matches_rows(p, rng):
+    n = p.dim
+    # the last stack has more rows than one fd_gradient batch holds
+    for k in (1, 2, _FD_CHUNK // n + 1):
+        around_start = p.start + rng.uniform(-2.0, 2.0, (k, n))
+        spread = rng.uniform(-3.0, 3.0, (k, n))
+        stack = np.where(np.arange(k)[:, None] % 2 == 0, around_start, spread)
+        batch = p.value_fn(stack)
+        assert batch.shape == (k,)
+        rows = np.array([p.value_fn(x) for x in stack])
+        assert batch.tobytes() == rows.tobytes(), (p.key, k)
+    even = 2 * (k // 2)
+    nested = p.value_fn(stack[:even].reshape(2, -1, n))
+    assert nested.tobytes() == batch[:even].tobytes()
+
+
+def test_scalar_pow_rounds_like_numpy_scalars():
+    # the 1-D objectives raise numpy scalars to powers; depending on the
+    # platform's pow, array ** rounds some of these values differently
+    t = np.random.default_rng(17).uniform(-3.0, 3.0, (100, 200))
+    for k in (2, 4):
+        expected = np.array([[np.float64(v) ** k for v in row] for row in t])
+        assert _scalar_pow(t, k).tobytes() == expected.tobytes()
+        assert _scalar_pow(t[0, 0], k) == expected[0, 0]
+
+
+CATALOG_KEYS = [(p.name, p.dim) for p in catalog()]
+
+
+@pytest.mark.parametrize("name,dim", CATALOG_KEYS)
+def test_value_fn_batch_matches_rows(name, dim):
+    p = build(name, dim)
+    assert_batch_matches_rows(p, np.random.default_rng([11, dim, *name.encode()]))
+
+
+def test_quadratic_value_fn_batch_matches_rows():
+    rng = np.random.default_rng(5)
+    m = rng.standard_normal((7, 7))
+    p = quadratic_instance(m + m.T)
+    assert_batch_matches_rows(p, rng)
+
+
+def test_fd_gradient_matches_coordinate_loop_at_small_dims():
+    rng = np.random.default_rng(19)
+    for n in (1, 2, 3):
+        m = rng.standard_normal((n, n))
+        p = quadratic_instance(m + m.T)
+        x = rng.uniform(-2.0, 2.0, n)
+        assert fd_gradient(p, x).tobytes() == coordinate_loop_fd(p, x).tobytes()
+
+
+@pytest.mark.parametrize("name,dim", CATALOG_KEYS)
+def test_fd_gradient_matches_coordinate_loop(name, dim):
+    p = build(name, dim)
+    rng = np.random.default_rng([13, dim, *name.encode()])
+    for x in (p.start, p.start + rng.uniform(-1.0, 1.0, dim)):
+        assert fd_gradient(p, x).tobytes() == coordinate_loop_fd(p, x).tobytes()
 
 
 def test_quadratic_instance():

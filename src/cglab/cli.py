@@ -114,10 +114,10 @@ def _add_output_options(p: argparse.ArgumentParser) -> None:
         default=None,
         help=f"artifact directory (default ${OUTPUT_DIR_ENV} or ./results)",
     )
-    p.add_argument("--parallelism", type=int, default=1)
+    p.add_argument("--parallelism", type=_int_at_least(1), default=1)
     p.add_argument(
         "--time-repeats",
-        type=int,
+        type=_int_at_least(1),
         default=3,
         dest="time_repeats",
         help="runs per converged pair for the wall-time median",
@@ -135,14 +135,17 @@ def _add_problem_filter(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-dim", type=int, default=None, dest="max_dim")
 
 
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
-    return value
+def _int_at_least(low: int):
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+        return value
+
+    return convert
 
 
 def _positive_float(text: str) -> float:
@@ -192,7 +195,7 @@ def _build_parser() -> _Parser:
         "check-gradients", help="compare analytic gradients with finite differences"
     )
     p_check.add_argument("--problems", default=None, metavar="GLOB")
-    p_check.add_argument("--seed", type=_nonnegative_int, default=0)
+    p_check.add_argument("--seed", type=_int_at_least(0), default=0)
     p_check.add_argument("--tol", type=_positive_float, default=1.0e-6)
 
     sub.add_parser("list-problems", help="print the catalog as NAME<TAB>DIM")
@@ -412,23 +415,23 @@ def cmd_suite(args) -> int:
 
 
 def cmd_sweep_tau(args) -> int:
-    if args.taus is None:
-        taus = list(DEFAULT_TAU_GRID)
-    else:
-        try:
+    base = _solver_config(args, MethodId.NEW)
+    try:
+        if args.taus is None:
+            taus = list(DEFAULT_TAU_GRID)
+        else:
             taus = [float(t) for t in args.taus.split(",") if t.strip()]
-        except ValueError as e:
-            raise _CliError(f"bad --taus value: {e}")
+        configs = [dataclasses.replace(base, tau=t) for t in taus]
+    except ValueError as e:
+        raise _CliError(f"bad --taus value: {e}")
     if not taus:
         raise _CliError("no tau values given")
     if len(set(taus)) != len(taus):
         raise _CliError("duplicate tau values")
 
-    base = _solver_config(args, MethodId.NEW)
     if args.print_config:
         _print_config(base)
         return 0
-    configs = [dataclasses.replace(base, tau=t) for t in taus]
     labels = [f"tau={t!r}" for t in taus]
 
     problems = _select_problems(args)

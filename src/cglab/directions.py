@@ -136,12 +136,13 @@ def direction(
     tau: float,
     hz_eta: float = 0.01,
 ) -> DirectionResult:
-    """Next search direction for ``method``.
+    """Next search direction for ``method``; the one place restarts are decided.
 
     The first iteration (no previous state) returns exactly ``-g`` for every
-    method.  FR and HZ fall back to ``-g`` (``restarted=True``, beta
-    reported as 0) when the two-term update is not a descent direction or,
-    for HZ, when the curvature denominator degenerates.
+    method.  Every method falls back to ``-g`` (``restarted=True``, beta
+    reported as 0) when its update divides by zero (zero previous direction
+    or gradient, or degenerate HZ curvature); FR and HZ also do when the
+    two-term update is not a descent direction.
     """
     g = np.asarray(g, dtype=float)
     if g_prev is None or d_prev is None:
@@ -149,26 +150,24 @@ def direction(
     g_prev = np.asarray(g_prev, dtype=float)
     d_prev = np.asarray(d_prev, dtype=float)
 
-    if method is MethodId.NEW:
-        beta = beta_new(float(np.linalg.norm(g)), d_prev, tau)
-        return DirectionResult(d=-g + beta * d_prev, beta=beta, restarted=False)
-
-    if method is MethodId.MFR:
-        beta = beta_fr(g, g_prev)
-        theta = theta_mfr(g, g_prev, d_prev)
-        return DirectionResult(
-            d=-theta * g + beta * d_prev, beta=beta, restarted=False
-        )
-
-    if method is MethodId.FR:
-        beta = beta_fr(g, g_prev)
-    elif method is MethodId.HZ:
-        try:
+    try:
+        if method is MethodId.NEW:
+            beta = beta_new(float(np.linalg.norm(g)), d_prev, tau)
+            return DirectionResult(d=-g + beta * d_prev, beta=beta, restarted=False)
+        if method is MethodId.MFR:
+            beta = beta_fr(g, g_prev)
+            theta = theta_mfr(g, g_prev, d_prev)
+            return DirectionResult(
+                d=-theta * g + beta * d_prev, beta=beta, restarted=False
+            )
+        if method is MethodId.FR:
+            beta = beta_fr(g, g_prev)
+        elif method is MethodId.HZ:
             beta = beta_hz(g, g_prev, d_prev, eta=hz_eta)
-        except DegenerateCurvature:
-            return DirectionResult(d=-g, beta=0.0, restarted=True)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+        else:
+            raise ValueError(f"unknown method {method!r}")
+    except ZeroDivisionError:
+        return DirectionResult(d=-g, beta=0.0, restarted=True)
 
     d = -g + beta * d_prev
     if float(np.dot(d, g)) >= 0.0:

@@ -65,13 +65,13 @@ class LineSearchConfig:
 
 @dataclass(frozen=True)
 class LineSearchOutcome:
-    """Accepted step and trial point plus the bookkeeping the solver records."""
+    """Accepted step and trial point, backtrack count and the d'g tested."""
 
     alpha: float
     f_new: float
     x_new: Vector
     backtracks: int
-    alpha_bar: float
+    dg: float
 
 
 def initial_step(
@@ -113,6 +113,8 @@ def armijo_backtrack(
     themselves non-finite (possible when ``alpha_bar * d`` overflows), are
     treated as plain Armijo rejections and backtracked past;
     :class:`CountingProblem` refuses the latter before charging anything.
+    numpy's error state is the caller's: :func:`~cglab.solver.minimize`
+    turns overflow and invalid warnings off, a direct caller decides itself.
     """
     dg = float(np.dot(d, g))
     if not np.isfinite(dg) or dg >= 0.0:
@@ -127,9 +129,7 @@ def armijo_backtrack(
             raise StepFloorReached(
                 f"trial step {alpha:.3e} fell below floor {config.step_floor:.3e}"
             )
-        # an overflowing trial point is handled below, so keep numpy quiet
-        with np.errstate(over="ignore", invalid="ignore"):
-            trial = x + alpha * d
+        trial = x + alpha * d
         try:
             f_trial = problem.evaluate(trial)
         except (NonFiniteInput, NonFiniteOutput):
@@ -141,7 +141,7 @@ def armijo_backtrack(
                     f_new=f_trial,
                     x_new=trial,
                     backtracks=backtracks,
-                    alpha_bar=alpha_bar,
+                    dg=dg,
                 )
         alpha *= config.rho
         backtracks += 1

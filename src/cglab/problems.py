@@ -114,7 +114,9 @@ class CountingProblem:
     """Counter-charging view of a :class:`ProblemInstance`.
 
     One wrapper per run; the counter is not thread-safe and is meant to be
-    confined to a single solve.
+    confined to a single solve.  Overflow raises :class:`NonFiniteOutput`;
+    numpy's error state is the caller's: :func:`~cglab.solver.minimize`
+    turns overflow and invalid warnings off, a direct caller decides itself.
     """
 
     def __init__(self, instance: ProblemInstance):
@@ -125,9 +127,7 @@ class CountingProblem:
         """f(x); charges exactly one objective evaluation."""
         x = _check_point(self.instance, x)
         self.counter.f_evals += 1
-        # overflow is reported via the exception, not a numpy warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            f = float(self.instance.value_fn(x))
+        f = float(self.instance.value_fn(x))
         if not np.isfinite(f):
             raise NonFiniteOutput(f"{self.instance.name}: objective overflowed")
         return f
@@ -136,8 +136,7 @@ class CountingProblem:
         """grad f(x); charges exactly one gradient evaluation."""
         x = _check_point(self.instance, x)
         self.counter.g_evals += 1
-        with np.errstate(over="ignore", invalid="ignore"):
-            g = np.asarray(self.instance.grad_fn(x), dtype=float)
+        g = np.asarray(self.instance.grad_fn(x), dtype=float)
         if g.shape != (self.instance.dim,):
             raise DimensionMismatch(
                 f"{self.instance.name}: gradient has shape {g.shape}"

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .directions import DirectionResult, MethodId, direction
+from .directions import MethodId, direction
 from .linesearch import (
     LineSearchConfig,
     NotDescent,
@@ -136,6 +136,7 @@ class RunResult:
         return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def minimize(p: ProblemInstance, cfg: SolverConfig) -> RunResult:
     """Run the CG iteration from ``p.start`` until a terminal status.
 
@@ -143,7 +144,7 @@ def minimize(p: ProblemInstance, cfg: SolverConfig) -> RunResult:
     backtracking, iterate update, one gradient evaluation.  A non-finite
     objective or gradient at an accepted iterate ends the run as
     ``NumericalFailure``; a line search that exhausts its step floor ends it
-    as ``StepFloor``.
+    as ``StepFloor``; they report overflow, so numpy's warnings for it are off.
     """
     t0 = time.perf_counter()
     cp = CountingProblem(p)
@@ -182,10 +183,7 @@ def minimize(p: ProblemInstance, cfg: SolverConfig) -> RunResult:
         if k >= cfg.max_iters:
             return _result(Status.ITERATION_LIMIT, k, f, gnorm)
 
-        try:
-            res = direction(cfg.method, g, g_prev, d_prev, cfg.tau, cfg.hz_eta)
-        except ZeroDivisionError:
-            res = DirectionResult(d=-g, beta=0.0, restarted=True)
+        res = direction(cfg.method, g, g_prev, d_prev, cfg.tau, cfg.hz_eta)
         d = res.d
         alpha_bar = initial_step(s_prev, y_prev, cfg.bb_guard)
 
@@ -203,10 +201,10 @@ def minimize(p: ProblemInstance, cfg: SolverConfig) -> RunResult:
                     f=f,
                     gnorm=gnorm,
                     dnorm=float(np.linalg.norm(d)),
-                    dg=float(np.dot(d, g)),
+                    dg=ls.dg,
                     beta=res.beta,
                     alpha=ls.alpha,
-                    alpha_bar=ls.alpha_bar,
+                    alpha_bar=alpha_bar,
                     backtracks=ls.backtracks,
                     restarted=res.restarted,
                 )

@@ -450,6 +450,28 @@ def test_sweep_tau_validation(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("suite", "--parallelism", "0"),
+        ("suite", "--time-repeats", "0"),
+        ("sweep-tau", "--time-repeats", "-2"),
+        ("sweep-tau", "--taus", "1.5"),
+        ("sweep-tau", "--taus", "nan"),
+    ],
+)
+def test_grid_setting_out_of_range_exit_one(command, flag, value, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(
+        [command, "--problems", "TRIDIA", "--output", str(out_dir), flag, value],
+        capsys,
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and flag in err
+    assert not out_dir.exists()  # refused before anything ran
+
+
 def test_check_gradients_ok(capsys):
     code, out, err = run_cli(["check-gradients", "--problems", "TRIDIA"], capsys)
     assert code == 0

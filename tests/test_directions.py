@@ -219,6 +219,24 @@ def test_hz_restart_on_degenerate_curvature():
     assert np.array_equal(res.d, -g)
 
 
+@pytest.mark.parametrize(
+    "method, g_prev, d_prev",
+    [
+        (MethodId.NEW, np.array([1.0, 2.0]), np.zeros(2)),
+        (MethodId.FR, np.zeros(2), np.array([1.0, 2.0])),
+        (MethodId.MFR, np.zeros(2), np.array([1.0, 2.0])),
+    ],
+)
+def test_zero_division_restarts_with_steepest_descent(method, g_prev, d_prev):
+    # direction() alone decides restarts: a beta rule that would divide by
+    # zero gives exactly -g instead of raising to the driver
+    g = np.array([0.3, -1.7])
+    res = direction(method, g, g_prev, d_prev, 0.002)
+    assert np.array_equal(res.d, -g)
+    assert res.beta == 0.0
+    assert res.restarted is True
+
+
 @given(seed=st.integers(0, 100_000), scale_pow=st.integers(-6, 6))
 def test_positive_homogeneity(seed, scale_pow):
     # scaling g, g_prev, d_prev by c > 0 scales the direction by c for the

@@ -57,7 +57,7 @@ def test_hand_trace_one_backtrack():
     assert out.backtracks == 1
     assert out.f_new == 0.0
     assert out.x_new.tobytes() == (x + out.alpha * d).tobytes()
-    assert out.alpha_bar == 1.0
+    assert out.dg == -4.0
     assert p.counter.f_evals == 2
 
 
@@ -131,7 +131,8 @@ def test_accepts_after_skipping_overflow_region():
     )
     x = np.array([1.0])
     g = np.array([4.0])
-    out = armijo_backtrack(p, x, 1.0, g, -g, 1e200, CFG)
+    with pytest.warns(RuntimeWarning):  # numpy's error state is the caller's
+        out = armijo_backtrack(p, x, 1.0, g, -g, 1e200, CFG)
     assert np.isfinite(out.f_new)
     assert out.f_new <= 1.0 + CFG.c1 * out.alpha * float(np.dot(-g, g))
 
@@ -143,7 +144,8 @@ def test_non_finite_trial_points_are_skipped_unevaluated():
     p = CountingProblem(one_d_parabola())
     x = np.array([1.0])
     d = np.array([-2.0])
-    out = armijo_backtrack(p, x, 1.0, np.array([2.0]), d, 1.7e308, CFG)
+    with pytest.warns(RuntimeWarning):  # numpy's error state is the caller's
+        out = armijo_backtrack(p, x, 1.0, np.array([2.0]), d, 1.7e308, CFG)
     assert 0.0 < out.alpha * 2.0 <= 2.0
     assert out.f_new <= 1.0 + CFG.c1 * out.alpha * float(np.dot(d, np.array([2.0])))
     assert p.counter.f_evals == out.backtracks  # exactly one trial skipped free

@@ -403,7 +403,7 @@ def test_counting_problem_validation():
 
 def test_counting_problem_charges_overflowing_trials():
     cp = CountingProblem(build("SROSENBR", 10))
-    with pytest.raises(NonFiniteOutput):
+    with pytest.warns(RuntimeWarning), pytest.raises(NonFiniteOutput):
         cp.evaluate(np.full(10, 1e200))
     assert cp.counter.f_evals == 1  # rejected trials still cost an evaluation
 

@@ -5,6 +5,8 @@ benchmark problem; everything else is checked against hand traces, frozen
 eigenvalues, and the bookkeeping identities the counters must satisfy.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -172,6 +174,25 @@ def test_numerical_failure_on_nan_gradient():
     assert r.iters == 1
     assert r.g_evals == r.iters + 1
     assert np.isnan(r.final_gnorm)
+
+
+def test_overflowing_trials_raise_no_warning():
+    # from x = 3 the first trials of exp(x^2) overflow; minimize owns numpy's
+    # error state, so the run backtracks past them without a warning
+    p = ProblemInstance(
+        name="EXPSQ",
+        dim=1,
+        start=np.array([3.0]),
+        value_fn=lambda x: float(np.exp(x[0] ** 2)),
+        grad_fn=lambda x: 2.0 * x * np.exp(x**2),
+    )
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        p.value_fn(p.start - p.grad_fn(p.start))  # the first trial point
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = minimize(p, SolverConfig(record_trace=True))
+    assert r.status is Status.CONVERGED
+    assert r.trace[0].backtracks > 0
 
 
 def test_numerical_failure_at_non_finite_start():

@@ -104,9 +104,11 @@ def run_suite(
     """Run every (problem, solver) pair once and assemble cost matrices.
 
     ``f_evals`` and ``iters`` cells come from a single run and are
-    deterministic for any ``parallelism``; the ``time`` cell is the median
-    wall time over ``time_repeats`` runs of converged pairs (timing noise is
-    the only reason any pair executes more than once).  ``labels`` names the
+    deterministic for any ``parallelism``, which is the number of threads
+    those first runs share.  The ``time`` cell is the median wall time over
+    ``time_repeats`` runs of a converged pair, all taken serially after the
+    first runs so that no timing competes with another thread; at
+    ``parallelism == 1`` the first run is one of them.  ``labels`` names the
     matrix columns and defaults to each config's method id; pass explicit
     labels when configs share a method.
     """
@@ -125,40 +127,34 @@ def run_suite(
 
     keys = tuple((p.name, p.dim) for p in problems)
     shape = (len(problems), len(solver_configs))
-    cells: dict[str, np.ndarray] = {m: np.full(shape, FAILED) for m in METRICS}
-    results: list[list[RunResult | None]] = [
-        [None] * len(solver_configs) for _ in problems
-    ]
-
-    def job(pi: int, si: int) -> None:
-        p, cfg = problems[pi], solver_configs[si]
-        first = minimize(p, cfg)
-        results[pi][si] = first
-        if first.status is not Status.CONVERGED:
-            return
-        times = [first.wall_time]
-        for _ in range(time_repeats - 1):
-            times.append(minimize(p, cfg).wall_time)
-        cells["f_evals"][pi, si] = first.f_evals
-        cells["iters"][pi, si] = first.iters
-        cells["time"][pi, si] = max(statistics.median(times), 1.0e-9)
-
-    pairs = [(pi, si) for pi in range(len(problems)) for si in range(len(solver_configs))]
+    # pair i is (problems[i // n_solvers], solver_configs[i % n_solvers])
+    pair_problems = [p for p in problems for _ in solver_configs]
+    pair_configs = [cfg for _ in problems for cfg in solver_configs]
     if parallelism == 1:
-        for pi, si in pairs:
-            job(pi, si)
+        results = list(map(minimize, pair_problems, pair_configs))
     else:
         with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            list(pool.map(lambda ps: job(*ps), pairs))
+            results = list(pool.map(minimize, pair_problems, pair_configs))
+
+    cells: dict[str, np.ndarray] = {m: np.full(shape, FAILED) for m in METRICS}
+    for i, (p, cfg, first) in enumerate(zip(pair_problems, pair_configs, results)):
+        if first.status is not Status.CONVERGED:
+            continue
+        times = [first.wall_time] if parallelism == 1 else []
+        while len(times) < time_repeats:
+            times.append(minimize(p, cfg).wall_time)
+        cell = divmod(i, len(solver_configs))
+        cells["f_evals"][cell] = first.f_evals
+        cells["iters"][cell] = first.iters
+        cells["time"][cell] = max(statistics.median(times), 1.0e-9)
 
     matrices = {
         m: CostMatrix(solvers=tuple(labels), problems=keys, costs=cells[m], metric=m)
         for m in METRICS
     }
     runs = [
-        SuiteRun(solver=labels[si], problem=keys[pi][0], dim=keys[pi][1], result=results[pi][si])
-        for pi in range(len(problems))
-        for si in range(len(solver_configs))
+        SuiteRun(solver=labels[i % len(labels)], problem=p.name, dim=p.dim, result=r)
+        for i, (p, r) in enumerate(zip(pair_problems, results))
     ]
     return matrices, runs
 

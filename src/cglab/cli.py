@@ -8,9 +8,11 @@ finite-difference audit), and ``list-problems``.
 Exit codes: 0 success, 1 bad arguments or unusable output directory, 2 a
 run or check failed.  Config precedence is defaults < ``--config`` JSON
 file < command-line flags, and a file's ``method`` key sets the method of
-``solve``; ``--print-config`` shows the effective solver config without
-running anything.  Config-file values go through the same type conversion
-as the matching flag's text.
+``solve``; ``suite --methods`` and ``sweep-tau --taus`` replace a file's
+``method`` and ``tau`` with each column's value.  ``--print-config`` shows
+the effective solver config, one per grid column, without running
+anything.  Config-file values go through the same type conversion as the
+matching flag's text.  Abbreviated flags are refused.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from pathlib import Path
 import numpy as np
 
 from .bench import (
-    CostMatrix,
     performance_profile,
     run_suite,
     win_fractions,
@@ -34,13 +35,7 @@ from .bench import (
     write_profile_csv,
 )
 from .directions import MethodId
-from .problems import (
-    ProblemInstance,
-    catalog,
-    desk_suite,
-    fd_gradient,
-    filter_catalog,
-)
+from .problems import ProblemInstance, catalog, desk_suite, fd_gradient, filter_catalog
 from .solver import SolverConfig, Status, minimize
 
 __all__ = [
@@ -92,15 +87,21 @@ class _CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits with code 2 on bad flags; the CLI contract wants 1
+    # argparse exits with code 2 on bad flags; the CLI contract wants 1.  No
+    # abbreviations: ``sweep-tau --tau 0.5`` must not parse as ``--taus``.
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise _CliError(message)
 
 
-def _add_solver_options(p: argparse.ArgumentParser) -> None:
+def _add_solver_options(p: argparse.ArgumentParser, swept: str = "") -> None:
+    """Flags for every solver setting but ``swept``, which the command sets."""
     p.add_argument("--config", metavar="FILE", help="JSON file with solver settings")
     for name, kind in _SOLVER_FIELDS.items():
-        p.add_argument("--" + name.replace("_", "-"), type=kind, dest=name)
+        if name != swept:
+            p.add_argument("--" + name.replace("_", "-"), type=kind, dest=name)
     p.add_argument(
         "--print-config",
         action="store_true",
@@ -115,13 +116,6 @@ def _add_output_options(p: argparse.ArgumentParser) -> None:
         help=f"artifact directory (default ${OUTPUT_DIR_ENV} or ./results)",
     )
     p.add_argument("--parallelism", type=_int_at_least(1), default=1)
-    p.add_argument(
-        "--time-repeats",
-        type=_int_at_least(1),
-        default=3,
-        dest="time_repeats",
-        help="runs per converged pair for the wall-time median",
-    )
 
 
 def _add_problem_filter(p: argparse.ArgumentParser) -> None:
@@ -180,6 +174,13 @@ def _build_parser() -> _Parser:
     )
     _add_solver_options(p_suite)
     _add_output_options(p_suite)
+    p_suite.add_argument(
+        "--time-repeats",
+        type=_int_at_least(1),
+        default=3,
+        dest="time_repeats",
+        help="runs per converged pair for the wall-time median",
+    )
 
     p_sweep = sub.add_parser("sweep-tau", help="sweep the NEW update's tau")
     _add_problem_filter(p_sweep)
@@ -188,7 +189,7 @@ def _build_parser() -> _Parser:
         default=None,
         help="comma-separated tau values (default: the standard 20-point grid)",
     )
-    _add_solver_options(p_sweep)
+    _add_solver_options(p_sweep, swept="tau")
     _add_output_options(p_sweep)
 
     p_check = sub.add_parser(
@@ -276,17 +277,6 @@ def _output_dir(args) -> Path:
     return path
 
 
-def _select_problems(args) -> list[ProblemInstance]:
-    if args.problems is None and args.min_dim is None and args.max_dim is None:
-        return desk_suite()
-    selected = filter_catalog(
-        args.problems or "*", min_dim=args.min_dim, max_dim=args.max_dim
-    )
-    if not selected:
-        raise _CliError("no catalog problems match the filter")
-    return selected
-
-
 def _write_json(path: Path, payload) -> None:
     with open(path, "w", newline="") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -315,36 +305,65 @@ def cmd_solve(args) -> int:
     return 0 if result.status is Status.CONVERGED else 2
 
 
-def _run_grid(problems, configs, labels, parallelism, time_repeats):
-    """run_suite, refusing a grid where no run converged: it has no profile."""
+def _run_grid(args, title, flag, labels, configs, time_repeats, write_artifacts) -> int:
+    """The body of ``suite`` and ``sweep-tau``: one labelled column per config.
+
+    ``write_artifacts(out_dir, matrices, runs, rows)`` writes the command's
+    files; ``rows`` holds (label, solved runs, f_evals summed over them, win
+    rate) per column and is also the digest printed on stdout.  A grid where
+    no run converged has no profile, so it is refused.
+    """
+    if not configs:
+        raise _CliError(f"no values given in {flag}")
+    if len(set(configs)) != len(configs):
+        raise _CliError(f"duplicate values in {flag}")
+    if args.print_config:
+        for cfg in configs:
+            _print_config(cfg)
+        return 0
+    if args.problems is None and args.min_dim is None and args.max_dim is None:
+        problems = desk_suite()
+    else:
+        problems = filter_catalog(
+            args.problems or "*", min_dim=args.min_dim, max_dim=args.max_dim
+        )
+        if not problems:
+            raise _CliError("no catalog problems match the filter")
+    out_dir = _output_dir(args)
     matrices, runs = run_suite(
         problems,
         configs,
-        parallelism=parallelism,
+        parallelism=args.parallelism,
         time_repeats=time_repeats,
         labels=labels,
     )
-    if not np.isfinite(matrices["f_evals"].costs).any():
+    fevals = matrices["f_evals"].costs
+    if not np.isfinite(fevals).any():
         raise _CliError(f"no run converged ({len(runs)} attempted); no artifacts written")
-    return matrices, runs
-
-
-def _suite_artifacts(out_dir, problems, configs, labels, parallelism, time_repeats):
-    matrices, runs = _run_grid(problems, configs, labels, parallelism, time_repeats)
-    write_cost_csv(matrices["f_evals"], out_dir / "cost_fevals.csv")
-    write_cost_csv(matrices["iters"], out_dir / "cost_iters.csv")
-    write_cost_csv(matrices["time"], out_dir / "cost_time.csv")
-    write_profile_csv(
-        performance_profile(matrices["f_evals"]), out_dir / "profile_fevals.csv"
-    )
-    write_profile_csv(
-        performance_profile(matrices["iters"]), out_dir / "profile_iters.csv"
-    )
-    write_profile_csv(
-        performance_profile(matrices["time"]), out_dir / "profile_time.csv"
-    )
     wins = win_fractions(matrices["f_evals"])
-    _write_json(out_dir / "wins.json", wins)
+    rows = []
+    for label, col in zip(labels, fevals.T):
+        solved = col[np.isfinite(col)]
+        rows.append((label, solved.size, int(solved.sum()), wins[label]))
+    try:
+        write_artifacts(out_dir, matrices, runs, rows)
+    except OSError as e:
+        print(f"error: cannot write artifacts: {e}", file=sys.stderr)
+        return 1
+    print(f"{title}: {len(problems)} problems, artifacts in {out_dir}/")
+    print(f"{'solver':12} {'solved':>6} {'f_evals':>10} {'win rate':>8}")
+    for label, solved, total, win in rows:
+        print(f"{label:12} {solved:>6} {total:>10} {win:>8.2f}")
+    return 0
+
+
+def _write_suite_artifacts(out_dir, matrices, runs, rows) -> None:
+    for metric, stem in (("f_evals", "fevals"), ("iters", "iters"), ("time", "time")):
+        write_cost_csv(matrices[metric], out_dir / f"cost_{stem}.csv")
+        write_profile_csv(
+            performance_profile(matrices[metric]), out_dir / f"profile_{stem}.csv"
+        )
+    _write_json(out_dir / "wins.json", {label: win for label, _, _, win in rows})
     _write_json(
         out_dir / "runs.json",
         [
@@ -357,64 +376,31 @@ def _suite_artifacts(out_dir, problems, configs, labels, parallelism, time_repea
             for r in runs
         ],
     )
-    return _column_totals(matrices["f_evals"], wins)
-
-
-def _column_totals(fevals: CostMatrix, wins: dict[str, float]) -> list[tuple]:
-    """(label, solved runs, f_evals summed over them, win rate) per column."""
-    rows = []
-    for si, label in enumerate(fevals.solvers):
-        col = fevals.costs[:, si]
-        solved = col[np.isfinite(col)]
-        rows.append((label, solved.size, int(solved.sum()), wins[label]))
-    return rows
-
-
-def _print_digest(title: str, out_dir: Path, n_problems: int, rows) -> None:
-    print(f"{title}: {n_problems} problems, artifacts in {out_dir}/")
-    print(f"{'solver':12} {'solved':>6} {'f_evals':>10} {'win rate':>8}")
-    for label, solved, total, win in rows:
-        print(f"{label:12} {solved:>6} {total:>10} {win:>8.2f}")
 
 
 def cmd_suite(args) -> int:
-    methods = []
-    for token in args.methods.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        try:
-            methods.append(MethodId(token))
-        except ValueError:
-            raise _CliError(f"unknown method {token!r}")
-    if not methods:
-        raise _CliError("no methods given")
-    if len(set(methods)) != len(methods):
-        raise _CliError("duplicate methods in --methods")
-    configs = [_solver_config(args, m) for m in methods]
-    if args.print_config:
-        for cfg in configs:
-            _print_config(cfg)
-        return 0
-    problems = _select_problems(args)
-    out_dir = _output_dir(args)
     try:
-        rows = _suite_artifacts(
-            out_dir,
-            problems,
-            configs,
-            [m.value for m in methods],
-            args.parallelism,
-            args.time_repeats,
-        )
-    except OSError as e:
-        print(f"error: cannot write artifacts: {e}", file=sys.stderr)
-        return 1
-    _print_digest("suite", out_dir, len(problems), rows)
-    return 0
+        methods = [MethodId(t.strip()) for t in args.methods.split(",") if t.strip()]
+    except ValueError as e:
+        raise _CliError(f"bad --methods value: {e}")
+    base = _solver_config(args, None)
+    configs = [dataclasses.replace(base, method=m) for m in methods]
+    labels = [m.value for m in methods]
+    return _run_grid(
+        args,
+        "suite",
+        "--methods",
+        labels,
+        configs,
+        args.time_repeats,
+        _write_suite_artifacts,
+    )
 
 
 def cmd_sweep_tau(args) -> int:
+    # a config file's tau is replaced by each --taus value, as suite's
+    # --methods replaces its method; the sweep writes no wall times, so
+    # each cell runs once
     base = _solver_config(args, MethodId.NEW)
     try:
         if args.taus is None:
@@ -424,35 +410,17 @@ def cmd_sweep_tau(args) -> int:
         configs = [dataclasses.replace(base, tau=t) for t in taus]
     except ValueError as e:
         raise _CliError(f"bad --taus value: {e}")
-    if not taus:
-        raise _CliError("no tau values given")
-    if len(set(taus)) != len(taus):
-        raise _CliError("duplicate tau values")
 
-    if args.print_config:
-        _print_config(base)
-        return 0
-    labels = [f"tau={t!r}" for t in taus]
-
-    problems = _select_problems(args)
-    out_dir = _output_dir(args)
-    try:
-        matrices, _ = _run_grid(
-            problems, configs, labels, args.parallelism, args.time_repeats
-        )
-        fevals = matrices["f_evals"]
-        rows = _column_totals(fevals, win_fractions(fevals))
+    def write_sweep(out_dir, matrices, runs, rows):
         lines = ["tau,solved,total_fevals,wins_vs_self"]
         for t, (_, solved, total, win) in zip(taus, rows):
             lines.append(f"{t!r},{solved},{total},{win!r}")
         with open(out_dir / "sweep.csv", "w", newline="") as fh:
             fh.write("\n".join(lines) + "\n")
-        write_cost_csv(fevals, out_dir / "cost_fevals.csv")
-    except OSError as e:
-        print(f"error: cannot write artifacts: {e}", file=sys.stderr)
-        return 1
-    _print_digest("tau sweep", out_dir, len(problems), rows)
-    return 0
+        write_cost_csv(matrices["f_evals"], out_dir / "cost_fevals.csv")
+
+    labels = [f"tau={t!r}" for t in taus]
+    return _run_grid(args, "tau sweep", "--taus", labels, configs, 1, write_sweep)
 
 
 def run_gradient_check(
@@ -463,7 +431,12 @@ def run_gradient_check(
     Each instance is checked at its start point and 5 points drawn from a
     per-instance generator seeded by (seed, dim, name) so the report does
     not depend on catalog order.  Returns (report lines, failing keys).
+    ``seed`` must be >= 0 and ``tol`` positive and finite.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    if not 0.0 < tol < math.inf:  # written so that NaN fails it too
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     lines = []
     failures = []
     for p in instances:

@@ -142,9 +142,10 @@ def minimize(p: ProblemInstance, cfg: SolverConfig) -> RunResult:
 
     Per iteration: stopping test, direction update, BB initial step, Armijo
     backtracking, iterate update, one gradient evaluation.  A non-finite
-    objective or gradient at an accepted iterate ends the run as
-    ``NumericalFailure``; a line search that exhausts its step floor ends it
-    as ``StepFloor``; they report overflow, so numpy's warnings for it are off.
+    objective or gradient at an accepted iterate, or a gradient norm that
+    overflows, ends the run as ``NumericalFailure``; a line search that
+    exhausts its step floor ends it as ``StepFloor``; they report overflow,
+    so numpy's warnings for it are off.
     """
     t0 = time.perf_counter()
     cp = CountingProblem(p)
@@ -178,6 +179,8 @@ def minimize(p: ProblemInstance, cfg: SolverConfig) -> RunResult:
     k = 0
 
     while True:
+        if gnorm == math.inf:  # a finite gradient whose norm overflows
+            return _result(Status.NUMERICAL_FAILURE, k, f, gnorm)
         if gnorm <= threshold:
             return _result(Status.CONVERGED, k, f, gnorm)
         if k >= cfg.max_iters:

@@ -6,10 +6,14 @@ small cases, and hypothesis covers the CDF/scale-invariance/dominance
 properties with randomized matrices containing failed cells.
 """
 
+import collections
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import cglab.bench
 from cglab.bench import (
     CostMatrix,
     EmptyMatrix,
@@ -254,6 +258,30 @@ def test_run_suite_parallelism_determinism():
     m4, _ = run_suite(problems, configs, parallelism=4, time_repeats=1)
     assert np.array_equal(m1["f_evals"].costs, m4["f_evals"].costs)
     assert np.array_equal(m1["iters"].costs, m4["iters"].costs)
+
+
+def test_run_suite_times_serially_after_the_pool(monkeypatch):
+    # above parallelism 1 every wall-time sample is taken on the main thread,
+    # after the pool, so no timing shares the CPU with another run
+    real = cglab.bench.minimize
+    main_thread_runs = collections.Counter()
+
+    def recording(p, cfg):
+        if threading.current_thread() is threading.main_thread():
+            main_thread_runs[(p.key, cfg.method.value)] += 1
+        return real(p, cfg)
+
+    monkeypatch.setattr(cglab.bench, "minimize", recording)
+    problems = [build("TRIDIA", 50), build("WOODS", 100)]
+    configs = [SolverConfig(), SolverConfig(method=MethodId.FR, max_iters=1)]
+    _, runs = run_suite(problems, configs, parallelism=2, time_repeats=2)
+    converged = [
+        (f"{r.problem}-{r.dim}", r.solver)
+        for r in runs
+        if r.result.status is Status.CONVERGED
+    ]
+    assert converged == [("TRIDIA-50", "NEW"), ("WOODS-100", "NEW")]
+    assert main_thread_runs == {pair: 2 for pair in converged}
 
 
 def test_run_suite_validation():

@@ -9,6 +9,7 @@ import json
 import numpy as np
 import pytest
 
+import cglab.bench
 import cglab.cli as cli
 from cglab.problems import ProblemInstance, catalog
 
@@ -409,8 +410,6 @@ def test_sweep_tau(tmp_path, capsys):
             "100",
             "--output",
             str(out_dir),
-            "--time-repeats",
-            "1",
         ],
         capsys,
     )
@@ -448,6 +447,48 @@ def test_sweep_tau_validation(tmp_path, capsys):
         ["sweep-tau", "--taus", ",", "--output", str(tmp_path)], capsys
     )
     assert code == 1
+
+
+def test_sweep_tau_print_config_per_tau(tmp_path, capsys):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"tau": 0.9, "rho": 0.25}))
+    code, out, _ = run_cli(
+        ["sweep-tau", "--taus", "0.1,0.3", "--config", str(cfg_file), "--print-config"],
+        capsys,
+    )
+    assert code == 0
+    configs = json.loads("[" + out.strip().replace("}\n{", "},{") + "]")
+    assert [c["tau"] for c in configs] == [0.1, 0.3]  # the file's tau is replaced
+    assert all(c["method"] == "NEW" and c["rho"] == 0.25 for c in configs)
+
+
+def test_sweep_tau_has_no_single_tau_flag(tmp_path, capsys):
+    # --tau would be replaced by every --taus value, and no abbreviation of
+    # --taus is accepted in its place
+    for argv in (["--tau", "0.5", "--taus", "0.1"], ["--tau", "0.5"]):
+        code, out, err = run_cli(
+            ["sweep-tau", *argv, "--output", str(tmp_path / "out")], capsys
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "--tau" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_runs_each_cell_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = cglab.bench.minimize
+
+    def counting(p, cfg):
+        calls.append((p.key, cfg.tau))
+        return real(p, cfg)
+
+    monkeypatch.setattr(cglab.bench, "minimize", counting)
+    argv = ["sweep-tau", "--taus", "0.1,0.3", "--problems", "TRIDIA", "--max-dim", "100"]
+    code, _, _ = run_cli([*argv, "--output", str(tmp_path)], capsys)
+    assert code == 0
+    keys = [p.key for p in catalog() if p.name == "TRIDIA" and p.dim <= 100]
+    assert sorted(calls) == sorted((k, t) for k in keys for t in (0.1, 0.3))
 
 
 @pytest.mark.parametrize(
@@ -541,6 +582,19 @@ def test_run_gradient_check_function():
     assert failures == []
     assert len(lines) == 1
     assert "POWER dim=50" in lines[0]
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [({"tol": float("nan")}, "tol"), ({"seed": -1}, "seed")],
+)
+def test_run_gradient_check_rejects_bad_arguments(kwargs, name, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("audited before validating")
+
+    monkeypatch.setattr(cli, "fd_gradient", unreachable)
+    with pytest.raises(ValueError, match=name):
+        cli.run_gradient_check(catalog()[:1], **kwargs)
 
 
 def test_help_exits_zero(capsys):

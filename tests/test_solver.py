@@ -208,6 +208,23 @@ def test_numerical_failure_at_non_finite_start():
     assert r.iters == 0
 
 
+def test_numerical_failure_on_overflowing_gradient_norm():
+    # f and g are finite at 1e60, but |g|^2 = 1.6e361 overflows; an infinite
+    # norm makes the relative tolerance infinite, so it is no convergence
+    p = ProblemInstance(
+        name="QUARTIC",
+        dim=1,
+        start=np.array([1.0e60]),
+        value_fn=lambda x: float(x[0] ** 4),
+        grad_fn=lambda x: 4.0 * x**3,
+    )
+    assert np.isfinite(p.value_fn(p.start)) and np.isfinite(p.grad_fn(p.start)).all()
+    r = minimize(p, SolverConfig())
+    assert r.status is Status.NUMERICAL_FAILURE
+    assert r.iters == 0
+    assert (r.f_evals, r.g_evals) == (1, 1)
+
+
 def test_trace_invariants():
     cfg = SolverConfig(record_trace=True)
     p = build("ENGVAL1", 50)

@@ -106,11 +106,12 @@ def run_suite(
     ``f_evals`` and ``iters`` cells come from a single run and are
     deterministic for any ``parallelism``, which is the number of threads
     those first runs share.  The ``time`` cell is the median wall time over
-    ``time_repeats`` runs of a converged pair, all taken serially after the
-    first runs so that no timing competes with another thread; at
-    ``parallelism == 1`` the first run is one of them.  ``labels`` names the
-    matrix columns and defaults to each config's method id; pass explicit
-    labels when configs share a method.
+    ``time_repeats`` runs of a converged pair: its first run, then
+    ``time_repeats - 1`` repeats on the calling thread after all first runs.
+    Above ``parallelism == 1`` the first run's wall time is measured while
+    the threads share the CPU.  ``labels`` names the matrix columns and
+    defaults to each config's method id; pass explicit labels when configs
+    share a method.
     """
     if not problems or not solver_configs:
         raise EmptyMatrix("need at least one problem and one solver")
@@ -140,9 +141,8 @@ def run_suite(
     for i, (p, cfg, first) in enumerate(zip(pair_problems, pair_configs, results)):
         if first.status is not Status.CONVERGED:
             continue
-        times = [first.wall_time] if parallelism == 1 else []
-        while len(times) < time_repeats:
-            times.append(minimize(p, cfg).wall_time)
+        times = [first.wall_time]
+        times += [minimize(p, cfg).wall_time for _ in range(time_repeats - 1)]
         cell = divmod(i, len(solver_configs))
         cells["f_evals"][cell] = first.f_evals
         cells["iters"][cell] = first.iters

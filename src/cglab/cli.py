@@ -237,15 +237,18 @@ def _load_config_file(path: str) -> dict:
     return settings
 
 
-def _solver_config(args, method: MethodId | None) -> SolverConfig:
+def _solver_config(args, method: MethodId | None, swept: str = "") -> SolverConfig:
     """defaults < config file < flags, then validate.
 
     ``method`` is the command's own choice; ``None`` leaves it to the config
-    file, then to the default.
+    file, then to the default.  ``swept`` names the setting a grid command
+    replaces in every column; the config file's value for it never runs,
+    so it is dropped before ``SolverConfig`` checks its range.
     """
     settings: dict = {}
     if getattr(args, "config", None):
         settings.update(_load_config_file(args.config))
+        settings.pop(swept, None)
     for name in _SOLVER_FIELDS:
         value = getattr(args, name, None)
         if value is not None:
@@ -398,10 +401,8 @@ def cmd_suite(args) -> int:
 
 
 def cmd_sweep_tau(args) -> int:
-    # a config file's tau is replaced by each --taus value, as suite's
-    # --methods replaces its method; the sweep writes no wall times, so
-    # each cell runs once
-    base = _solver_config(args, MethodId.NEW)
+    # the sweep writes no wall times, so each cell runs once
+    base = _solver_config(args, MethodId.NEW, swept="tau")
     try:
         if args.taus is None:
             taus = list(DEFAULT_TAU_GRID)

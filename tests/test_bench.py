@@ -260,28 +260,32 @@ def test_run_suite_parallelism_determinism():
     assert np.array_equal(m1["iters"].costs, m4["iters"].costs)
 
 
-def test_run_suite_times_serially_after_the_pool(monkeypatch):
-    # above parallelism 1 every wall-time sample is taken on the main thread,
-    # after the pool, so no timing shares the CPU with another run
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_run_suite_run_count(parallelism, monkeypatch):
+    # every pair runs once, and a converged pair time_repeats times in all,
+    # whatever the parallelism; repeats run on the calling thread
     real = cglab.bench.minimize
-    main_thread_runs = collections.Counter()
+    runs_by_thread = collections.Counter()
+    lock = threading.Lock()
 
     def recording(p, cfg):
-        if threading.current_thread() is threading.main_thread():
-            main_thread_runs[(p.key, cfg.method.value)] += 1
+        main = threading.current_thread() is threading.main_thread()
+        with lock:
+            runs_by_thread[(p.key, cfg.method.value, main)] += 1
         return real(p, cfg)
 
     monkeypatch.setattr(cglab.bench, "minimize", recording)
     problems = [build("TRIDIA", 50), build("WOODS", 100)]
     configs = [SolverConfig(), SolverConfig(method=MethodId.FR, max_iters=1)]
-    _, runs = run_suite(problems, configs, parallelism=2, time_repeats=2)
-    converged = [
-        (f"{r.problem}-{r.dim}", r.solver)
-        for r in runs
-        if r.result.status is Status.CONVERGED
-    ]
-    assert converged == [("TRIDIA-50", "NEW"), ("WOODS-100", "NEW")]
-    assert main_thread_runs == {pair: 2 for pair in converged}
+    _, runs = run_suite(problems, configs, parallelism=parallelism, time_repeats=3)
+    expected = collections.Counter()
+    for r in runs:
+        pair = (f"{r.problem}-{r.dim}", r.solver)
+        converged = r.result.status is Status.CONVERGED
+        expected[(*pair, parallelism == 1)] += 1
+        expected[(*pair, True)] += 2 if converged else 0
+    assert sum(r.result.status is Status.CONVERGED for r in runs) == 2
+    assert +runs_by_thread == +expected
 
 
 def test_run_suite_validation():

@@ -451,7 +451,8 @@ def test_sweep_tau_validation(tmp_path, capsys):
 
 def test_sweep_tau_print_config_per_tau(tmp_path, capsys):
     cfg_file = tmp_path / "cfg.json"
-    cfg_file.write_text(json.dumps({"tau": 0.9, "rho": 0.25}))
+    # the file's tau is out of range, but every column replaces it
+    cfg_file.write_text(json.dumps({"tau": 1.5, "rho": 0.25}))
     code, out, _ = run_cli(
         ["sweep-tau", "--taus", "0.1,0.3", "--config", str(cfg_file), "--print-config"],
         capsys,
@@ -475,7 +476,8 @@ def test_sweep_tau_has_no_single_tau_flag(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_sweep_runs_each_cell_once(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("parallelism", ["1", "2"])
+def test_sweep_runs_each_cell_once(parallelism, tmp_path, capsys, monkeypatch):
     calls = []
     real = cglab.bench.minimize
 
@@ -485,7 +487,8 @@ def test_sweep_runs_each_cell_once(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cglab.bench, "minimize", counting)
     argv = ["sweep-tau", "--taus", "0.1,0.3", "--problems", "TRIDIA", "--max-dim", "100"]
-    code, _, _ = run_cli([*argv, "--output", str(tmp_path)], capsys)
+    argv += ["--parallelism", parallelism, "--output", str(tmp_path)]
+    code, _, _ = run_cli(argv, capsys)
     assert code == 0
     keys = [p.key for p in catalog() if p.name == "TRIDIA" and p.dim <= 100]
     assert sorted(calls) == sorted((k, t) for k in keys for t in (0.1, 0.3))

@@ -29,6 +29,7 @@ the updated direction fails d'g < 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -36,18 +37,7 @@ import numpy as np
 
 from .problems import Vector
 
-__all__ = [
-    "DegenerateCurvature",
-    "DirectionResult",
-    "MethodId",
-    "ZeroPreviousDirection",
-    "ZeroPreviousGradient",
-    "beta_fr",
-    "beta_hz",
-    "beta_new",
-    "direction",
-    "theta_mfr",
-]
+__all__ = ["DirectionResult", "MethodId", "direction"]
 
 _CURVATURE_TINY = 1.0e-30
 
@@ -61,115 +51,74 @@ class MethodId(str, Enum):
     HZ = "HZ"
 
 
-class ZeroPreviousDirection(ZeroDivisionError):
-    """beta needs ||d_{k-1}|| > 0."""
-
-
-class ZeroPreviousGradient(ZeroDivisionError):
-    """beta needs ||g_{k-1}|| > 0."""
-
-
-class DegenerateCurvature(ZeroDivisionError):
-    """HZ needs |d'y| bounded away from zero."""
-
-
 @dataclass(frozen=True)
 class DirectionResult:
-    """Direction plus the effective beta and whether a restart fired."""
+    """Direction, its d'g, the effective beta and whether a restart fired."""
 
     d: Vector
+    dg: float
     beta: float
     restarted: bool
-
-
-def beta_new(gnorm: float, d_prev: Vector, tau: float) -> float:
-    """beta = tau * ||g|| / ||d_prev||."""
-    dnorm = float(np.linalg.norm(d_prev))
-    if dnorm == 0.0:
-        raise ZeroPreviousDirection("previous direction has zero norm")
-    return tau * float(gnorm) / dnorm
-
-
-def beta_fr(g: Vector, g_prev: Vector) -> float:
-    """beta = ||g||^2 / ||g_prev||^2."""
-    denom = float(np.dot(g_prev, g_prev))
-    if denom == 0.0:
-        raise ZeroPreviousGradient("previous gradient has zero norm")
-    return float(np.dot(g, g)) / denom
-
-
-def theta_mfr(g: Vector, g_prev: Vector, d_prev: Vector) -> float:
-    """Gradient-term scale theta = d_prev'(g - g_prev) / ||g_prev||^2."""
-    denom = float(np.dot(g_prev, g_prev))
-    if denom == 0.0:
-        raise ZeroPreviousGradient("previous gradient has zero norm")
-    return float(np.dot(d_prev, g - g_prev)) / denom
-
-
-def beta_hz(g: Vector, g_prev: Vector, d_prev: Vector, eta: float = 0.01) -> float:
-    """Hager-Zhang beta with the standard lower truncation.
-
-    The raw value is ``(y - 2 d ||y||^2 / d'y)' g / d'y`` with
-    ``y = g - g_prev``; it is truncated at
-    ``-1 / (||d|| min(eta, ||g_prev||))``.  A zero truncation denominator
-    (zero previous direction or gradient) gives a floor of -inf, i.e. no
-    truncation.
-    """
-    y = g - g_prev
-    dy = float(np.dot(d_prev, y))
-    if abs(dy) < _CURVATURE_TINY:
-        raise DegenerateCurvature(f"d'y = {dy} too close to zero")
-    yy = float(np.dot(y, y))
-    raw = float(np.dot(y - (2.0 * yy / dy) * d_prev, g)) / dy
-    dnorm = float(np.linalg.norm(d_prev))
-    gnorm_prev = float(np.linalg.norm(g_prev))
-    denom = dnorm * min(eta, gnorm_prev)
-    floor = -np.inf if denom == 0.0 else -1.0 / denom
-    return max(raw, floor)
 
 
 def direction(
     method: MethodId,
     g: Vector,
-    g_prev: Vector | None,
+    gg: float,
     d_prev: Vector | None,
+    y: Vector | None,
+    gg_prev: float | None,
     tau: float,
     hz_eta: float = 0.01,
 ) -> DirectionResult:
     """Next search direction for ``method``; the one place restarts are decided.
 
-    The first iteration (no previous state) returns exactly ``-g`` for every
-    method.  Every method falls back to ``-g`` (``restarted=True``, beta
-    reported as 0) when its update divides by zero (zero previous direction
-    or gradient, or degenerate HZ curvature); FR and HZ also do when the
-    two-term update is not a descent direction.
+    ``gg`` is g'g, ``y`` is g - g_prev and ``gg_prev`` is g_prev'g_prev, all
+    held by the caller; the two products are Python floats, whose division
+    by zero raises.  ``d_prev``, ``y`` and ``gg_prev`` are None on the
+    first iteration, which returns exactly ``-g`` for every method.  Every
+    method falls back to ``-g`` (``restarted=True``, beta reported as 0)
+    when its update divides by zero (zero previous direction or gradient,
+    or HZ's |d'y| < 1e-30); FR and HZ also do when the two-term update is
+    not a descent direction.  The d'g of ``-g`` is ``-gg``.
     """
-    g = np.asarray(g, dtype=float)
-    if g_prev is None or d_prev is None:
-        return DirectionResult(d=-g, beta=0.0, restarted=False)
-    g_prev = np.asarray(g_prev, dtype=float)
-    d_prev = np.asarray(d_prev, dtype=float)
+    if d_prev is None:
+        return DirectionResult(d=-g, dg=-gg, beta=0.0, restarted=False)
 
     try:
-        if method is MethodId.NEW:
-            beta = beta_new(float(np.linalg.norm(g)), d_prev, tau)
-            return DirectionResult(d=-g + beta * d_prev, beta=beta, restarted=False)
-        if method is MethodId.MFR:
-            beta = beta_fr(g, g_prev)
-            theta = theta_mfr(g, g_prev, d_prev)
+        if method == MethodId.NEW:
+            beta = tau * math.sqrt(gg) / math.sqrt(float(np.dot(d_prev, d_prev)))
+            d = -g + beta * d_prev
             return DirectionResult(
-                d=-theta * g + beta * d_prev, beta=beta, restarted=False
+                d=d, dg=float(np.dot(d, g)), beta=beta, restarted=False
             )
-        if method is MethodId.FR:
-            beta = beta_fr(g, g_prev)
-        elif method is MethodId.HZ:
-            beta = beta_hz(g, g_prev, d_prev, eta=hz_eta)
+        if method == MethodId.MFR:
+            beta = gg / gg_prev
+            theta = float(np.dot(d_prev, y)) / gg_prev
+            d = -theta * g + beta * d_prev
+            return DirectionResult(
+                d=d, dg=float(np.dot(d, g)), beta=beta, restarted=False
+            )
+        if method == MethodId.FR:
+            beta = gg / gg_prev
+        elif method == MethodId.HZ:
+            dy = float(np.dot(d_prev, y))
+            if abs(dy) < _CURVATURE_TINY:
+                raise ZeroDivisionError(f"d'y = {dy} too close to zero")
+            yy = float(np.dot(y, y))
+            raw = float(np.dot(y - (2.0 * yy / dy) * d_prev, g)) / dy
+            # a zero previous direction or gradient means no truncation
+            denom = math.sqrt(float(np.dot(d_prev, d_prev))) * min(
+                hz_eta, math.sqrt(gg_prev)
+            )
+            beta = max(raw, -math.inf if denom == 0.0 else -1.0 / denom)
         else:
             raise ValueError(f"unknown method {method!r}")
     except ZeroDivisionError:
-        return DirectionResult(d=-g, beta=0.0, restarted=True)
+        return DirectionResult(d=-g, dg=-gg, beta=0.0, restarted=True)
 
     d = -g + beta * d_prev
-    if float(np.dot(d, g)) >= 0.0:
-        return DirectionResult(d=-g, beta=0.0, restarted=True)
-    return DirectionResult(d=d, beta=beta, restarted=False)
+    dg = float(np.dot(d, g))
+    if dg >= 0.0:
+        return DirectionResult(d=-g, dg=-gg, beta=0.0, restarted=True)
+    return DirectionResult(d=d, dg=dg, beta=beta, restarted=False)

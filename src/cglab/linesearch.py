@@ -65,13 +65,12 @@ class LineSearchConfig:
 
 @dataclass(frozen=True)
 class LineSearchOutcome:
-    """Accepted step and trial point, backtrack count and the d'g tested."""
+    """Accepted step and trial point, and the backtrack count."""
 
     alpha: float
     f_new: float
     x_new: Vector
     backtracks: int
-    dg: float
 
 
 def initial_step(
@@ -101,13 +100,14 @@ def armijo_backtrack(
     problem: CountingProblem,
     x: Vector,
     f: float,
-    g: Vector,
+    dg: float,
     d: Vector,
     alpha_bar: float,
     config: LineSearchConfig,
 ) -> LineSearchOutcome:
     """Largest step in ``{alpha_bar * rho**i}`` with sufficient decrease.
 
+    ``dg`` is the slope d'g at ``x``, computed by the caller along with ``d``.
     Every trial at a finite point charges one objective evaluation to
     ``problem``.  Trial points whose objective overflows, or that are
     themselves non-finite (possible when ``alpha_bar * d`` overflows), are
@@ -116,7 +116,6 @@ def armijo_backtrack(
     numpy's error state is the caller's: :func:`~cglab.solver.minimize`
     turns overflow and invalid warnings off, a direct caller decides itself.
     """
-    dg = float(np.dot(d, g))
     if not np.isfinite(dg) or dg >= 0.0:
         raise NotDescent(f"d'g = {dg}, need a strict descent direction")
     if alpha_bar <= 0.0 or not np.isfinite(alpha_bar):
@@ -137,11 +136,7 @@ def armijo_backtrack(
         else:
             if f_trial <= f + config.c1 * alpha * dg:
                 return LineSearchOutcome(
-                    alpha=alpha,
-                    f_new=f_trial,
-                    x_new=trial,
-                    backtracks=backtracks,
-                    dg=dg,
+                    alpha=alpha, f_new=f_trial, x_new=trial, backtracks=backtracks
                 )
         alpha *= config.rho
         backtracks += 1

@@ -82,6 +82,8 @@ class ProblemInstance:
             raise DimensionMismatch(
                 f"{self.name}: start has shape {start.shape}, expected ({self.dim},)"
             )
+        if not np.isfinite(start).all():
+            raise NonFiniteInput(f"{self.name}: non-finite entries in start point")
         start.setflags(write=False)
         object.__setattr__(self, "start", start)
 

@@ -170,9 +170,10 @@ def minimize(p: ProblemInstance, cfg: SolverConfig) -> RunResult:
     except NonFiniteOutput:
         return _result(Status.NUMERICAL_FAILURE, 0, np.nan, np.nan)
 
-    gnorm = float(np.linalg.norm(g))
+    gg = float(np.dot(g, g))
+    gnorm = math.sqrt(gg)  # bit-identical to np.linalg.norm(g)
     threshold = cfg.eps_scale * gnorm
-    g_prev = None
+    gg_prev = None
     d_prev = None
     s_prev = None
     y_prev = None
@@ -186,12 +187,12 @@ def minimize(p: ProblemInstance, cfg: SolverConfig) -> RunResult:
         if k >= cfg.max_iters:
             return _result(Status.ITERATION_LIMIT, k, f, gnorm)
 
-        res = direction(cfg.method, g, g_prev, d_prev, cfg.tau, cfg.hz_eta)
+        res = direction(cfg.method, g, gg, d_prev, y_prev, gg_prev, cfg.tau, cfg.hz_eta)
         d = res.d
         alpha_bar = initial_step(s_prev, y_prev, cfg.bb_guard)
 
         try:
-            ls = armijo_backtrack(cp, x, f, g, d, alpha_bar, cfg.line_search)
+            ls = armijo_backtrack(cp, x, f, res.dg, d, alpha_bar, cfg.line_search)
         except StepFloorReached:
             return _result(Status.STEP_FLOOR, k, f, gnorm)
         except NotDescent:
@@ -204,7 +205,7 @@ def minimize(p: ProblemInstance, cfg: SolverConfig) -> RunResult:
                     f=f,
                     gnorm=gnorm,
                     dnorm=float(np.linalg.norm(d)),
-                    dg=ls.dg,
+                    dg=res.dg,
                     beta=res.beta,
                     alpha=ls.alpha,
                     alpha_bar=alpha_bar,
@@ -223,7 +224,9 @@ def minimize(p: ProblemInstance, cfg: SolverConfig) -> RunResult:
             return _result(Status.NUMERICAL_FAILURE, k + 1, f, np.nan)
         y_prev = g - g_prev
         d_prev = d
-        gnorm = float(np.linalg.norm(g))
+        gg_prev = gg
+        gg = float(np.dot(g, g))
+        gnorm = math.sqrt(gg)
         k += 1
 
 

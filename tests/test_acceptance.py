@@ -335,7 +335,7 @@ def test_criterion_9_armijo_maximality(report):
         f = counting.evaluate(x)
         expected = _brute_force_armijo(p.value_fn, x, f, g, d, alpha_bar, cfg)
         assert expected is not None
-        out = armijo_backtrack(counting, x, f, g, d, alpha_bar, cfg)
+        out = armijo_backtrack(counting, x, f, float(np.dot(d, g)), d, alpha_bar, cfg)
         assert out.alpha == expected, f"instance {checked}"
         checked += 1
     report(

@@ -52,19 +52,18 @@ def test_hand_trace_one_backtrack():
     p = CountingProblem(one_d_parabola())
     x = np.array([1.0])
     d = np.array([-2.0])
-    out = armijo_backtrack(p, x, 1.0, np.array([2.0]), d, 1.0, CFG)
+    out = armijo_backtrack(p, x, 1.0, -4.0, d, 1.0, CFG)
     assert out.alpha == 0.5
     assert out.backtracks == 1
     assert out.f_new == 0.0
     assert out.x_new.tobytes() == (x + out.alpha * d).tobytes()
-    assert out.dg == -4.0
     assert p.counter.f_evals == 2
 
 
 def test_hand_trace_immediate_accept():
     p = CountingProblem(one_d_parabola())
     x = np.array([1.0])
-    out = armijo_backtrack(p, x, 1.0, np.array([2.0]), np.array([-2.0]), 0.25, CFG)
+    out = armijo_backtrack(p, x, 1.0, -4.0, np.array([-2.0]), 0.25, CFG)
     assert out.alpha == 0.25
     assert out.backtracks == 0
     assert out.f_new == 0.25
@@ -75,9 +74,12 @@ def test_rejects_non_descent_direction():
     p = CountingProblem(one_d_parabola())
     x = np.array([1.0])
     with pytest.raises(NotDescent):
-        armijo_backtrack(p, x, 1.0, np.array([2.0]), np.array([2.0]), 1.0, CFG)
+        armijo_backtrack(p, x, 1.0, 4.0, np.array([2.0]), 1.0, CFG)
     with pytest.raises(NotDescent):
-        armijo_backtrack(p, x, 1.0, np.array([2.0]), np.array([0.0]), 1.0, CFG)
+        armijo_backtrack(p, x, 1.0, 0.0, np.array([0.0]), 1.0, CFG)
+    for bad in (np.nan, -np.inf):
+        with pytest.raises(NotDescent):
+            armijo_backtrack(p, x, 1.0, bad, np.array([-2.0]), 1.0, CFG)
     assert p.counter.f_evals == 0
 
 
@@ -86,7 +88,7 @@ def test_bad_alpha_bar_rejected():
     x = np.array([1.0])
     for bad in (0.0, -1.0, np.inf, np.nan):
         with pytest.raises(ValueError):
-            armijo_backtrack(p, x, 1.0, np.array([2.0]), np.array([-2.0]), bad, CFG)
+            armijo_backtrack(p, x, 1.0, -4.0, np.array([-2.0]), bad, CFG)
 
 
 def lying_gradient_instance():
@@ -112,7 +114,7 @@ def test_step_floor_reached_on_false_descent():
     g = p.gradient(x)
     d = -g
     with pytest.raises(StepFloorReached):
-        armijo_backtrack(p, x, 1.0, g, d, 1.0, CFG)
+        armijo_backtrack(p, x, 1.0, float(np.dot(d, g)), d, 1.0, CFG)
     # trials 2^0 .. 2^-55 are evaluated; 2^-56 is below the floor
     assert p.counter.f_evals == 56
 
@@ -132,7 +134,7 @@ def test_accepts_after_skipping_overflow_region():
     x = np.array([1.0])
     g = np.array([4.0])
     with pytest.warns(RuntimeWarning):  # numpy's error state is the caller's
-        out = armijo_backtrack(p, x, 1.0, g, -g, 1e200, CFG)
+        out = armijo_backtrack(p, x, 1.0, float(np.dot(-g, g)), -g, 1e200, CFG)
     assert np.isfinite(out.f_new)
     assert out.f_new <= 1.0 + CFG.c1 * out.alpha * float(np.dot(-g, g))
 
@@ -145,7 +147,7 @@ def test_non_finite_trial_points_are_skipped_unevaluated():
     x = np.array([1.0])
     d = np.array([-2.0])
     with pytest.warns(RuntimeWarning):  # numpy's error state is the caller's
-        out = armijo_backtrack(p, x, 1.0, np.array([2.0]), d, 1.7e308, CFG)
+        out = armijo_backtrack(p, x, 1.0, -4.0, d, 1.7e308, CFG)
     assert 0.0 < out.alpha * 2.0 <= 2.0
     assert out.f_new <= 1.0 + CFG.c1 * out.alpha * float(np.dot(d, np.array([2.0])))
     assert p.counter.f_evals == out.backtracks  # exactly one trial skipped free
@@ -208,7 +210,7 @@ def test_accepted_step_is_maximal_on_quadratics(n, seed, log_alpha):
     alpha_bar = float(2.0**log_alpha)
 
     cp = CountingProblem(p)
-    out = armijo_backtrack(cp, x, f, g, d, alpha_bar, CFG)
+    out = armijo_backtrack(cp, x, f, float(np.dot(d, g)), d, alpha_bar, CFG)
     expected = brute_force_armijo(cp, x, f, g, d, alpha_bar, CFG)
     assert expected is not None
     assert out.alpha == expected  # exact equality, same trial grid
@@ -226,8 +228,8 @@ def test_outcome_satisfies_armijo(n, seed):
         return
     d = -g
     f = p.value_fn(x)
-    out = armijo_backtrack(CountingProblem(p), x, f, g, d, 4.0, CFG)
     dg = float(np.dot(d, g))
+    out = armijo_backtrack(CountingProblem(p), x, f, dg, d, 4.0, CFG)
     assert out.f_new <= f + CFG.c1 * out.alpha * dg
     assert out.f_new < f
     assert out.alpha > 0.0

@@ -528,3 +528,16 @@ def test_problem_instance_validation():
             value_fn=lambda x: 0.0,
             grad_fn=lambda x: np.zeros(4),
         )
+    # a non-finite start is refused when the instance is built, not midway
+    # through a suite run
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(NonFiniteInput):
+            ProblemInstance(
+                name="Q",
+                dim=2,
+                start=np.array([bad, 1.0]),
+                value_fn=lambda x: 0.0,
+                grad_fn=lambda x: np.zeros(2),
+            )
+        with pytest.raises(NonFiniteInput):
+            quadratic_instance(np.eye(2), start=np.array([1.0, bad]))

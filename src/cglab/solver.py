@@ -171,7 +171,7 @@ def minimize(p: ProblemInstance, cfg: SolverConfig) -> RunResult:
         return _result(Status.NUMERICAL_FAILURE, 0, np.nan, np.nan)
 
     gg = float(np.dot(g, g))
-    gnorm = math.sqrt(gg)  # bit-identical to np.linalg.norm(g)
+    gnorm = math.sqrt(gg)  # the same bits as numpy's linalg.norm
     threshold = cfg.eps_scale * gnorm
     gg_prev = None
     d_prev = None

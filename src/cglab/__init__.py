@@ -11,7 +11,6 @@ from .bench import (
 )
 from .directions import DirectionResult, MethodId, direction
 from .linesearch import (
-    LineSearchConfig,
     LineSearchOutcome,
     NotDescent,
     StepFloorReached,
@@ -34,7 +33,6 @@ from .solver import (
     SolverConfig,
     Status,
     TheoryReport,
-    lipschitz_of_quadratic,
     minimize,
     theory_report,
 )
@@ -47,7 +45,6 @@ __all__ = [
     "DirectionResult",
     "EmptyMatrix",
     "IterationRecord",
-    "LineSearchConfig",
     "LineSearchOutcome",
     "MethodId",
     "NotDescent",
@@ -67,7 +64,6 @@ __all__ = [
     "fd_gradient",
     "filter_catalog",
     "initial_step",
-    "lipschitz_of_quadratic",
     "minimize",
     "performance_profile",
     "quadratic_instance",

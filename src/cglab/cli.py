@@ -78,7 +78,7 @@ DEFAULT_TAU_GRID = (
 _SOLVER_FIELDS = {
     f.name: type(f.default)
     for f in dataclasses.fields(SolverConfig)
-    if f.init and f.name not in ("method", "record_trace")
+    if f.name not in ("method", "record_trace")
 }
 
 

@@ -20,7 +20,7 @@ All methods share the two-term recursion ``d_k = -g_k + beta_k d_{k-1}``
 ``HZ``
     Hager-Zhang (CG_DESCENT):
     beta = (y - 2 d ||y||^2 / d'y)' g / d'y, truncated from below at
-    -1 / (||d|| min(eta, ||g_{k-1}||)) with eta = 0.01.
+    -1 / (||d|| min(eta, ||g_{k-1}||)) with eta = ``SolverConfig.hz_eta``.
 
 FR and HZ do not guarantee descent under a backtracking-only search, so
 :func:`direction` restarts them with the steepest-descent direction whenever
@@ -69,7 +69,7 @@ def direction(
     y: Vector | None,
     gg_prev: float | None,
     tau: float,
-    hz_eta: float = 0.01,
+    hz_eta: float,
 ) -> DirectionResult:
     """Next search direction for ``method``; the one place restarts are decided.
 
@@ -119,6 +119,6 @@ def direction(
 
     d = -g + beta * d_prev
     dg = float(np.dot(d, g))
-    if dg >= 0.0:
+    if not dg < 0.0:  # NaN fails too
         return DirectionResult(d=-g, dg=-gg, beta=0.0, restarted=True)
     return DirectionResult(d=d, dg=dg, beta=beta, restarted=False)

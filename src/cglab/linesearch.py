@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -21,8 +22,10 @@ from .problems import (
     Vector,
 )
 
+if TYPE_CHECKING:  # solver imports this module
+    from .solver import SolverConfig
+
 __all__ = [
-    "LineSearchConfig",
     "LineSearchOutcome",
     "NotDescent",
     "StepFloorReached",
@@ -40,30 +43,6 @@ class StepFloorReached(RuntimeError):
 
 
 @dataclass(frozen=True)
-class LineSearchConfig:
-    """Armijo parameters: trial shrink factor, decrease slope, hard floor.
-
-    ``step_floor`` is an absolute cutoff: a trial step below it aborts the
-    search (and, at the solver level, the run).  The default is eps/10, small
-    enough that a healthy search never sees it.
-    """
-
-    rho: float = 0.5
-    c1: float = 1.0e-4
-    step_floor: float = 2.0**-52 / 10.0
-
-    def __post_init__(self):
-        if not 0.0 < self.rho < 1.0:
-            raise ValueError(f"rho must be in (0, 1), got {self.rho}")
-        if not 0.0 < self.c1 < 1.0:
-            raise ValueError(f"c1 must be in (0, 1), got {self.c1}")
-        if not 0.0 < self.step_floor < math.inf:
-            raise ValueError(
-                f"step_floor must be positive and finite, got {self.step_floor}"
-            )
-
-
-@dataclass(frozen=True)
 class LineSearchOutcome:
     """Accepted step and trial point, and the backtrack count."""
 
@@ -73,14 +52,13 @@ class LineSearchOutcome:
     backtracks: int
 
 
-def initial_step(
-    s: Vector | None, y: Vector | None, guard: float = 1.0e-8
-) -> float:
+def initial_step(s: Vector | None, y: Vector | None, guard: float) -> float:
     """Barzilai-Borwein trial step ``s's / s'y`` from the previous move.
 
-    Falls back to 1.0 on the first iteration (both arguments None) and
+    Falls back to 1.0 on the first iteration (both arguments None),
     whenever the curvature ``s'y`` is below ``guard``, where the quotient
-    would be huge or negative.
+    would be huge or negative, and whenever the quotient is not positive and
+    finite (``s's`` overflowing, or ``s'y`` infinite).
     """
     if s is None and y is None:
         return 1.0
@@ -93,7 +71,8 @@ def initial_step(
     sy = float(np.dot(s, y))
     if sy <= guard:
         return 1.0
-    return float(np.dot(s, s)) / sy
+    bb = float(np.dot(s, s)) / sy
+    return bb if 0.0 < bb < math.inf else 1.0
 
 
 def armijo_backtrack(
@@ -103,16 +82,18 @@ def armijo_backtrack(
     dg: float,
     d: Vector,
     alpha_bar: float,
-    config: LineSearchConfig,
+    cfg: SolverConfig,
 ) -> LineSearchOutcome:
     """Largest step in ``{alpha_bar * rho**i}`` with sufficient decrease.
 
-    ``dg`` is the slope d'g at ``x``, computed by the caller along with ``d``.
-    Every trial at a finite point charges one objective evaluation to
-    ``problem``.  Trial points whose objective overflows, or that are
-    themselves non-finite (possible when ``alpha_bar * d`` overflows), are
-    treated as plain Armijo rejections and backtracked past;
-    :class:`CountingProblem` refuses the latter before charging anything.
+    ``dg`` is the slope d'g at ``x``, computed by the caller along with ``d``;
+    ``cfg`` supplies rho, c1 and the step floor, range-checked when it was
+    built, so the loop always ends.  Every trial at a finite point charges
+    one objective evaluation to ``problem``.  Trial points whose objective
+    overflows, or that are themselves non-finite (possible when
+    ``alpha_bar * d`` overflows), are treated as plain Armijo rejections and
+    backtracked past; :class:`CountingProblem` refuses the latter before
+    charging anything.
     numpy's error state is the caller's: :func:`~cglab.solver.minimize`
     turns overflow and invalid warnings off, a direct caller decides itself.
     """
@@ -124,9 +105,9 @@ def armijo_backtrack(
     alpha = float(alpha_bar)
     backtracks = 0
     while True:
-        if alpha < config.step_floor:
+        if alpha < cfg.step_floor:
             raise StepFloorReached(
-                f"trial step {alpha:.3e} fell below floor {config.step_floor:.3e}"
+                f"trial step {alpha:.3e} fell below floor {cfg.step_floor:.3e}"
             )
         trial = x + alpha * d
         try:
@@ -134,9 +115,9 @@ def armijo_backtrack(
         except (NonFiniteInput, NonFiniteOutput):
             pass
         else:
-            if f_trial <= f + config.c1 * alpha * dg:
+            if f_trial <= f + cfg.c1 * alpha * dg:
                 return LineSearchOutcome(
                     alpha=alpha, f_new=f_trial, x_new=trial, backtracks=backtracks
                 )
-        alpha *= config.rho
+        alpha *= cfg.rho
         backtracks += 1

@@ -24,7 +24,6 @@ Vector = np.ndarray
 __all__ = [
     "CountingProblem",
     "DimensionMismatch",
-    "EvalCounter",
     "NonFiniteInput",
     "NonFiniteOutput",
     "NotInCatalog",
@@ -95,14 +94,6 @@ class ProblemInstance:
         return f"ProblemInstance({self.name}, n={self.dim})"
 
 
-@dataclass
-class EvalCounter:
-    """Objective/gradient call counts for one run."""
-
-    f_evals: int = 0
-    g_evals: int = 0
-
-
 def _check_point(p: ProblemInstance, x: Vector) -> Vector:
     x = np.asarray(x, dtype=float)
     if x.shape != (p.dim,):
@@ -115,20 +106,22 @@ def _check_point(p: ProblemInstance, x: Vector) -> Vector:
 class CountingProblem:
     """Counter-charging view of a :class:`ProblemInstance`.
 
-    One wrapper per run; the counter is not thread-safe and is meant to be
-    confined to a single solve.  Overflow raises :class:`NonFiniteOutput`;
-    numpy's error state is the caller's: :func:`~cglab.solver.minimize`
-    turns overflow and invalid warnings off, a direct caller decides itself.
+    One wrapper per run; its counts ``f_evals`` and ``g_evals`` are not
+    thread-safe and are meant to be confined to a single solve.  Overflow
+    raises :class:`NonFiniteOutput`; numpy's error state is the caller's:
+    :func:`~cglab.solver.minimize` turns overflow and invalid warnings off,
+    a direct caller decides itself.
     """
 
     def __init__(self, instance: ProblemInstance):
         self.instance = instance
-        self.counter = EvalCounter()
+        self.f_evals = 0
+        self.g_evals = 0
 
     def evaluate(self, x: Vector) -> float:
         """f(x); charges exactly one objective evaluation."""
         x = _check_point(self.instance, x)
-        self.counter.f_evals += 1
+        self.f_evals += 1
         f = float(self.instance.value_fn(x))
         if not np.isfinite(f):
             raise NonFiniteOutput(f"{self.instance.name}: objective overflowed")
@@ -137,7 +130,7 @@ class CountingProblem:
     def gradient(self, x: Vector) -> Vector:
         """grad f(x); charges exactly one gradient evaluation."""
         x = _check_point(self.instance, x)
-        self.counter.g_evals += 1
+        self.g_evals += 1
         g = np.asarray(self.instance.grad_fn(x), dtype=float)
         if g.shape != (self.instance.dim,):
             raise DimensionMismatch(

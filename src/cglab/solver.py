@@ -9,6 +9,7 @@ descent-cone and steplength bounds the NEW update is designed to satisfy.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -17,23 +18,15 @@ from typing import Sequence
 import numpy as np
 
 from .directions import MethodId, direction
-from .linesearch import (
-    LineSearchConfig,
-    NotDescent,
-    StepFloorReached,
-    armijo_backtrack,
-    initial_step,
-)
+from .linesearch import NotDescent, StepFloorReached, armijo_backtrack, initial_step
 from .problems import CountingProblem, NonFiniteOutput, ProblemInstance
 
 __all__ = [
     "IterationRecord",
-    "NonConvergence",
     "RunResult",
     "SolverConfig",
     "Status",
     "TheoryReport",
-    "lipschitz_of_quadratic",
     "minimize",
     "theory_report",
 ]
@@ -48,10 +41,6 @@ class Status(str, Enum):
     NUMERICAL_FAILURE = "NumericalFailure"
 
 
-class NonConvergence(RuntimeError):
-    """Power iteration failed to settle within its step budget."""
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Run parameters.  Defaults are the benchmarking protocol values:
@@ -61,8 +50,9 @@ class SolverConfig:
     truncation eta 0.01.
 
     tau = 0 is accepted (the NEW update degenerates to steepest descent);
-    the sweep grid uses it as its baseline point.  ``line_search`` is built
-    from rho, c1 and step_floor, and owns their validation.
+    the sweep grid uses it as its baseline point.  ``step_floor`` is an
+    absolute cutoff: a trial step below it aborts the line search and the
+    run; eps/10 is small enough that a healthy search never sees it.
     """
 
     method: MethodId = MethodId.NEW
@@ -75,22 +65,27 @@ class SolverConfig:
     bb_guard: float = 1.0e-8
     hz_eta: float = 0.01
     record_trace: bool = False
-    line_search: LineSearchConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "method", MethodId(self.method))
+        # comparisons written so that NaN fails them too
         if not 0.0 <= self.tau < 1.0:
             raise ValueError(f"tau must be in [0, 1), got {self.tau}")
-        object.__setattr__(
-            self, "line_search", LineSearchConfig(self.rho, self.c1, self.step_floor)
-        )
-        # comparisons written so that NaN fails them too
-        for name in ("eps_scale", "bb_guard", "hz_eta"):
+        for name in ("rho", "c1"):
+            value = getattr(self, name)
+            if not 0.0 < value < 1.0:
+                raise ValueError(f"{name} must be in (0, 1), got {value}")
+        for name in ("eps_scale", "step_floor", "bb_guard", "hz_eta"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        try:  # numpy integers pass; floats, even 4000.0, NaN and inf do not
+            max_iters = operator.index(self.max_iters)
+        except TypeError:
+            msg = f"max_iters must be an integer, got {self.max_iters!r}"
+            raise ValueError(msg) from None
+        if max_iters < 1:
+            raise ValueError(f"max_iters must be >= 1, got {max_iters}")
 
 
 @dataclass(frozen=True)
@@ -155,8 +150,8 @@ def minimize(p: ProblemInstance, cfg: SolverConfig) -> RunResult:
         return RunResult(
             status=status,
             iters=iters,
-            f_evals=cp.counter.f_evals,
-            g_evals=cp.counter.g_evals,
+            f_evals=cp.f_evals,
+            g_evals=cp.g_evals,
             final_f=f,
             final_gnorm=gnorm,
             wall_time=time.perf_counter() - t0,
@@ -192,7 +187,7 @@ def minimize(p: ProblemInstance, cfg: SolverConfig) -> RunResult:
         alpha_bar = initial_step(s_prev, y_prev, cfg.bb_guard)
 
         try:
-            ls = armijo_backtrack(cp, x, f, res.dg, d, alpha_bar, cfg.line_search)
+            ls = armijo_backtrack(cp, x, f, res.dg, d, alpha_bar, cfg)
         except StepFloorReached:
             return _result(Status.STEP_FLOOR, k, f, gnorm)
         except NotDescent:
@@ -254,6 +249,7 @@ def theory_report(
     behind the convergence proof.  With a Lipschitz constant ``L`` supplied,
     ``lemma1_ok`` brute-force checks the per-iteration steplength floor
     alpha_k >= min{alpha_bar_k (1-tau)^2, rho (1-c1)(1-tau)/L} g^2/d^2.
+    For a quadratic 0.5 x'Ax, L is ``np.linalg.eigvalsh(A)[-1]``.
     """
     if not trace:
         raise ValueError("trace is empty; run with record_trace=True")
@@ -289,34 +285,3 @@ def theory_report(
         lemma1_ok=lemma1_ok,
         lipschitz_L=L,
     )
-
-
-def lipschitz_of_quadratic(
-    a: np.ndarray, tol: float = 1.0e-10, max_steps: int = 10000
-) -> float:
-    """Largest eigenvalue of a symmetric PSD matrix by power iteration.
-
-    For the quadratic f = 0.5 x'Ax this is the gradient's Lipschitz
-    constant.  Deterministic: starts from a fixed seeded vector.
-    """
-    a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
-    if not np.allclose(a, a.T, rtol=1.0e-12, atol=1.0e-12):
-        raise ValueError("matrix must be symmetric")
-
-    v = np.random.default_rng(0).standard_normal(n)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_steps):
-        w = a @ v
-        wnorm = float(np.linalg.norm(w))
-        if wnorm == 0.0:
-            return 0.0
-        v = w / wnorm
-        lam_new = float(v @ a @ v)
-        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
-            return lam_new
-        lam = lam_new
-    raise NonConvergence(f"power iteration did not settle in {max_steps} steps")

@@ -236,6 +236,15 @@ def test_hz_restart_on_degenerate_curvature():
     assert_restarted(step(MethodId.HZ, g, g_prev, np.array([1e-40, 1.0])), g)
 
 
+def test_fr_restart_on_nan_slope():
+    # beta = |g|^2 / |g_prev|^2 overflows to inf, so d = -g + inf d_prev
+    # holds inf * 0 = NaN and d'g is NaN, which is no descent direction
+    g = np.array([1e5, 1.0])
+    with np.errstate(over="ignore", invalid="ignore"):  # as minimize runs it
+        res = step(MethodId.FR, g, np.array([1e-150, 0.0]), np.array([1.0, 0.0]))
+    assert_restarted(res, g)
+
+
 @pytest.mark.parametrize(
     "method, g_prev, d_prev",
     [

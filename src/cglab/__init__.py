@@ -19,6 +19,7 @@ from .linesearch import (
 )
 from .problems import (
     CountingProblem,
+    ElementForm,
     ProblemInstance,
     build,
     catalog,
@@ -43,6 +44,7 @@ __all__ = [
     "CostMatrix",
     "CountingProblem",
     "DirectionResult",
+    "ElementForm",
     "EmptyMatrix",
     "IterationRecord",
     "LineSearchOutcome",

@@ -4,7 +4,9 @@ Each catalog entry is a dimension-parametric re-implementation of a classic
 CUTEst/More-Garbow-Hillstrom problem, written directly from its published
 algebraic definition (no SIF parsing).  Objectives and gradients are plain
 numpy expressions; fidelity of the hand-derived gradients is guarded by the
-central-difference oracle in :func:`fd_gradient`.
+central-difference oracle in :func:`fd_gradient`.  Families whose terms each
+read a few coordinates in a fixed pattern are written once, as an
+:class:`ElementForm`, and the oracle reuses their terms.
 
 Evaluation counting lives in :class:`CountingProblem`, not the solver, so
 line-search trial evaluations are charged automatically.
@@ -12,7 +14,7 @@ line-search trial evaluations are charged automatically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 from functools import partial
 from typing import Callable
@@ -24,6 +26,7 @@ Vector = np.ndarray
 __all__ = [
     "CountingProblem",
     "DimensionMismatch",
+    "ElementForm",
     "NonFiniteInput",
     "NonFiniteOutput",
     "NotInCatalog",
@@ -55,6 +58,69 @@ class NotInCatalog(KeyError):
 
 
 @dataclass(frozen=True, eq=False)
+class ElementForm:
+    """An objective written as a sum of element functions.
+
+    ``f(x) = outer(sum_j elem(x[o_1 + stride j], ..., x[o_r + stride j]))``
+    over ``j < terms``, for the distinct column offsets ``o_1..o_r``
+    (partial separability, Griewank & Toint 1982; the element structure of
+    CUTEst's SIF).  ``elem`` takes the r column slices ``x[..., o::stride]``
+    of ``terms`` entries each and returns the ``(..., terms)`` term array,
+    each entry computed from its own column entries alone.  ``outer`` is
+    elementwise; None is the identity.  :attr:`value` is the objective the
+    form defines, a batch-aware ``value_fn``; the terms are summed with
+    ``np.add.reduce``, which is ``np.sum``'s own reduction.
+    """
+
+    elem: Callable[..., np.ndarray]
+    terms: int
+    offsets: tuple[int, ...] = (0,)
+    stride: int = 1
+    outer: Callable[[np.ndarray], np.ndarray] | None = None
+    value: Callable[[Vector], np.ndarray] = field(init=False, repr=False)
+    _cols: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        offsets = self.offsets
+        if self.terms < 1 or self.stride < 1 or min(offsets, default=-1) < 0:
+            raise ValueError("terms and stride must be >= 1 and offsets >= 0")
+        if len(set(offsets)) != len(offsets):
+            raise ValueError(f"column offsets must be distinct, got {offsets}")
+        cols = tuple(
+            (..., slice(o, o + self.stride * self.terms, self.stride)) for o in offsets
+        )
+        object.__setattr__(self, "_cols", cols)
+        elem, total = self.elem, self.total
+
+        def value(x):
+            return total(elem(*[x[c] for c in cols]))
+
+        object.__setattr__(self, "value", value)
+
+    def total(self, t: np.ndarray) -> np.ndarray:
+        """``outer`` of the sums over the last axis of a term array."""
+        s = np.add.reduce(t, axis=-1)
+        return s if self.outer is None else self.outer(s)
+
+    def moved_terms(self, x: Vector, up: Vector, down: Vector):
+        """The terms of ``x``, and per column the terms with it moved.
+
+        Returns ``(t, moves)``: ``t`` is the term array of ``x``, and
+        ``moves`` holds ``(offset, plus, minus)`` per column, where ``plus``
+        is the term array with that column read from ``up`` and the others
+        from ``x`` (``minus`` likewise from ``down``).  ``1 + 2 r`` element
+        calls of ``terms`` entries each.
+        """
+        cols = [x[c] for c in self._cols]
+        moves = []
+        for i, (o, c) in enumerate(zip(self.offsets, self._cols)):
+            plus = self.elem(*cols[:i], up[c], *cols[i + 1 :])
+            minus = self.elem(*cols[:i], down[c], *cols[i + 1 :])
+            moves.append((o, plus, minus))
+        return self.elem(*cols), moves
+
+
+@dataclass(frozen=True, eq=False)
 class ProblemInstance:
     """A named objective with analytic gradient and a standard start point.
 
@@ -65,6 +131,12 @@ class ProblemInstance:
     (:func:`fd_gradient` relies on this; a Fortran-ordered batch sums in
     another order).  ``grad_fn`` takes one point.  Instances are immutable
     and safe to share.
+
+    ``elements``, if given, is the objective's :class:`ElementForm`, and
+    :func:`fd_gradient` evaluates through it instead of ``value_fn``.  Its
+    contract: ``elements.value`` has ``value_fn``'s bits at every point.
+    It is a field of its own, not an attribute of ``value_fn``, so that a
+    copy with ``value_fn`` wrapped (``dataclasses.replace``) keeps it.
     """
 
     name: str
@@ -72,6 +144,7 @@ class ProblemInstance:
     start: Vector
     value_fn: Callable[[Vector], float | np.ndarray]
     grad_fn: Callable[[Vector], Vector]
+    elements: ElementForm | None = None
 
     def __post_init__(self):
         start = np.array(self.start, dtype=float)
@@ -83,6 +156,12 @@ class ProblemInstance:
             )
         if not np.isfinite(start).all():
             raise NonFiniteInput(f"{self.name}: non-finite entries in start point")
+        form = self.elements
+        if form is not None:
+            last = max(form.offsets) + form.stride * (form.terms - 1)
+            if last >= self.dim:
+                msg = f"element columns reach index {last}, past dim {self.dim}"
+                raise DimensionMismatch(f"{self.name}: {msg}")
         start.setflags(write=False)
         object.__setattr__(self, "start", start)
 
@@ -143,8 +222,8 @@ class CountingProblem:
 
 _CBRT_EPS = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
-# Elements per batched value_fn call in fd_gradient.  Larger chunks save
-# little once numpy's per-call overhead is amortised, and cost peak memory.
+# Entries per batch in fd_gradient.  Larger chunks save little once numpy's
+# per-call overhead is amortised, and cost peak memory.
 _FD_CHUNK = 8192
 
 
@@ -153,10 +232,23 @@ def fd_gradient(p: ProblemInstance, x: Vector, h: float = _CBRT_EPS) -> Vector:
 
     The per-coordinate step is ``h * (1 + |x_i|)``; the default base step is
     cbrt(machine eps), the usual balance of truncation vs. cancellation for
-    central differences.  The perturbed points go to ``value_fn`` in
-    ``(2k, n)`` batches, the ``x + h_i e_i`` rows of k coordinates followed
-    by their ``x - h_i e_i`` rows; by the batch contract each component has
-    the bits of two 1-D calls.
+    central differences.  The perturbed points are evaluated in ``(2k, w)``
+    blocks, the rows of ``x + h_i e_i`` for k coordinates followed by those
+    of ``x - h_i e_i``, and each component has the bits of two 1-D
+    ``value_fn`` calls.
+
+    Without an element form a block holds the points themselves (w = n)
+    and goes to ``value_fn``, which the batch contract makes row-exact.
+    With ``p.elements`` a block holds term arrays (w = terms): the terms of
+    ``x`` are computed once, and so are, per column, all terms with that
+    column moved, one element call each.  A row is the terms of ``x`` with
+    the moved terms of its coordinate written in, and its sum is the sum of
+    the same entries that ``value_fn`` adds, so the bits agree.  Element
+    work per call is O(n r) for r columns, not O(n^2).  The catalog's
+    element-form families take the term path.  ARWHEAD, BDQRTIC, LIARWHD,
+    NONDIA, PENALTY1, POWER and VARDIM keep the block path, since x_1, x_n
+    or a sum over all of x enters every term, and so do TRIDIA, DIXON3DQ
+    and EXTROSNB, which add a term outside the sum.
     """
     if not (np.isfinite(h) and h > 0):
         raise ValueError(f"h must be positive and finite, got {h!r}")
@@ -164,24 +256,49 @@ def fd_gradient(p: ProblemInstance, x: Vector, h: float = _CBRT_EPS) -> Vector:
     n = p.dim
     steps = h * (1.0 + np.abs(x))
     up, down = x + steps, x - steps
+    form = p.elements
+    if form is None:
+        # the points are the identity's terms, one column with stride 1
+        base, moves, stride = x, [(0, up, down)], 1
+
+        def reduce(block):
+            f = np.asarray(p.value_fn(block), dtype=float)
+            if f.shape != block.shape[:1]:
+                raise DimensionMismatch(
+                    f"{p.name}: value_fn gave shape {f.shape} for a batch of shape "
+                    f"{block.shape}; it must map (..., n) to (...)"
+                )
+            return f
+
+    else:
+        base, moves = form.moved_terms(x, up, down)
+        stride, reduce = form.stride, form.total
+        if base.shape != (form.terms,):
+            raise DimensionMismatch(
+                f"{p.name}: elem gave shape {base.shape}, expected ({form.terms},)"
+            )
+    w = base.shape[0]
     g = np.empty_like(x)
-    k = max(1, _FD_CHUNK // (2 * n))
-    buf = np.empty((2 * k, n))
+    k = max(1, _FD_CHUNK // (2 * w))
+    buf = np.empty((2 * k, w))
     for lo in range(0, n, k):
         hi = min(lo + k, n)
         m = hi - lo
         block = buf[: 2 * m]
-        block[:] = x
-        # rows j and m + j move coordinate lo + j: n + 1 apart when flat
+        block[:] = base
         flat = block.reshape(-1)
-        flat[lo : m * n : n + 1] = up[lo:hi]
-        flat[m * n + lo :: n + 1] = down[lo:hi]
-        f = np.asarray(p.value_fn(block), dtype=float)
-        if f.shape != (2 * m,):
-            raise DimensionMismatch(
-                f"{p.name}: value_fn gave shape {f.shape} for a batch of shape "
-                f"{block.shape}; it must map (..., n) to (...)"
-            )
+        for o, plus, minus in moves:
+            # coordinate i = o + stride j sits in term j of this column, and
+            # moves in rows i - lo and m + i - lo: stride w + 1 apart when flat
+            first = max(0, -((o - lo) // stride))
+            last = min(w, (hi - 1 - o) // stride + 1)
+            if first < last:
+                step = stride * w + 1
+                start = (o + stride * first - lo) * w + first
+                at = slice(start, start + (last - first - 1) * step + 1, step)
+                flat[at] = plus[first:last]
+                flat[m * w :][at] = minus[first:last]
+        f = reduce(block)
         g[lo:hi] = (f[:m] - f[m:]) / (2.0 * steps[lo:hi])
     if not np.isfinite(g).all():
         raise NonFiniteOutput(f"{p.name}: finite-difference gradient overflowed")
@@ -213,7 +330,8 @@ def _per_row(fn, x: np.ndarray):
 
 # ---------------------------------------------------------------------------
 # Problem definitions.  Each builder returns (value_fn, grad_fn, start) for a
-# given dimension; the comment records the algebraic form and standard start.
+# given dimension, or (ElementForm, grad_fn, start); the comment records the
+# algebraic form and standard start.
 # ---------------------------------------------------------------------------
 
 
@@ -224,9 +342,8 @@ def _srosenbr(n: int):
     if n < 2 or n % 2:
         raise ValueError("SROSENBR needs even n >= 2")
 
-    def value(x):
-        o, e = x[..., 0::2], x[..., 1::2]
-        return np.sum(100.0 * (e - o**2) ** 2 + (1.0 - o) ** 2, axis=-1)
+    def elem(o, e):
+        return 100.0 * (e - o**2) ** 2 + (1.0 - o) ** 2
 
     def grad(x):
         o, e = x[0::2], x[1::2]
@@ -236,7 +353,8 @@ def _srosenbr(n: int):
         g[1::2] = 200.0 * r
         return g
 
-    return value, grad, np.tile([-1.2, 1.0], n // 2)
+    form = ElementForm(elem, n // 2, offsets=(0, 1), stride=2)
+    return form, grad, np.tile([-1.2, 1.0], n // 2)
 
 
 def _woods(n: int):
@@ -247,16 +365,14 @@ def _woods(n: int):
     if n < 4 or n % 4:
         raise ValueError("WOODS needs n divisible by 4")
 
-    def value(x):
-        a, b, c, d = x[..., 0::4], x[..., 1::4], x[..., 2::4], x[..., 3::4]
-        return np.sum(
+    def elem(a, b, c, d):
+        return (
             100.0 * (b - a**2) ** 2
             + (1.0 - a) ** 2
             + 90.0 * (d - c**2) ** 2
             + (1.0 - c) ** 2
             + 10.0 * (b + d - 2.0) ** 2
-            + 0.1 * (b - d) ** 2,
-            axis=-1,
+            + 0.1 * (b - d) ** 2
         )
 
     def grad(x):
@@ -272,7 +388,8 @@ def _woods(n: int):
         g[3::4] = 180.0 * rd + 20.0 * s - 0.2 * t
         return g
 
-    return value, grad, np.tile([-3.0, -1.0, -3.0, -1.0], n // 4)
+    form = ElementForm(elem, n // 4, offsets=(0, 1, 2, 3), stride=4)
+    return form, grad, np.tile([-3.0, -1.0, -3.0, -1.0], n // 4)
 
 
 def _powellsg(n: int):
@@ -282,14 +399,12 @@ def _powellsg(n: int):
     if n < 4 or n % 4:
         raise ValueError("POWELLSG needs n divisible by 4")
 
-    def value(x):
-        a, b, c, d = x[..., 0::4], x[..., 1::4], x[..., 2::4], x[..., 3::4]
-        return np.sum(
+    def elem(a, b, c, d):
+        return (
             (a + 10.0 * b) ** 2
             + 5.0 * (c - d) ** 2
             + (b - 2.0 * c) ** 4
-            + 10.0 * (a - d) ** 4,
-            axis=-1,
+            + 10.0 * (a - d) ** 4
         )
 
     def grad(x):
@@ -305,7 +420,8 @@ def _powellsg(n: int):
         g[3::4] = -10.0 * v - 40.0 * z
         return g
 
-    return value, grad, np.tile([3.0, -1.0, 0.0, 1.0], n // 4)
+    form = ElementForm(elem, n // 4, offsets=(0, 1, 2, 3), stride=4)
+    return form, grad, np.tile([3.0, -1.0, 0.0, 1.0], n // 4)
 
 
 def _tridia(n: int):
@@ -340,13 +456,13 @@ def _dqdrtic(n: int):
     c[1 : n - 1] += 100.0
     c[2:n] += 100.0
 
-    def value(x):
-        return np.sum(c * x**2, axis=-1)
+    def elem(t):
+        return c * t**2
 
     def grad(x):
         return 2.0 * c * x
 
-    return value, grad, np.full(n, 3.0)
+    return ElementForm(elem, n), grad, np.full(n, 3.0)
 
 
 def _dixon3dq(n: int):
@@ -434,9 +550,9 @@ def _engval1(n: int):
     if n < 2:
         raise ValueError("ENGVAL1 needs n >= 2")
 
-    def value(x):
-        h = x[..., :-1] ** 2 + x[..., 1:] ** 2
-        return np.sum(h**2 - 4.0 * x[..., :-1] + 3.0, axis=-1)
+    def elem(u, y):
+        h = u**2 + y**2
+        return h**2 - 4.0 * u + 3.0
 
     def grad(x):
         h = x[:-1] ** 2 + x[1:] ** 2
@@ -445,7 +561,7 @@ def _engval1(n: int):
         g[1:] += 4.0 * x[1:] * h
         return g
 
-    return value, grad, np.full(n, 2.0)
+    return ElementForm(elem, n - 1, offsets=(0, 1)), grad, np.full(n, 2.0)
 
 
 def _freuroth(n: int):
@@ -455,19 +571,18 @@ def _freuroth(n: int):
     if n < 2:
         raise ValueError("FREUROTH needs n >= 2")
 
-    def _residuals(x):
-        y = x[..., 1:]
-        r1 = x[..., :-1] - 13.0 + ((5.0 - y) * y - 2.0) * y
-        r2 = x[..., :-1] - 29.0 + ((y + 1.0) * y - 14.0) * y
+    def _residuals(u, y):
+        r1 = u - 13.0 + ((5.0 - y) * y - 2.0) * y
+        r2 = u - 29.0 + ((y + 1.0) * y - 14.0) * y
         return r1, r2
 
-    def value(x):
-        r1, r2 = _residuals(x)
-        return np.sum(r1**2 + r2**2, axis=-1)
+    def elem(u, y):
+        r1, r2 = _residuals(u, y)
+        return r1**2 + r2**2
 
     def grad(x):
         y = x[1:]
-        r1, r2 = _residuals(x)
+        r1, r2 = _residuals(x[:-1], y)
         g = np.zeros_like(x)
         g[:-1] += 2.0 * r1 + 2.0 * r2
         g[1:] += 2.0 * r1 * (10.0 * y - 3.0 * y**2 - 2.0) + 2.0 * r2 * (
@@ -478,7 +593,7 @@ def _freuroth(n: int):
     start = np.zeros(n)
     start[0] = 0.5
     start[1] = -2.0
-    return value, grad, start
+    return ElementForm(elem, n - 1, offsets=(0, 1)), grad, start
 
 
 def _extrosnb(n: int):
@@ -507,8 +622,8 @@ def _cosine(n: int):
     if n < 2:
         raise ValueError("COSINE needs n >= 2")
 
-    def value(x):
-        return np.sum(np.cos(x[..., :-1] ** 2 - 0.5 * x[..., 1:]), axis=-1)
+    def elem(u, y):
+        return np.cos(u**2 - 0.5 * y)
 
     def grad(x):
         s = np.sin(x[:-1] ** 2 - 0.5 * x[1:])
@@ -517,7 +632,7 @@ def _cosine(n: int):
         g[1:] += 0.5 * s
         return g
 
-    return value, grad, np.ones(n)
+    return ElementForm(elem, n - 1, offsets=(0, 1)), grad, np.ones(n)
 
 
 def _edensch(n: int):
@@ -526,10 +641,9 @@ def _edensch(n: int):
     if n < 2:
         raise ValueError("EDENSCH needs n >= 2")
 
-    def value(x):
-        a = x[..., :-1] - 2.0
-        y = x[..., 1:]
-        return 16.0 + np.sum(a**4 + (a * y) ** 2 + (y + 1.0) ** 2, axis=-1)
+    def elem(u, y):
+        a = u - 2.0
+        return a**4 + (a * y) ** 2 + (y + 1.0) ** 2
 
     def grad(x):
         a = x[:-1] - 2.0
@@ -538,20 +652,21 @@ def _edensch(n: int):
         g[1:] += 2.0 * a**2 * x[1:] + 2.0 * (x[1:] + 1.0)
         return g
 
-    return value, grad, np.zeros(n)
+    form = ElementForm(elem, n - 1, offsets=(0, 1), outer=lambda s: 16.0 + s)
+    return form, grad, np.zeros(n)
 
 
 def _dqrtic(n: int):
     # DQRTIC (= QUARTC): f = sum_i (x_i - i)^4, start all 2
     idx = np.arange(1.0, n + 1.0)
 
-    def value(x):
-        return np.sum((x - idx) ** 4, axis=-1)
+    def elem(t):
+        return (t - idx) ** 4
 
     def grad(x):
         return 4.0 * (x - idx) ** 3
 
-    return value, grad, np.full(n, 2.0)
+    return ElementForm(elem, n), grad, np.full(n, 2.0)
 
 
 def _penalty1(n: int):
@@ -633,11 +748,11 @@ def _tointgss(n: int):
         raise ValueError("TOINTGSS needs n >= 3")
     t = 10.0 / (n - 2.0)
 
-    def value(x):
-        a = x[..., :-2] - x[..., 1:-1]
-        b2 = x[..., 2:] ** 2
+    def elem(u, v, z):
+        a = u - v
+        b2 = z**2
         e = np.exp(-(a**2) / (0.1 + b2))
-        return np.sum((t + b2) * (2.0 - e), axis=-1)
+        return (t + b2) * (2.0 - e)
 
     def grad(x):
         a = x[:-2] - x[1:-1]
@@ -653,7 +768,7 @@ def _tointgss(n: int):
         g[2:] += 2.0 * b * (2.0 - e) - 2.0 * u * b * (t + b2) * e / v**2
         return g
 
-    return value, grad, np.full(n, 3.0)
+    return ElementForm(elem, n - 2, offsets=(0, 1, 2)), grad, np.full(n, 3.0)
 
 
 def _power(n: int):
@@ -729,7 +844,15 @@ def build(name: str, dim: int) -> ProblemInstance:
     if name not in _CATALOG:
         raise NotInCatalog(name)
     value, grad, start = _CATALOG[name][0](dim)
-    return ProblemInstance(name=name, dim=dim, start=start, value_fn=value, grad_fn=grad)
+    form = value if isinstance(value, ElementForm) else None
+    return ProblemInstance(
+        name=name,
+        dim=dim,
+        start=start,
+        value_fn=value if form is None else form.value,
+        grad_fn=grad,
+        elements=form,
+    )
 
 
 def catalog() -> list[ProblemInstance]:

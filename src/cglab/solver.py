@@ -41,6 +41,19 @@ class Status(str, Enum):
     NUMERICAL_FAILURE = "NumericalFailure"
 
 
+# (field, range test, range text) of SolverConfig's float settings; each test
+# is written so that NaN fails it too
+_FLOAT_RANGES = (
+    ("tau", lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
+    ("rho", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+    ("c1", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+    *(
+        (name, lambda v: 0.0 < v < math.inf, "positive and finite")
+        for name in ("eps_scale", "step_floor", "bb_guard", "hz_eta")
+    ),
+)
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Run parameters.  Defaults are the benchmarking protocol values:
@@ -68,22 +81,20 @@ class SolverConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "method", MethodId(self.method))
-        # comparisons written so that NaN fails them too
-        if not 0.0 <= self.tau < 1.0:
-            raise ValueError(f"tau must be in [0, 1), got {self.tau}")
-        for name in ("rho", "c1"):
+        for name, valid, what in _FLOAT_RANGES:
             value = getattr(self, name)
-            if not 0.0 < value < 1.0:
-                raise ValueError(f"{name} must be in (0, 1), got {value}")
-        for name in ("eps_scale", "step_floor", "bb_guard", "hz_eta"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+            try:
+                ok = valid(value)
+            except TypeError:  # a string or None does not compare with floats
+                raise ValueError(f"{name} must be a number, got {value!r}") from None
+            if not ok:
+                raise ValueError(f"{name} must be {what}, got {value}")
         try:  # numpy integers pass; floats, even 4000.0, NaN and inf do not
             max_iters = operator.index(self.max_iters)
         except TypeError:
-            msg = f"max_iters must be an integer, got {self.max_iters!r}"
-            raise ValueError(msg) from None
+            max_iters = None
+        if max_iters is None or isinstance(self.max_iters, bool):  # True is no count
+            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {max_iters}")
 
@@ -246,8 +257,9 @@ def theory_report(
     ``min_descent_ratio`` is min over k of -d'g / ||g||^2 (>= 1 - tau for the
     NEW update); ``max_dirnorm_ratio`` is max of ||d|| / ||g|| (<= 1 + tau).
     The partial sums of ||g||^4 / ||d||^2 track the summability condition
-    behind the convergence proof.  With a Lipschitz constant ``L`` supplied,
-    ``lemma1_ok`` brute-force checks the per-iteration steplength floor
+    behind the convergence proof.  With a Lipschitz constant ``L`` supplied
+    (positive and finite, else ``ValueError``), ``lemma1_ok`` brute-force
+    checks the per-iteration steplength floor
     alpha_k >= min{alpha_bar_k (1-tau)^2, rho (1-c1)(1-tau)/L} g^2/d^2.
     For a quadratic 0.5 x'Ax, L is ``np.linalg.eigvalsh(A)[-1]``.
     """
@@ -265,8 +277,8 @@ def theory_report(
 
     lemma1_ok = None
     if L is not None:
-        if L <= 0.0:
-            raise ValueError(f"L must be positive, got {L}")
+        if not 0.0 < L < math.inf:  # written so that NaN fails it too
+            raise ValueError(f"L must be positive and finite, got {L}")
         lemma1_ok = True
         one_minus_tau = 1.0 - cfg.tau
         for r in trace:

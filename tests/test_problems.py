@@ -7,16 +7,19 @@ Frozen start values and known minimizers pin the transcriptions further,
 and the finite-difference oracle guards every hand-derived gradient.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import cglab.problems
 from cglab.problems import (
     _FD_CHUNK,
     _scalar_pow,
     CountingProblem,
     DimensionMismatch,
+    ElementForm,
     NonFiniteInput,
     NonFiniteOutput,
     NotInCatalog,
@@ -507,6 +510,136 @@ def test_fd_gradient_matches_coordinate_loop(name, dim):
     rng = np.random.default_rng([13, dim, *name.encode()])
     for x in (p.start, p.start + rng.uniform(-1.0, 1.0, dim)):
         assert fd_gradient(p, x).tobytes() == coordinate_loop_fd(p, x).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Term path: for an instance with an element form, fd_gradient sums term
+# arrays with the moved terms written in, and must give the block path's
+# bits (the block path is the same instance with ``elements=None``).
+# ---------------------------------------------------------------------------
+
+ELEMENT_KEYS = [(p.name, p.dim) for p in catalog() if p.elements is not None]
+# the families that read every coordinate in some term, or that add a term
+# outside the sum, keep the block path
+BLOCK_FAMILIES = {"ARWHEAD", "BDQRTIC", "DIXON3DQ", "EXTROSNB", "LIARWHD",
+                  "NONDIA", "PENALTY1", "POWER", "TRIDIA", "VARDIM"}
+
+
+def test_element_form_families():
+    names = {p.name for p in catalog()}
+    assert {name for name, _ in ELEMENT_KEYS} == names - BLOCK_FAMILIES
+
+
+@pytest.mark.parametrize("name,dim", ELEMENT_KEYS)
+def test_term_path_matches_block_path(name, dim):
+    p = build(name, dim)
+    block = dataclasses.replace(p, elements=None)
+    rng = np.random.default_rng([23, dim, *name.encode()])
+    for x in [p.start] + [rng.uniform(-3.0, 3.0, dim) for _ in range(3)]:
+        assert fd_gradient(p, x).tobytes() == fd_gradient(block, x).tobytes()
+    # a coordinate whose terms overflow: every perturbed value is inf or NaN
+    x = p.start.copy()
+    x[dim // 2] = 1e200
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(p.value_fn(x))
+        for q in (p, block):
+            with pytest.raises(NonFiniteOutput):
+                fd_gradient(q, x)
+
+
+@pytest.mark.parametrize("name,dim", ELEMENT_KEYS)
+def test_element_sum_matches_value_fn_bits(name, dim):
+    p = build(name, dim)
+    form = p.elements
+    rng = np.random.default_rng([29, dim, *name.encode()])
+    for k in (1, 3, 2 * _FD_CHUNK // dim + 1):
+        batch = p.start + rng.uniform(-3.0, 3.0, (k, dim))
+        # the columns sliced here, not through the form's own indices
+        cols = [batch[:, o :: form.stride][:, : form.terms] for o in form.offsets]
+        s = np.sum(form.elem(*cols), axis=-1)
+        expected = s if form.outer is None else form.outer(s)
+        assert p.value_fn(batch).tobytes() == expected.tobytes()
+        rows = np.array([p.value_fn(x) for x in batch])
+        assert rows.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("name,dim", ELEMENT_KEYS)
+def test_term_path_skips_value_fn(name, dim):
+    # the benchmark's tracer wraps value_fn with dataclasses.replace; the
+    # copy keeps its element form, so it takes the term path too
+    p = build(name, dim)
+    calls = []
+
+    def traced(x):
+        calls.append(x.shape)
+        return p.value_fn(x)
+
+    q = dataclasses.replace(p, value_fn=traced)
+    assert q.elements is p.elements
+    assert fd_gradient(q, p.start).tobytes() == fd_gradient(p, p.start).tobytes()
+    assert calls == []
+
+
+@pytest.mark.parametrize("name,dim", ELEMENT_KEYS)
+def test_term_path_element_work_is_linear(name, dim):
+    p = build(name, dim)
+    form = p.elements
+    evaluated = []
+
+    def elem(*cols):
+        t = form.elem(*cols)
+        evaluated.append(t.size)
+        return t
+
+    counted = dataclasses.replace(form, elem=elem)
+    q = dataclasses.replace(p, value_fn=counted.value, elements=counted)
+    fd_gradient(q, p.start)
+    # the terms of x, and per column its terms moved up and down: O(n), not
+    # the O(n^2) of one term array per perturbed point
+    assert sum(evaluated) == (1 + 2 * len(form.offsets)) * form.terms
+
+
+@pytest.mark.parametrize("chunk", [8, 24, 60, _FD_CHUNK])
+def test_term_path_with_partial_columns(monkeypatch, chunk):
+    # columns that skip coordinates (1, 8 and 10 are read by no term) and
+    # chunks that cut through them, against the coordinate loop
+    monkeypatch.setattr(cglab.problems, "_FD_CHUNK", chunk)
+    w = np.arange(1.0, 5.0)
+
+    def elem(a, b):
+        return w * (a - 2.0 * b) ** 4 + a * b
+
+    form = ElementForm(elem, 4, offsets=(0, 3), stride=2, outer=lambda s: s - 1.0)
+    p = ProblemInstance(
+        "ELEM", 11, np.linspace(-2.0, 2.0, 11), form.value, np.zeros_like, form
+    )
+    rng = np.random.default_rng(31)
+    for x in (p.start, rng.uniform(-3.0, 3.0, 11)):
+        g = fd_gradient(p, x)
+        assert g.tobytes() == coordinate_loop_fd(p, x).tobytes()
+        assert g[[1, 8, 10]].tolist() == [0.0, 0.0, 0.0]
+
+
+def test_element_form_validation():
+    for bad in (
+        {"terms": 0},
+        {"stride": 0},
+        {"offsets": (0, 0)},
+        {"offsets": (-1, 0)},
+        {"offsets": ()},
+    ):
+        with pytest.raises(ValueError):
+            ElementForm(**{"elem": np.square, "terms": 3, **bad})
+    # columns 0, 2, 4 and 1, 3, 5 need a point of at least 6 entries
+    form = ElementForm(np.multiply, 3, offsets=(0, 1), stride=2)
+    with pytest.raises(DimensionMismatch, match="reach index 5"):
+        ProblemInstance("E", 5, np.ones(5), form.value, np.zeros_like, form)
+    ProblemInstance("E", 6, np.ones(6), form.value, np.zeros_like, form)
+    # an elem that does not keep the term axis
+    summed = ElementForm(lambda t: np.sum(t, axis=-1), 3)
+    q = ProblemInstance("S", 3, np.ones(3), summed.value, np.zeros_like, summed)
+    with pytest.raises(DimensionMismatch, match="elem gave shape"):
+        fd_gradient(q, q.start)
 
 
 def test_quadratic_instance():

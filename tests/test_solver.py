@@ -58,6 +58,16 @@ def test_config_validation():
     ):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
+    # a non-number is a ValueError that names its field, not a TypeError
+    # from the range comparison
+    for name in FLOAT_FIELDS:
+        for bad in ("0.5", None):
+            with pytest.raises(ValueError, match=f"^{name} must be a number"):
+                SolverConfig(**{name: bad})
+    # a bool is an int to operator.index, but not an iteration count
+    for flag in (True, False):
+        with pytest.raises(ValueError, match="max_iters must be an integer"):
+            SolverConfig(max_iters=flag)
 
 
 def test_identity_quadratic_one_step():
@@ -319,6 +329,16 @@ def test_theory_report_detects_floor_violation():
     # an absurdly small L inflates the floor C_k g^2/d^2 beyond any real step
     rep = theory_report(r.trace, cfg, L=1e-9)
     assert rep.lemma1_ok is False
+
+
+def test_theory_report_rejects_non_finite_lipschitz_constant():
+    # an infinite L would make the Lemma-1 floor 0 and a NaN L would make
+    # it NaN; either way lemma1_ok would pass without checking anything
+    cfg = SolverConfig(record_trace=True)
+    r = minimize(quadratic_instance(np.diag(np.arange(1.0, 6.0))), cfg)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="L must be positive and finite"):
+            theory_report(r.trace, cfg, L=bad)
 
 
 def test_theory_report_rejects_empty_trace():

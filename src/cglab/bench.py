@@ -55,9 +55,8 @@ class CostMatrix:
         expected = (len(self.problems), len(self.solvers))
         if costs.shape != expected:
             raise ValueError(f"costs shape {costs.shape}, expected {expected}")
-        finite = costs[np.isfinite(costs)]
-        if finite.size and (finite <= 0).any():
-            raise ValueError("finite costs must be positive")
+        if not (costs > 0.0).all():  # NaN and -inf fail too
+            raise ValueError("costs must be positive, or inf for a failed run")
         costs.setflags(write=False)
         object.__setattr__(self, "costs", costs)
         object.__setattr__(self, "solvers", tuple(self.solvers))
@@ -196,7 +195,7 @@ def performance_profile(
     if t_grid is None:
         t_grid = default_t_grid()
     t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.size and (t_grid < 1.0).any():
+    if not (t_grid >= 1.0).all():  # NaN fails too
         raise ValueError("t grid values must be >= 1")
 
     finite = ratios[np.isfinite(ratios)]

@@ -30,10 +30,8 @@ the updated direction fails d'g < 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
+from typing import NamedTuple
 
 from .problems import Vector
 
@@ -51,8 +49,7 @@ class MethodId(str, Enum):
     HZ = "HZ"
 
 
-@dataclass(frozen=True)
-class DirectionResult:
+class DirectionResult(NamedTuple):
     """Direction, its d'g, the effective beta and whether a restart fired."""
 
     d: Vector
@@ -83,42 +80,44 @@ def direction(
     not a descent direction.  The d'g of ``-g`` is ``-gg``.
     """
     if d_prev is None:
-        return DirectionResult(d=-g, dg=-gg, beta=0.0, restarted=False)
+        return DirectionResult(-g, -gg, 0.0, False)
 
+    # Each update is formed as beta d_prev - c g in place: it has the bits of
+    # -c g + beta d_prev (a + (-b) is a - b, and addition commutes) and makes
+    # one temporary fewer.
     try:
         if method == MethodId.NEW:
-            beta = tau * math.sqrt(gg) / math.sqrt(float(np.dot(d_prev, d_prev)))
-            d = -g + beta * d_prev
-            return DirectionResult(
-                d=d, dg=float(np.dot(d, g)), beta=beta, restarted=False
-            )
+            beta = tau * math.sqrt(gg) / math.sqrt(float(d_prev.dot(d_prev)))
+            d = beta * d_prev
+            d -= g
+            return DirectionResult(d, float(d.dot(g)), beta, False)
         if method == MethodId.MFR:
             beta = gg / gg_prev
-            theta = float(np.dot(d_prev, y)) / gg_prev
-            d = -theta * g + beta * d_prev
-            return DirectionResult(
-                d=d, dg=float(np.dot(d, g)), beta=beta, restarted=False
-            )
+            theta = float(d_prev.dot(y)) / gg_prev
+            d = beta * d_prev
+            d -= theta * g
+            return DirectionResult(d, float(d.dot(g)), beta, False)
         if method == MethodId.FR:
             beta = gg / gg_prev
         elif method == MethodId.HZ:
-            dy = float(np.dot(d_prev, y))
+            dy = float(d_prev.dot(y))
             if abs(dy) < _CURVATURE_TINY:
                 raise ZeroDivisionError(f"d'y = {dy} too close to zero")
-            yy = float(np.dot(y, y))
-            raw = float(np.dot(y - (2.0 * yy / dy) * d_prev, g)) / dy
+            yy = float(y.dot(y))
+            raw = float((y - (2.0 * yy / dy) * d_prev).dot(g)) / dy
             # a zero previous direction or gradient means no truncation
-            denom = math.sqrt(float(np.dot(d_prev, d_prev))) * min(
+            denom = math.sqrt(float(d_prev.dot(d_prev))) * min(
                 hz_eta, math.sqrt(gg_prev)
             )
             beta = max(raw, -math.inf if denom == 0.0 else -1.0 / denom)
         else:
             raise ValueError(f"unknown method {method!r}")
     except ZeroDivisionError:
-        return DirectionResult(d=-g, dg=-gg, beta=0.0, restarted=True)
+        return DirectionResult(-g, -gg, 0.0, True)
 
-    d = -g + beta * d_prev
-    dg = float(np.dot(d, g))
+    d = beta * d_prev
+    d -= g
+    dg = float(d.dot(g))
     if not dg < 0.0:  # NaN fails too
-        return DirectionResult(d=-g, dg=-gg, beta=0.0, restarted=True)
-    return DirectionResult(d=d, dg=dg, beta=beta, restarted=False)
+        return DirectionResult(-g, -gg, 0.0, True)
+    return DirectionResult(d, dg, beta, False)

@@ -9,10 +9,7 @@ grid point that passes, which the solver's theory layer relies on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .problems import (
     CountingProblem,
@@ -42,20 +39,22 @@ class StepFloorReached(RuntimeError):
     """Backtracking shrank the trial step below the hard floor."""
 
 
-@dataclass(frozen=True)
-class LineSearchOutcome:
-    """Accepted step and trial point, and the backtrack count."""
+class LineSearchOutcome(NamedTuple):
+    """Accepted step and trial point, the backtrack count, and the move
+    ``alpha * d`` that took ``x`` to ``x_new``."""
 
     alpha: float
     f_new: float
     x_new: Vector
     backtracks: int
+    step: Vector
 
 
 def initial_step(s: Vector | None, y: Vector | None, guard: float) -> float:
     """Barzilai-Borwein trial step ``s's / s'y`` from the previous move.
 
-    Falls back to 1.0 on the first iteration (both arguments None),
+    ``s`` and ``y`` are float arrays of one shape, as :func:`minimize` holds
+    them.  Falls back to 1.0 on the first iteration (both arguments None),
     whenever the curvature ``s'y`` is below ``guard``, where the quotient
     would be huge or negative, and whenever the quotient is not positive and
     finite (``s's`` overflowing, or ``s'y`` infinite).
@@ -64,14 +63,12 @@ def initial_step(s: Vector | None, y: Vector | None, guard: float) -> float:
         return 1.0
     if s is None or y is None:
         raise DimensionMismatch("s and y must both be given or both be None")
-    s = np.asarray(s, dtype=float)
-    y = np.asarray(y, dtype=float)
     if s.shape != y.shape:
         raise DimensionMismatch(f"s has shape {s.shape}, y has shape {y.shape}")
-    sy = float(np.dot(s, y))
+    sy = float(s.dot(y))
     if sy <= guard:
         return 1.0
-    bb = float(np.dot(s, s)) / sy
+    bb = float(s.dot(s)) / sy
     return bb if 0.0 < bb < math.inf else 1.0
 
 
@@ -97,27 +94,28 @@ def armijo_backtrack(
     numpy's error state is the caller's: :func:`~cglab.solver.minimize`
     turns overflow and invalid warnings off, a direct caller decides itself.
     """
-    if not np.isfinite(dg) or dg >= 0.0:
+    if not math.isfinite(dg) or dg >= 0.0:
         raise NotDescent(f"d'g = {dg}, need a strict descent direction")
-    if alpha_bar <= 0.0 or not np.isfinite(alpha_bar):
+    if alpha_bar <= 0.0 or not math.isfinite(alpha_bar):
         raise ValueError(f"alpha_bar must be positive and finite, got {alpha_bar}")
 
+    evaluate = problem.evaluate
+    rho, c1, floor = cfg.rho, cfg.c1, cfg.step_floor
     alpha = float(alpha_bar)
     backtracks = 0
     while True:
-        if alpha < cfg.step_floor:
+        if alpha < floor:
             raise StepFloorReached(
-                f"trial step {alpha:.3e} fell below floor {cfg.step_floor:.3e}"
+                f"trial step {alpha:.3e} fell below floor {floor:.3e}"
             )
-        trial = x + alpha * d
+        step = alpha * d
+        trial = x + step
         try:
-            f_trial = problem.evaluate(trial)
+            f_trial = evaluate(trial)
         except (NonFiniteInput, NonFiniteOutput):
             pass
         else:
-            if f_trial <= f + cfg.c1 * alpha * dg:
-                return LineSearchOutcome(
-                    alpha=alpha, f_new=f_trial, x_new=trial, backtracks=backtracks
-                )
-        alpha *= cfg.rho
+            if f_trial <= f + c1 * alpha * dg:
+                return LineSearchOutcome(alpha, f_trial, trial, backtracks, step)
+        alpha *= rho
         backtracks += 1

@@ -14,6 +14,7 @@ line-search trial evaluations are charged automatically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 from functools import partial
@@ -173,12 +174,13 @@ class ProblemInstance:
         return f"ProblemInstance({self.name}, n={self.dim})"
 
 
-def _check_point(p: ProblemInstance, x: Vector) -> Vector:
+def _check_point(name: str, shape: tuple[int], x: Vector) -> Vector:
     x = np.asarray(x, dtype=float)
-    if x.shape != (p.dim,):
-        raise DimensionMismatch(f"{p.name}: point has shape {x.shape}, expected ({p.dim},)")
-    if not np.isfinite(x).all():
-        raise NonFiniteInput(f"{p.name}: non-finite entries in evaluation point")
+    if x.shape != shape:
+        raise DimensionMismatch(f"{name}: point has shape {x.shape}, expected {shape}")
+    # np.isfinite(x).all(), without .all()'s Python-level dispatch
+    if np.count_nonzero(np.isfinite(x)) != x.size:
+        raise NonFiniteInput(f"{name}: non-finite entries in evaluation point")
     return x
 
 
@@ -196,27 +198,30 @@ class CountingProblem:
         self.instance = instance
         self.f_evals = 0
         self.g_evals = 0
+        # read once here, not on each of the several calls per iteration
+        self._name = instance.name
+        self._shape = (instance.dim,)
+        self._value_fn = instance.value_fn
+        self._grad_fn = instance.grad_fn
 
     def evaluate(self, x: Vector) -> float:
         """f(x); charges exactly one objective evaluation."""
-        x = _check_point(self.instance, x)
+        x = _check_point(self._name, self._shape, x)
         self.f_evals += 1
-        f = float(self.instance.value_fn(x))
-        if not np.isfinite(f):
-            raise NonFiniteOutput(f"{self.instance.name}: objective overflowed")
+        f = float(self._value_fn(x))
+        if not math.isfinite(f):
+            raise NonFiniteOutput(f"{self._name}: objective overflowed")
         return f
 
     def gradient(self, x: Vector) -> Vector:
         """grad f(x); charges exactly one gradient evaluation."""
-        x = _check_point(self.instance, x)
+        x = _check_point(self._name, self._shape, x)
         self.g_evals += 1
-        g = np.asarray(self.instance.grad_fn(x), dtype=float)
-        if g.shape != (self.instance.dim,):
-            raise DimensionMismatch(
-                f"{self.instance.name}: gradient has shape {g.shape}"
-            )
-        if not np.isfinite(g).all():
-            raise NonFiniteOutput(f"{self.instance.name}: gradient overflowed")
+        g = np.asarray(self._grad_fn(x), dtype=float)
+        if g.shape != self._shape:
+            raise DimensionMismatch(f"{self._name}: gradient has shape {g.shape}")
+        if np.count_nonzero(np.isfinite(g)) != g.size:
+            raise NonFiniteOutput(f"{self._name}: gradient overflowed")
         return g
 
 
@@ -252,7 +257,7 @@ def fd_gradient(p: ProblemInstance, x: Vector, h: float = _CBRT_EPS) -> Vector:
     """
     if not (np.isfinite(h) and h > 0):
         raise ValueError(f"h must be positive and finite, got {h!r}")
-    x = _check_point(p, x)
+    x = _check_point(p.name, (p.dim,), x)
     n = p.dim
     steps = h * (1.0 + np.abs(x))
     up, down = x + steps, x - steps
@@ -311,6 +316,12 @@ def fd_gradient(p: ProblemInstance, x: Vector, h: float = _CBRT_EPS) -> Vector:
 # through squaring and SIMD pow, and matmul through another summation order,
 # and either can change the last bit.
 # ---------------------------------------------------------------------------
+
+
+def _at(x: np.ndarray, i: int):
+    """``x[..., i]``; for one point the numpy scalar ``x[i]``, which rounds
+    as the 0-d array would but skips its array arithmetic."""
+    return x[i] if x.ndim == 1 else x[..., i]
 
 
 def _scalar_pow(t, k: int):
@@ -433,7 +444,7 @@ def _tridia(n: int):
 
     def value(x):
         r = 2.0 * x[..., 1:] - x[..., :-1]
-        return _scalar_pow(x[..., 0] - 1.0, 2) + np.sum(w * r**2, axis=-1)
+        return _scalar_pow(_at(x, 0) - 1.0, 2) + np.add.reduce(w * r**2, axis=-1)
 
     def grad(x):
         r = 2.0 * x[1:] - x[:-1]
@@ -474,9 +485,9 @@ def _dixon3dq(n: int):
     def value(x):
         d = x[..., :-1] - x[..., 1:]
         return (
-            _scalar_pow(x[..., 0] - 1.0, 2)
-            + np.sum(d**2, axis=-1)
-            + _scalar_pow(x[..., -1] - 1.0, 2)
+            _scalar_pow(_at(x, 0) - 1.0, 2)
+            + np.add.reduce(d**2, axis=-1)
+            + _scalar_pow(_at(x, -1) - 1.0, 2)
         )
 
     def grad(x):
@@ -497,14 +508,14 @@ def _arwhead(n: int):
         raise ValueError("ARWHEAD needs n >= 2")
 
     def value(x):
-        h = x[..., :-1] ** 2 + _scalar_pow(x[..., -1], 2)[..., None]
-        return np.sum(h**2 - 4.0 * x[..., :-1] + 3.0, axis=-1)
+        h = x[..., :-1] ** 2 + _scalar_pow(_at(x, -1), 2)[..., None]
+        return np.add.reduce(h**2 - 4.0 * x[..., :-1] + 3.0, axis=-1)
 
     def grad(x):
         h = x[:-1] ** 2 + x[-1] ** 2
         g = np.empty_like(x)
         g[:-1] = 4.0 * x[:-1] * h - 4.0
-        g[-1] = 4.0 * x[-1] * np.sum(h)
+        g[-1] = 4.0 * x[-1] * np.add.reduce(h)
         return g
 
     return value, grad, np.ones(n)
@@ -514,12 +525,12 @@ def _liarwhd(n: int):
     # LIARWHD: f = sum_i 4 (x_i^2 - x_1)^2 + (x_i - 1)^2, start all 4
     def value(x):
         r = x**2 - x[..., :1]
-        return np.sum(4.0 * r**2 + (x - 1.0) ** 2, axis=-1)
+        return np.add.reduce(4.0 * r**2 + (x - 1.0) ** 2, axis=-1)
 
     def grad(x):
         r = x**2 - x[0]
         g = 16.0 * x * r + 2.0 * (x - 1.0)
-        g[0] -= 8.0 * np.sum(r)
+        g[0] -= 8.0 * np.add.reduce(r)
         return g
 
     return value, grad, np.full(n, 4.0)
@@ -533,13 +544,13 @@ def _nondia(n: int):
 
     def value(x):
         r = x[..., :1] - x[..., :-1] ** 2
-        return _scalar_pow(x[..., 0] - 1.0, 2) + 100.0 * np.sum(r**2, axis=-1)
+        return _scalar_pow(_at(x, 0) - 1.0, 2) + 100.0 * np.add.reduce(r**2, axis=-1)
 
     def grad(x):
         r = x[0] - x[:-1] ** 2
         g = np.zeros_like(x)
         g[:-1] -= 400.0 * x[:-1] * r
-        g[0] += 2.0 * (x[0] - 1.0) + 200.0 * np.sum(r)
+        g[0] += 2.0 * (x[0] - 1.0) + 200.0 * np.add.reduce(r)
         return g
 
     return value, grad, np.full(n, -1.0)
@@ -604,7 +615,7 @@ def _extrosnb(n: int):
 
     def value(x):
         r = x[..., 1:] - x[..., :-1] ** 2
-        return _scalar_pow(x[..., 0] - 1.0, 2) + 100.0 * np.sum(r**2, axis=-1)
+        return _scalar_pow(_at(x, 0) - 1.0, 2) + 100.0 * np.add.reduce(r**2, axis=-1)
 
     def grad(x):
         r = x[1:] - x[:-1] ** 2
@@ -675,11 +686,11 @@ def _penalty1(n: int):
     a = 1.0e-5
 
     def value(x):
-        s = np.sum(x**2, axis=-1) - 0.25
-        return a * np.sum((x - 1.0) ** 2, axis=-1) + _scalar_pow(s, 2)
+        s = np.add.reduce(x**2, axis=-1) - 0.25
+        return a * np.add.reduce((x - 1.0) ** 2, axis=-1) + _scalar_pow(s, 2)
 
     def grad(x):
-        s = np.sum(x**2) - 0.25
+        s = np.add.reduce(x**2) - 0.25
         return 2.0 * a * (x - 1.0) + 4.0 * s * x
 
     return value, grad, np.arange(1.0, n + 1.0)
@@ -693,7 +704,7 @@ def _vardim(n: int):
     def value(x):
         s = _per_row(partial(np.dot, w), x - 1.0)
         return (
-            np.sum((x - 1.0) ** 2, axis=-1) + _scalar_pow(s, 2) + _scalar_pow(s, 4)
+            np.add.reduce((x - 1.0) ** 2, axis=-1) + _scalar_pow(s, 2) + _scalar_pow(s, 4)
         )
 
     def grad(x):
@@ -718,13 +729,13 @@ def _bdqrtic(n: int):
             + 2.0 * x[..., 1 : m + 1] ** 2
             + 3.0 * x[..., 2 : m + 2] ** 2
             + 4.0 * x[..., 3 : m + 3] ** 2
-            + 5.0 * _scalar_pow(x[..., -1], 2)[..., None]
+            + 5.0 * _scalar_pow(_at(x, -1), 2)[..., None]
         )
         return lin, q
 
     def value(x):
         lin, q = _parts(x)
-        return np.sum(lin**2 + q**2, axis=-1)
+        return np.add.reduce(lin**2 + q**2, axis=-1)
 
     def grad(x):
         lin, q = _parts(x)
@@ -733,7 +744,7 @@ def _bdqrtic(n: int):
         g[1 : m + 1] += 8.0 * q * x[1 : m + 1]
         g[2 : m + 2] += 12.0 * q * x[2 : m + 2]
         g[3 : m + 3] += 16.0 * q * x[3 : m + 3]
-        g[-1] += 20.0 * x[-1] * np.sum(q)
+        g[-1] += 20.0 * x[-1] * np.add.reduce(q)
         return g
 
     return value, grad, np.ones(n)

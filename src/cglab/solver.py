@@ -176,9 +176,10 @@ def minimize(p: ProblemInstance, cfg: SolverConfig) -> RunResult:
     except NonFiniteOutput:
         return _result(Status.NUMERICAL_FAILURE, 0, np.nan, np.nan)
 
-    gg = float(np.dot(g, g))
+    gg = float(g.dot(g))
     gnorm = math.sqrt(gg)  # the same bits as numpy's linalg.norm
     threshold = cfg.eps_scale * gnorm
+    method, tau, hz_eta, guard = cfg.method, cfg.tau, cfg.hz_eta, cfg.bb_guard
     gg_prev = None
     d_prev = None
     s_prev = None
@@ -193,12 +194,15 @@ def minimize(p: ProblemInstance, cfg: SolverConfig) -> RunResult:
         if k >= cfg.max_iters:
             return _result(Status.ITERATION_LIMIT, k, f, gnorm)
 
-        res = direction(cfg.method, g, gg, d_prev, y_prev, gg_prev, cfg.tau, cfg.hz_eta)
-        d = res.d
-        alpha_bar = initial_step(s_prev, y_prev, cfg.bb_guard)
+        d, dg, beta, restarted = direction(
+            method, g, gg, d_prev, y_prev, gg_prev, tau, hz_eta
+        )
+        alpha_bar = initial_step(s_prev, y_prev, guard)
 
         try:
-            ls = armijo_backtrack(cp, x, f, res.dg, d, alpha_bar, cfg)
+            alpha, f_new, x, backtracks, s_prev = armijo_backtrack(
+                cp, x, f, dg, d, alpha_bar, cfg
+            )
         except StepFloorReached:
             return _result(Status.STEP_FLOOR, k, f, gnorm)
         except NotDescent:
@@ -211,18 +215,16 @@ def minimize(p: ProblemInstance, cfg: SolverConfig) -> RunResult:
                     f=f,
                     gnorm=gnorm,
                     dnorm=float(np.linalg.norm(d)),
-                    dg=res.dg,
-                    beta=res.beta,
-                    alpha=ls.alpha,
+                    dg=dg,
+                    beta=beta,
+                    alpha=alpha,
                     alpha_bar=alpha_bar,
-                    backtracks=ls.backtracks,
-                    restarted=res.restarted,
+                    backtracks=backtracks,
+                    restarted=restarted,
                 )
             )
 
-        s_prev = ls.alpha * d
-        x = ls.x_new
-        f = ls.f_new
+        f = f_new
         g_prev = g
         try:
             g = cp.gradient(x)
@@ -231,7 +233,7 @@ def minimize(p: ProblemInstance, cfg: SolverConfig) -> RunResult:
         y_prev = g - g_prev
         d_prev = d
         gg_prev = gg
-        gg = float(np.dot(g, g))
+        gg = float(g.dot(g))
         gnorm = math.sqrt(gg)
         k += 1
 

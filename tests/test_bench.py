@@ -131,6 +131,9 @@ def test_profile_rejects_bad_grid():
     m = matrix([[1.0, 2.0]])
     with pytest.raises(ValueError):
         performance_profile(m, t_grid=np.array([0.5, 2.0]))
+    # a NaN grid value would add a (nan, 0.0) point to every curve
+    with pytest.raises(ValueError, match="t grid"):
+        performance_profile(m, t_grid=np.array([1.0, np.nan, 2.0]))
 
 
 def test_cost_matrix_validation():
@@ -138,6 +141,15 @@ def test_cost_matrix_validation():
         matrix([[0.0, 1.0]])  # finite costs must be positive
     with pytest.raises(ValueError):
         matrix([[-1.0, 1.0]])
+    # only +inf marks a failed run; a NaN cell would drop its whole row as
+    # all-failed, taking A's win on P0 away
+    for bad in (np.nan, -np.inf):
+        with pytest.raises(ValueError, match="costs must be positive"):
+            matrix([[1.0, bad], [3.0, 4.0]], solvers=["A", "B"])
+    assert win_fractions(matrix([[1.0, np.inf], [3.0, 4.0]], solvers=["A", "B"])) == {
+        "A": 1.0,
+        "B": 0.0,
+    }
     with pytest.raises(ValueError):
         CostMatrix(
             solvers=("A",), problems=(("P", 1), ("Q", 1)), costs=np.ones((1, 1)),

@@ -1,10 +1,13 @@
 """Driver-level tests: stopping rules, failure paths, counters, diagnostics.
 
 A scipy reference optimizer serves as an external convergence oracle on one
-benchmark problem; everything else is checked against hand traces, frozen
-eigenvalues, and the bookkeeping identities the counters must satisfy.
+benchmark problem; a copy of the plain loop the solver's hot path replaced
+pins its statuses, counters and traces bit for bit; everything else is
+checked against hand traces, frozen eigenvalues, and the bookkeeping
+identities the counters must satisfy.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -13,7 +16,16 @@ import scipy.optimize
 from hypothesis import given, strategies as st
 
 from cglab.directions import MethodId
-from cglab.problems import ProblemInstance, build, quadratic_instance
+from cglab.linesearch import NotDescent, StepFloorReached
+from cglab.problems import (
+    DimensionMismatch,
+    NonFiniteInput,
+    NonFiniteOutput,
+    ProblemInstance,
+    build,
+    desk_suite,
+    quadratic_instance,
+)
 from cglab.solver import SolverConfig, Status, minimize, theory_report
 
 
@@ -366,3 +378,220 @@ def test_random_convex_quadratics_converge(n, seed, method):
     assert r.status is Status.CONVERGED
     g0 = np.linalg.norm(p.grad_fn(p.start))
     assert r.final_gnorm <= 1.0e-6 * g0
+
+
+# ---------------------------------------------------------------------------
+# Bit identity with the straightforward loop.  The solver's hot path forms
+# its vectors in place and skips repeated work; this copy of the loop it
+# replaced (numpy temporaries, np.dot, np.isfinite on every point and value,
+# a result object per call) must give the same statuses, counters and trace,
+# bit for bit.
+# ---------------------------------------------------------------------------
+
+
+class _RefCounting:
+    """CountingProblem as it was: every check read off the instance."""
+
+    def __init__(self, instance):
+        self.instance = instance
+        self.f_evals = 0
+        self.g_evals = 0
+
+    def _check(self, x):
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.instance.dim,):
+            raise DimensionMismatch("point shape")
+        if not np.isfinite(x).all():
+            raise NonFiniteInput("point")
+        return x
+
+    def evaluate(self, x):
+        x = self._check(x)
+        self.f_evals += 1
+        f = float(self.instance.value_fn(x))
+        if not np.isfinite(f):
+            raise NonFiniteOutput("objective")
+        return f
+
+    def gradient(self, x):
+        x = self._check(x)
+        self.g_evals += 1
+        g = np.asarray(self.instance.grad_fn(x), dtype=float)
+        if g.shape != (self.instance.dim,):
+            raise DimensionMismatch("gradient shape")
+        if not np.isfinite(g).all():
+            raise NonFiniteOutput("gradient")
+        return g
+
+
+def _ref_direction(method, g, gg, d_prev, y, gg_prev, tau, hz_eta):
+    """(d, dg, beta, restarted)."""
+    if d_prev is None:
+        return -g, -gg, 0.0, False
+    try:
+        if method == MethodId.NEW:
+            beta = tau * math.sqrt(gg) / math.sqrt(float(np.dot(d_prev, d_prev)))
+            d = -g + beta * d_prev
+            return d, float(np.dot(d, g)), beta, False
+        if method == MethodId.MFR:
+            beta = gg / gg_prev
+            theta = float(np.dot(d_prev, y)) / gg_prev
+            d = -theta * g + beta * d_prev
+            return d, float(np.dot(d, g)), beta, False
+        if method == MethodId.FR:
+            beta = gg / gg_prev
+        else:
+            dy = float(np.dot(d_prev, y))
+            if abs(dy) < 1.0e-30:
+                raise ZeroDivisionError
+            yy = float(np.dot(y, y))
+            raw = float(np.dot(y - (2.0 * yy / dy) * d_prev, g)) / dy
+            denom = math.sqrt(float(np.dot(d_prev, d_prev))) * min(
+                hz_eta, math.sqrt(gg_prev)
+            )
+            beta = max(raw, -math.inf if denom == 0.0 else -1.0 / denom)
+    except ZeroDivisionError:
+        return -g, -gg, 0.0, True
+    d = -g + beta * d_prev
+    dg = float(np.dot(d, g))
+    if not dg < 0.0:
+        return -g, -gg, 0.0, True
+    return d, dg, beta, False
+
+
+def _ref_initial_step(s, y, guard):
+    if s is None and y is None:
+        return 1.0
+    s = np.asarray(s, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if s.shape != y.shape:
+        raise DimensionMismatch("s, y")
+    sy = float(np.dot(s, y))
+    if sy <= guard:
+        return 1.0
+    bb = float(np.dot(s, s)) / sy
+    return bb if 0.0 < bb < math.inf else 1.0
+
+
+def _ref_armijo(problem, x, f, dg, d, alpha_bar, cfg):
+    """(alpha, f_new, x_new, backtracks)."""
+    if not np.isfinite(dg) or dg >= 0.0:
+        raise NotDescent("d'g")
+    if alpha_bar <= 0.0 or not np.isfinite(alpha_bar):
+        raise ValueError("alpha_bar")
+    alpha = float(alpha_bar)
+    backtracks = 0
+    while True:
+        if alpha < cfg.step_floor:
+            raise StepFloorReached("floor")
+        trial = x + alpha * d
+        try:
+            f_trial = problem.evaluate(trial)
+        except (NonFiniteInput, NonFiniteOutput):
+            pass
+        else:
+            if f_trial <= f + cfg.c1 * alpha * dg:
+                return alpha, f_trial, trial, backtracks
+        alpha *= cfg.rho
+        backtracks += 1
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def reference_minimize(p, cfg):
+    """(status, iters, f_evals, g_evals, final_f, final_gnorm, trace rows)."""
+    cp = _RefCounting(p)
+    trace = []
+
+    def result(status, k, f, gnorm):
+        return (status, k, cp.f_evals, cp.g_evals, f, gnorm, trace)
+
+    x = np.array(p.start, dtype=float)
+    try:
+        f = cp.evaluate(x)
+        g = cp.gradient(x)
+    except NonFiniteOutput:
+        return result(Status.NUMERICAL_FAILURE, 0, np.nan, np.nan)
+    gg = float(np.dot(g, g))
+    gnorm = math.sqrt(gg)
+    threshold = cfg.eps_scale * gnorm
+    gg_prev = d_prev = s_prev = y_prev = None
+    k = 0
+    while True:
+        if gnorm == math.inf:
+            return result(Status.NUMERICAL_FAILURE, k, f, gnorm)
+        if gnorm <= threshold:
+            return result(Status.CONVERGED, k, f, gnorm)
+        if k >= cfg.max_iters:
+            return result(Status.ITERATION_LIMIT, k, f, gnorm)
+        d, dg, beta, restarted = _ref_direction(
+            cfg.method, g, gg, d_prev, y_prev, gg_prev, cfg.tau, cfg.hz_eta
+        )
+        alpha_bar = _ref_initial_step(s_prev, y_prev, cfg.bb_guard)
+        try:
+            alpha, f_new, x_new, backtracks = _ref_armijo(
+                cp, x, f, dg, d, alpha_bar, cfg
+            )
+        except StepFloorReached:
+            return result(Status.STEP_FLOOR, k, f, gnorm)
+        except NotDescent:
+            return result(Status.NUMERICAL_FAILURE, k, f, gnorm)
+        dnorm = float(np.linalg.norm(d))
+        row = (k, f, gnorm, dnorm, dg, beta, alpha, alpha_bar, backtracks, restarted)
+        trace.append(row)
+        s_prev = alpha * d
+        x = x_new
+        f = f_new
+        g_prev = g
+        try:
+            g = cp.gradient(x)
+        except NonFiniteOutput:
+            return result(Status.NUMERICAL_FAILURE, k + 1, f, np.nan)
+        y_prev = g - g_prev
+        d_prev = d
+        gg_prev = gg
+        gg = float(np.dot(g, g))
+        gnorm = math.sqrt(gg)
+        k += 1
+
+
+def _bits(row):
+    return tuple(float(v).hex() if isinstance(v, float) else v for v in row)
+
+
+REFERENCE_CASES = [
+    *((q.key, q) for q in desk_suite()),
+    (
+        "FR-BB-overflow",
+        quadratic_instance(np.diag([1e-20, 3e-20]), start=np.array([1e155, 1e155])),
+    ),
+    (
+        "EXPSQ",
+        ProblemInstance(
+            name="EXPSQ",
+            dim=1,
+            start=np.array([3.0]),
+            value_fn=lambda x: float(np.exp(x[0] ** 2)),
+            grad_fn=lambda x: 2.0 * x * np.exp(x**2),
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("method", list(MethodId))
+@pytest.mark.parametrize("key,p", REFERENCE_CASES, ids=[k for k, _ in REFERENCE_CASES])
+def test_minimize_matches_reference_loop(key, p, method):
+    cfg = SolverConfig(method=method, record_trace=True)
+    status, iters, f_evals, g_evals, f, gnorm, trace = reference_minimize(p, cfg)
+    r = minimize(p, cfg)
+    assert (r.status, r.iters, r.f_evals, r.g_evals) == (
+        status,
+        iters,
+        f_evals,
+        g_evals,
+    )
+    assert (r.final_f.hex(), r.final_gnorm.hex()) == (float(f).hex(), float(gnorm).hex())
+    assert len(r.trace) == len(trace)
+    for got, want in zip(r.trace, trace):
+        row = (got.k, got.f, got.gnorm, got.dnorm, got.dg, got.beta, got.alpha)
+        row += (got.alpha_bar, got.backtracks, got.restarted)
+        assert _bits(row) == _bits(want), (key, got.k)

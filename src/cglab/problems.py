@@ -704,7 +704,9 @@ def _vardim(n: int):
     def value(x):
         s = _per_row(partial(np.dot, w), x - 1.0)
         return (
-            np.add.reduce((x - 1.0) ** 2, axis=-1) + _scalar_pow(s, 2) + _scalar_pow(s, 4)
+            np.add.reduce((x - 1.0) ** 2, axis=-1)
+            + _scalar_pow(s, 2)
+            + _scalar_pow(s, 4)
         )
 
     def grad(x):

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 from functools import partial
+from operator import itemgetter
 from typing import Callable
 
 import numpy as np
@@ -62,63 +63,104 @@ class NotInCatalog(KeyError):
 class ElementForm:
     """An objective written as a sum of element functions.
 
-    ``f(x) = outer(sum_j elem(x[o_1 + stride j], ..., x[o_r + stride j]))``
-    over ``j < terms``, for the distinct column offsets ``o_1..o_r``
-    (partial separability, Griewank & Toint 1982; the element structure of
-    CUTEst's SIF).  ``elem`` takes the r column slices ``x[..., o::stride]``
-    of ``terms`` entries each and returns the ``(..., terms)`` term array,
-    each entry computed from its own column entries alone.  ``outer`` is
-    elementwise; None is the identity.  :attr:`value` is the objective the
-    form defines, a batch-aware ``value_fn``; the terms are summed with
-    ``np.add.reduce``, which is ``np.sum``'s own reduction.
+    ``f(x) = outer(sum_j elem(x[o_1 + stride j], ..., x[o_r + stride j], v), v)``
+    over ``j < terms``, for the distinct column offsets ``o_1..o_r`` and the
+    values ``v`` of the shared coordinates (partial separability, Griewank &
+    Toint 1982; the element structure of CUTEst's SIF).  ``elem`` takes the
+    r column slices ``x[..., o::stride]`` of ``terms`` entries each, then
+    one value per shared index, and returns the ``(..., terms)`` term
+    array, each entry computed from its own column entries and the shared
+    values alone.  ``outer`` takes the sums and the shared values and is
+    elementwise; None is the identity.
+
+    ``shared`` holds the absolute indices of the few coordinates that every
+    term reads (x_n in each ARWHEAD term) or that ``outer`` reads for a
+    boundary term (TRIDIA's ``(x_1 - 1)^2``).  They are distinct and may
+    also be column entries.  Each value broadcasts against what its
+    receiver gets: for one point both get the numpy scalar ``x[i]``; for a
+    batch ``elem`` gets ``x[..., i, None]`` and ``outer`` gets ``x[..., i]``,
+    or the scalar where every point of the batch has the same value.
+    :attr:`value` is the objective the form defines, a batch-aware
+    ``value_fn``; the terms are summed with ``np.add.reduce``, which is
+    ``np.sum``'s own reduction.
     """
 
     elem: Callable[..., np.ndarray]
     terms: int
     offsets: tuple[int, ...] = (0,)
     stride: int = 1
-    outer: Callable[[np.ndarray], np.ndarray] | None = None
+    outer: Callable[..., np.ndarray] | None = None
+    shared: tuple[int, ...] = ()
     value: Callable[[Vector], np.ndarray] = field(init=False, repr=False)
     _cols: tuple = field(init=False, repr=False)
+    _point_args: Callable = field(init=False, repr=False)
 
     def __post_init__(self):
-        offsets = self.offsets
+        offsets, shared = self.offsets, self.shared
         if self.terms < 1 or self.stride < 1 or min(offsets, default=-1) < 0:
             raise ValueError("terms and stride must be >= 1 and offsets >= 0")
         if len(set(offsets)) != len(offsets):
             raise ValueError(f"column offsets must be distinct, got {offsets}")
-        cols = tuple(
-            (..., slice(o, o + self.stride * self.terms, self.stride)) for o in offsets
-        )
+        if min(shared, default=0) < 0 or len(set(shared)) != len(shared):
+            raise ValueError(f"shared indices must be distinct and >= 0, got {shared}")
+        cols = tuple(slice(o, o + self.stride * self.terms, self.stride) for o in offsets)
+        # one call gathers elem's arguments, the columns and then the shared
+        # values; for a batch, elem's shared values keep a unit last axis
+        point_args = _getter(*cols, *shared)
+        batch_args = _getter(*[(..., c) for c in cols], *[(..., i, None) for i in shared])
+        batch_shared = _getter(*[(..., i) for i in shared])
         object.__setattr__(self, "_cols", cols)
-        elem, total = self.elem, self.total
+        object.__setattr__(self, "_point_args", point_args)
+        elem, outer, r, one = self.elem, self.outer, len(cols), len(shared) == 1
 
         def value(x):
-            return total(elem(*[x[c] for c in cols]))
+            if x.ndim != 1:
+                s = np.add.reduce(elem(*batch_args(x)), -1)
+                return s if outer is None else outer(s, *batch_shared(x))
+            args = point_args(x)
+            s = np.add.reduce(elem(*args), -1)
+            if outer is None:
+                return s
+            # a direct call costs about 0.2 us less than unpacking a slice
+            return outer(s, args[r]) if one else outer(s, *args[r:])
 
         object.__setattr__(self, "value", value)
 
-    def total(self, t: np.ndarray) -> np.ndarray:
-        """``outer`` of the sums over the last axis of a term array."""
+    def total(self, t: np.ndarray, *shared) -> np.ndarray:
+        """``outer`` of the sums over the last axis of a term array, given
+        each sum's shared values."""
         s = np.add.reduce(t, axis=-1)
-        return s if self.outer is None else self.outer(s)
+        return s if self.outer is None else self.outer(s, *shared)
 
     def moved_terms(self, x: Vector, up: Vector, down: Vector):
-        """The terms of ``x``, and per column the terms with it moved.
+        """The terms of ``x``, and the terms with one column or one shared
+        coordinate moved.
 
-        Returns ``(t, moves)``: ``t`` is the term array of ``x``, and
-        ``moves`` holds ``(offset, plus, minus)`` per column, where ``plus``
-        is the term array with that column read from ``up`` and the others
-        from ``x`` (``minus`` likewise from ``down``).  ``1 + 2 r`` element
-        calls of ``terms`` entries each.
+        Returns ``(t, moves, rows)``.  ``t`` is the term array of ``x``.
+        ``moves`` holds ``(offset, plus, minus)`` per column: ``plus`` is
+        the term array with that column read from ``up`` and everything
+        else, the shared values too, from ``x`` (``minus`` likewise from
+        ``down``).  ``rows`` holds ``(i, plus, minus)`` per shared index:
+        the term arrays of ``x`` with ``x[i]`` replaced by ``up[i]`` or
+        ``down[i]`` wherever it is read.  ``1 + 2 r + 2 len(shared)``
+        element calls of ``terms`` entries each.
         """
-        cols = [x[c] for c in self._cols]
+        elem, point_args = self.elem, self._point_args
+        args = point_args(x)
         moves = []
-        for i, (o, c) in enumerate(zip(self.offsets, self._cols)):
-            plus = self.elem(*cols[:i], up[c], *cols[i + 1 :])
-            minus = self.elem(*cols[:i], down[c], *cols[i + 1 :])
+        for j, (o, c) in enumerate(zip(self.offsets, self._cols)):
+            plus = elem(*args[:j], up[c], *args[j + 1 :])
+            minus = elem(*args[:j], down[c], *args[j + 1 :])
             moves.append((o, plus, minus))
-        return self.elem(*cols), moves
+        rows = []
+        for i in self.shared:
+            ends = []
+            for moved in (up, down):
+                y = x.copy()
+                y[i] = moved[i]
+                ends.append(elem(*point_args(y)))
+            rows.append((i, *ends))
+        return elem(*args), moves, rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,6 +205,9 @@ class ProblemInstance:
             if last >= self.dim:
                 msg = f"element columns reach index {last}, past dim {self.dim}"
                 raise DimensionMismatch(f"{self.name}: {msg}")
+            if max(form.shared, default=0) >= self.dim:
+                msg = f"shared indices {form.shared} reach past dim {self.dim}"
+                raise DimensionMismatch(f"{self.name}: {msg}")
         start.setflags(write=False)
         object.__setattr__(self, "start", start)
 
@@ -172,6 +217,16 @@ class ProblemInstance:
 
     def __repr__(self) -> str:  # keep run logs compact
         return f"ProblemInstance({self.name}, n={self.dim})"
+
+
+def _getter(*keys):
+    """``x -> tuple(x[k] for k in keys)``, in one ``itemgetter`` call."""
+    if len(keys) > 1:
+        return itemgetter(*keys)
+    if keys:
+        get = itemgetter(keys[0])
+        return lambda x: (get(x),)
+    return lambda x: ()
 
 
 def _check_point(name: str, shape: tuple[int], x: Vector) -> Vector:
@@ -247,13 +302,16 @@ def fd_gradient(p: ProblemInstance, x: Vector, h: float = _CBRT_EPS) -> Vector:
     With ``p.elements`` a block holds term arrays (w = terms): the terms of
     ``x`` are computed once, and so are, per column, all terms with that
     column moved, one element call each.  A row is the terms of ``x`` with
-    the moved terms of its coordinate written in, and its sum is the sum of
-    the same entries that ``value_fn`` adds, so the bits agree.  Element
-    work per call is O(n r) for r columns, not O(n^2).  The catalog's
-    element-form families take the term path.  ARWHEAD, BDQRTIC, LIARWHD,
-    NONDIA, PENALTY1, POWER and VARDIM keep the block path, since x_1, x_n
-    or a sum over all of x enters every term, and so do TRIDIA, DIXON3DQ
-    and EXTROSNB, which add a term outside the sum.
+    the moved terms of its coordinate written in.  A shared coordinate's
+    two rows are instead whole term arrays with that coordinate moved
+    wherever it is read, one element call each, and each row's sum goes to
+    ``outer`` with that row's shared values (the scalars of ``x`` in a
+    block without those two rows).  Every row sums the same
+    entries that ``value_fn`` adds, so the bits agree.  Element work per
+    call is O(n (r + s)) for r columns and s shared coordinates, not
+    O(n^2).  All catalog families but three take the term path; PENALTY1,
+    POWER and VARDIM keep the block path, since a sum over all of x enters
+    them.
     """
     if not (np.isfinite(h) and h > 0):
         raise ValueError(f"h must be positive and finite, got {h!r}")
@@ -264,7 +322,7 @@ def fd_gradient(p: ProblemInstance, x: Vector, h: float = _CBRT_EPS) -> Vector:
     form = p.elements
     if form is None:
         # the points are the identity's terms, one column with stride 1
-        base, moves, stride = x, [(0, up, down)], 1
+        base, moves, rows, stride = x, [(0, up, down)], [], 1
 
         def reduce(block):
             f = np.asarray(p.value_fn(block), dtype=float)
@@ -276,7 +334,7 @@ def fd_gradient(p: ProblemInstance, x: Vector, h: float = _CBRT_EPS) -> Vector:
             return f
 
     else:
-        base, moves = form.moved_terms(x, up, down)
+        base, moves, rows = form.moved_terms(x, up, down)
         stride, reduce = form.stride, form.total
         if base.shape != (form.terms,):
             raise DimensionMismatch(
@@ -303,7 +361,17 @@ def fd_gradient(p: ProblemInstance, x: Vector, h: float = _CBRT_EPS) -> Vector:
                 at = slice(start, start + (last - first - 1) * step + 1, step)
                 flat[at] = plus[first:last]
                 flat[m * w :][at] = minus[first:last]
-        f = reduce(block)
+        # the shared values of x hold for every row but a shared
+        # coordinate's own two, which are whole term rows
+        values = [x[i] for i, _, _ in rows]
+        for j, (i, plus, minus) in enumerate(rows):
+            if lo <= i < hi:
+                block[i - lo] = plus
+                block[m + i - lo] = minus
+                v = values[j] = np.full(2 * m, x[i])
+                v[i - lo] = up[i]
+                v[m + i - lo] = down[i]
+        f = reduce(block, *values)
         g[lo:hi] = (f[:m] - f[m:]) / (2.0 * steps[lo:hi])
     if not np.isfinite(g).all():
         raise NonFiniteOutput(f"{p.name}: finite-difference gradient overflowed")
@@ -326,6 +394,8 @@ def _at(x: np.ndarray, i: int):
 
 def _scalar_pow(t, k: int):
     """``t ** k`` elementwise, each element rounded as a numpy scalar pow."""
+    if type(t) is np.float64:  # one point's value: no conversion needed
+        return t**k
     if t.ndim == 0:
         return np.float64(t) ** k
     return np.array([v**k for v in t.ravel()]).reshape(t.shape)
@@ -344,6 +414,11 @@ def _per_row(fn, x: np.ndarray):
 # given dimension, or (ElementForm, grad_fn, start); the comment records the
 # algebraic form and standard start.
 # ---------------------------------------------------------------------------
+
+
+def _rosenbrock_outer(s, x1):
+    # NONDIA and EXTROSNB: (x_1 - 1)^2 + 100 s
+    return _scalar_pow(x1 - 1.0, 2) + 100.0 * s
 
 
 def _srosenbr(n: int):
@@ -442,9 +517,11 @@ def _tridia(n: int):
         raise ValueError("TRIDIA needs n >= 2")
     w = np.arange(2.0, n + 1.0)
 
-    def value(x):
-        r = 2.0 * x[..., 1:] - x[..., :-1]
-        return _scalar_pow(_at(x, 0) - 1.0, 2) + np.add.reduce(w * r**2, axis=-1)
+    def elem(u, y, _x1):
+        return w * (2.0 * y - u) ** 2
+
+    def outer(s, x1):
+        return _scalar_pow(x1 - 1.0, 2) + s
 
     def grad(x):
         r = 2.0 * x[1:] - x[:-1]
@@ -454,7 +531,8 @@ def _tridia(n: int):
         g[0] += 2.0 * (x[0] - 1.0)
         return g
 
-    return value, grad, np.ones(n)
+    form = ElementForm(elem, n - 1, offsets=(0, 1), outer=outer, shared=(0,))
+    return form, grad, np.ones(n)
 
 
 def _dqdrtic(n: int):
@@ -482,13 +560,11 @@ def _dixon3dq(n: int):
     if n < 2:
         raise ValueError("DIXON3DQ needs n >= 2")
 
-    def value(x):
-        d = x[..., :-1] - x[..., 1:]
-        return (
-            _scalar_pow(_at(x, 0) - 1.0, 2)
-            + np.add.reduce(d**2, axis=-1)
-            + _scalar_pow(_at(x, -1) - 1.0, 2)
-        )
+    def elem(u, y, _x1, _xn):
+        return (u - y) ** 2
+
+    def outer(s, x1, xn):
+        return _scalar_pow(x1 - 1.0, 2) + s + _scalar_pow(xn - 1.0, 2)
 
     def grad(x):
         d = x[:-1] - x[1:]
@@ -499,7 +575,8 @@ def _dixon3dq(n: int):
         g[-1] += 2.0 * (x[-1] - 1.0)
         return g
 
-    return value, grad, np.full(n, -1.0)
+    form = ElementForm(elem, n - 1, offsets=(0, 1), outer=outer, shared=(0, n - 1))
+    return form, grad, np.full(n, -1.0)
 
 
 def _arwhead(n: int):
@@ -507,9 +584,9 @@ def _arwhead(n: int):
     if n < 2:
         raise ValueError("ARWHEAD needs n >= 2")
 
-    def value(x):
-        h = x[..., :-1] ** 2 + _scalar_pow(_at(x, -1), 2)[..., None]
-        return np.add.reduce(h**2 - 4.0 * x[..., :-1] + 3.0, axis=-1)
+    def elem(u, xn):
+        h = u**2 + _scalar_pow(xn, 2)
+        return h**2 - 4.0 * u + 3.0
 
     def grad(x):
         h = x[:-1] ** 2 + x[-1] ** 2
@@ -518,14 +595,14 @@ def _arwhead(n: int):
         g[-1] = 4.0 * x[-1] * np.add.reduce(h)
         return g
 
-    return value, grad, np.ones(n)
+    return ElementForm(elem, n - 1, shared=(n - 1,)), grad, np.ones(n)
 
 
 def _liarwhd(n: int):
     # LIARWHD: f = sum_i 4 (x_i^2 - x_1)^2 + (x_i - 1)^2, start all 4
-    def value(x):
-        r = x**2 - x[..., :1]
-        return np.add.reduce(4.0 * r**2 + (x - 1.0) ** 2, axis=-1)
+    def elem(t, x1):
+        r = t**2 - x1
+        return 4.0 * r**2 + (t - 1.0) ** 2
 
     def grad(x):
         r = x**2 - x[0]
@@ -533,7 +610,7 @@ def _liarwhd(n: int):
         g[0] -= 8.0 * np.add.reduce(r)
         return g
 
-    return value, grad, np.full(n, 4.0)
+    return ElementForm(elem, n, shared=(0,)), grad, np.full(n, 4.0)
 
 
 def _nondia(n: int):
@@ -542,9 +619,8 @@ def _nondia(n: int):
     if n < 2:
         raise ValueError("NONDIA needs n >= 2")
 
-    def value(x):
-        r = x[..., :1] - x[..., :-1] ** 2
-        return _scalar_pow(_at(x, 0) - 1.0, 2) + 100.0 * np.add.reduce(r**2, axis=-1)
+    def elem(u, x1):
+        return (x1 - u**2) ** 2
 
     def grad(x):
         r = x[0] - x[:-1] ** 2
@@ -553,7 +629,8 @@ def _nondia(n: int):
         g[0] += 2.0 * (x[0] - 1.0) + 200.0 * np.add.reduce(r)
         return g
 
-    return value, grad, np.full(n, -1.0)
+    form = ElementForm(elem, n - 1, outer=_rosenbrock_outer, shared=(0,))
+    return form, grad, np.full(n, -1.0)
 
 
 def _engval1(n: int):
@@ -613,9 +690,8 @@ def _extrosnb(n: int):
     if n < 2:
         raise ValueError("EXTROSNB needs n >= 2")
 
-    def value(x):
-        r = x[..., 1:] - x[..., :-1] ** 2
-        return _scalar_pow(_at(x, 0) - 1.0, 2) + 100.0 * np.add.reduce(r**2, axis=-1)
+    def elem(u, y, _x1):
+        return (y - u**2) ** 2
 
     def grad(x):
         r = x[1:] - x[:-1] ** 2
@@ -625,7 +701,8 @@ def _extrosnb(n: int):
         g[0] += 2.0 * (x[0] - 1.0)
         return g
 
-    return value, grad, np.full(n, -1.0)
+    form = ElementForm(elem, n - 1, offsets=(0, 1), outer=_rosenbrock_outer, shared=(0,))
+    return form, grad, np.full(n, -1.0)
 
 
 def _cosine(n: int):
@@ -724,23 +801,23 @@ def _bdqrtic(n: int):
         raise ValueError("BDQRTIC needs n >= 5")
     m = n - 4
 
-    def _parts(x):
-        lin = 3.0 - 4.0 * x[..., :m]
+    def _parts(a, b, c, d, xn):
+        lin = 3.0 - 4.0 * a
         q = (
-            x[..., :m] ** 2
-            + 2.0 * x[..., 1 : m + 1] ** 2
-            + 3.0 * x[..., 2 : m + 2] ** 2
-            + 4.0 * x[..., 3 : m + 3] ** 2
-            + 5.0 * _scalar_pow(_at(x, -1), 2)[..., None]
+            a**2
+            + 2.0 * b**2
+            + 3.0 * c**2
+            + 4.0 * d**2
+            + 5.0 * _scalar_pow(xn, 2)
         )
         return lin, q
 
-    def value(x):
-        lin, q = _parts(x)
-        return np.add.reduce(lin**2 + q**2, axis=-1)
+    def elem(a, b, c, d, xn):
+        lin, q = _parts(a, b, c, d, xn)
+        return lin**2 + q**2
 
     def grad(x):
-        lin, q = _parts(x)
+        lin, q = _parts(x[:m], x[1 : m + 1], x[2 : m + 2], x[3 : m + 3], x[-1])
         g = np.zeros_like(x)
         g[:m] += -8.0 * lin + 4.0 * q * x[:m]
         g[1 : m + 1] += 8.0 * q * x[1 : m + 1]
@@ -749,7 +826,8 @@ def _bdqrtic(n: int):
         g[-1] += 20.0 * x[-1] * np.add.reduce(q)
         return g
 
-    return value, grad, np.ones(n)
+    form = ElementForm(elem, m, offsets=(0, 1, 2, 3), shared=(n - 1,))
+    return form, grad, np.ones(n)
 
 
 def _tointgss(n: int):

@@ -249,6 +249,26 @@ class TheoryReport:
     lipschitz_L: float | None
 
 
+def _scaled_ratio(c: float, a: float, p: int, b: float) -> float:
+    """``c * a**p / b**2`` for positive finite ``a`` and ``b``.
+
+    Evaluated as written, left to right, wherever no power overflows and
+    ``b**2`` does not underflow to zero.  Otherwise it is formed from the
+    binary mantissas and exponents of ``a`` and ``b``, so a ratio that is
+    finite stays finite (and within a few ulps); one past the float range
+    is infinite.
+    """
+    try:
+        return c * a**p / b**2
+    except (OverflowError, ZeroDivisionError):
+        ma, ea = math.frexp(a)
+        mb, eb = math.frexp(b)
+        try:
+            return math.ldexp(c * ma**p / mb**2, p * ea - 2 * eb)
+        except OverflowError:
+            return math.copysign(math.inf, c)
+
+
 def theory_report(
     trace: Sequence[IterationRecord],
     cfg: SolverConfig,
@@ -263,7 +283,9 @@ def theory_report(
     (positive and finite, else ``ValueError``), ``lemma1_ok`` brute-force
     checks the per-iteration steplength floor
     alpha_k >= min{alpha_bar_k (1-tau)^2, rho (1-c1)(1-tau)/L} g^2/d^2.
-    For a quadratic 0.5 x'Ax, L is ``np.linalg.eigvalsh(A)[-1]``.
+    For a quadratic 0.5 x'Ax, L is ``np.linalg.eigvalsh(A)[-1]``.  A trace
+    whose ||g||^4 or ||d||^2 leaves the float range still gets finite
+    ratios wherever the true ratio is finite.
     """
     if not trace:
         raise ValueError("trace is empty; run with record_trace=True")
@@ -274,7 +296,7 @@ def theory_report(
     sums = []
     acc = 0.0
     for r in trace:
-        acc += r.gnorm**4 / r.dnorm**2
+        acc += _scaled_ratio(1.0, r.gnorm, 4, r.dnorm)
         sums.append(acc)
 
     lemma1_ok = None
@@ -288,7 +310,7 @@ def theory_report(
                 r.alpha_bar * one_minus_tau**2,
                 cfg.rho * (1.0 - cfg.c1) * one_minus_tau / L,
             )
-            if r.alpha < c_k * r.gnorm**2 / r.dnorm**2:
+            if r.alpha < _scaled_ratio(c_k, r.gnorm, 2, r.dnorm):
                 lemma1_ok = False
                 break
 

@@ -16,6 +16,7 @@ import pytest
 import cglab.problems
 from cglab.problems import (
     _FD_CHUNK,
+    _at,
     _scalar_pow,
     CountingProblem,
     DimensionMismatch,
@@ -477,6 +478,7 @@ def test_scalar_pow_rounds_like_numpy_scalars():
         expected = np.array([[np.float64(v) ** k for v in row] for row in t])
         assert _scalar_pow(t, k).tobytes() == expected.tobytes()
         assert _scalar_pow(t[0, 0], k) == expected[0, 0]
+        assert _scalar_pow(np.array(t[0, 0]), k) == expected[0, 0]
 
 
 CATALOG_KEYS = [(p.name, p.dim) for p in catalog()]
@@ -519,15 +521,19 @@ def test_fd_gradient_matches_coordinate_loop(name, dim):
 # ---------------------------------------------------------------------------
 
 ELEMENT_KEYS = [(p.name, p.dim) for p in catalog() if p.elements is not None]
-# the families that read every coordinate in some term, or that add a term
-# outside the sum, keep the block path
-BLOCK_FAMILIES = {"ARWHEAD", "BDQRTIC", "DIXON3DQ", "EXTROSNB", "LIARWHD",
-                  "NONDIA", "PENALTY1", "POWER", "TRIDIA", "VARDIM"}
+# the families into which a sum over all of x enters keep the block path
+BLOCK_FAMILIES = {"PENALTY1", "POWER", "VARDIM"}
+# the element-form families that read x_1 or x_n in every term, or in a
+# boundary term outside the sum
+SHARED_FAMILIES = {"ARWHEAD", "BDQRTIC", "DIXON3DQ", "EXTROSNB", "LIARWHD",
+                   "NONDIA", "TRIDIA"}
 
 
 def test_element_form_families():
     names = {p.name for p in catalog()}
     assert {name for name, _ in ELEMENT_KEYS} == names - BLOCK_FAMILIES
+    shared = {p.name for p in catalog() if p.elements and p.elements.shared}
+    assert shared == SHARED_FAMILIES
 
 
 @pytest.mark.parametrize("name,dim", ELEMENT_KEYS)
@@ -538,13 +544,14 @@ def test_term_path_matches_block_path(name, dim):
     for x in [p.start] + [rng.uniform(-3.0, 3.0, dim) for _ in range(3)]:
         assert fd_gradient(p, x).tobytes() == fd_gradient(block, x).tobytes()
     # a coordinate whose terms overflow: every perturbed value is inf or NaN
-    x = p.start.copy()
-    x[dim // 2] = 1e200
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert not np.isfinite(p.value_fn(x))
-        for q in (p, block):
-            with pytest.raises(NonFiniteOutput):
-                fd_gradient(q, x)
+    for i in (dim // 2, *p.elements.shared):
+        x = p.start.copy()
+        x[i] = 1e200
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(p.value_fn(x))
+            for q in (p, block):
+                with pytest.raises(NonFiniteOutput):
+                    fd_gradient(q, x)
 
 
 @pytest.mark.parametrize("name,dim", ELEMENT_KEYS)
@@ -556,11 +563,92 @@ def test_element_sum_matches_value_fn_bits(name, dim):
         batch = p.start + rng.uniform(-3.0, 3.0, (k, dim))
         # the columns sliced here, not through the form's own indices
         cols = [batch[:, o :: form.stride][:, : form.terms] for o in form.offsets]
-        s = np.sum(form.elem(*cols), axis=-1)
-        expected = s if form.outer is None else form.outer(s)
+        shared = [batch[:, i] for i in form.shared]
+        s = np.sum(form.elem(*cols, *[v[:, None] for v in shared]), axis=-1)
+        expected = s if form.outer is None else form.outer(s, *shared)
         assert p.value_fn(batch).tobytes() == expected.tobytes()
         rows = np.array([p.value_fn(x) for x in batch])
         assert rows.tobytes() == expected.tobytes()
+
+
+# The objectives of the families with shared coordinates as they were
+# written before they had an element form: the form must keep their bits,
+# every float operation in the same order.
+def _tridia_value(x):
+    w = np.arange(2.0, x.shape[-1] + 1.0)
+    r = 2.0 * x[..., 1:] - x[..., :-1]
+    return _scalar_pow(_at(x, 0) - 1.0, 2) + np.add.reduce(w * r**2, axis=-1)
+
+
+def _dixon3dq_value(x):
+    d = x[..., :-1] - x[..., 1:]
+    return (
+        _scalar_pow(_at(x, 0) - 1.0, 2)
+        + np.add.reduce(d**2, axis=-1)
+        + _scalar_pow(_at(x, -1) - 1.0, 2)
+    )
+
+
+def _arwhead_value(x):
+    h = x[..., :-1] ** 2 + _scalar_pow(_at(x, -1), 2)[..., None]
+    return np.add.reduce(h**2 - 4.0 * x[..., :-1] + 3.0, axis=-1)
+
+
+def _liarwhd_value(x):
+    r = x**2 - x[..., :1]
+    return np.add.reduce(4.0 * r**2 + (x - 1.0) ** 2, axis=-1)
+
+
+def _nondia_value(x):
+    r = x[..., :1] - x[..., :-1] ** 2
+    return _scalar_pow(_at(x, 0) - 1.0, 2) + 100.0 * np.add.reduce(r**2, axis=-1)
+
+
+def _extrosnb_value(x):
+    r = x[..., 1:] - x[..., :-1] ** 2
+    return _scalar_pow(_at(x, 0) - 1.0, 2) + 100.0 * np.add.reduce(r**2, axis=-1)
+
+
+def _bdqrtic_value(x):
+    m = x.shape[-1] - 4
+    lin = 3.0 - 4.0 * x[..., :m]
+    q = (
+        x[..., :m] ** 2
+        + 2.0 * x[..., 1 : m + 1] ** 2
+        + 3.0 * x[..., 2 : m + 2] ** 2
+        + 4.0 * x[..., 3 : m + 3] ** 2
+        + 5.0 * _scalar_pow(_at(x, -1), 2)[..., None]
+    )
+    return np.add.reduce(lin**2 + q**2, axis=-1)
+
+
+HAND_WRITTEN = {
+    "ARWHEAD": _arwhead_value,
+    "BDQRTIC": _bdqrtic_value,
+    "DIXON3DQ": _dixon3dq_value,
+    "EXTROSNB": _extrosnb_value,
+    "LIARWHD": _liarwhd_value,
+    "NONDIA": _nondia_value,
+    "TRIDIA": _tridia_value,
+}
+
+
+@pytest.mark.parametrize("name,dim", [k for k in ELEMENT_KEYS if k[0] in HAND_WRITTEN])
+def test_shared_forms_keep_hand_written_bits(name, dim):
+    p = build(name, dim)
+    ref = HAND_WRITTEN[name]
+    rng = np.random.default_rng([41, dim, *name.encode()])
+    points = [p.start, p.start + 0.1] + [rng.uniform(-3.0, 3.0, dim) for _ in range(4)]
+    # a nearly flat interior, so that the boundary terms are of the size of
+    # the sum and a change in the order of additions shows in the bits
+    for _ in range(16):
+        x = 0.3 + rng.uniform(-1e-3, 1e-3, dim)
+        x[[0, -1]] = rng.uniform(-3.0, 3.0, 2)
+        points.append(x)
+    for x in points:
+        assert np.float64(p.value_fn(x)).tobytes() == np.float64(ref(x)).tobytes()
+    batch = np.array(points)
+    assert p.value_fn(batch).tobytes() == ref(batch).tobytes()
 
 
 @pytest.mark.parametrize("name,dim", ELEMENT_KEYS)
@@ -594,9 +682,11 @@ def test_term_path_element_work_is_linear(name, dim):
     counted = dataclasses.replace(form, elem=elem)
     q = dataclasses.replace(p, value_fn=counted.value, elements=counted)
     fd_gradient(q, p.start)
-    # the terms of x, and per column its terms moved up and down: O(n), not
-    # the O(n^2) of one term array per perturbed point
-    assert sum(evaluated) == (1 + 2 * len(form.offsets)) * form.terms
+    # the terms of x, per column its terms moved up and down, and per shared
+    # coordinate the terms with it moved up and down: O(n), not the O(n^2)
+    # of one term array per perturbed point
+    calls = 1 + 2 * len(form.offsets) + 2 * len(form.shared)
+    assert sum(evaluated) == calls * form.terms
 
 
 @pytest.mark.parametrize("chunk", [8, 24, 60, _FD_CHUNK])
@@ -620,6 +710,34 @@ def test_term_path_with_partial_columns(monkeypatch, chunk):
         assert g[[1, 8, 10]].tolist() == [0.0, 0.0, 0.0]
 
 
+@pytest.mark.parametrize("chunk", [8, 16, 24, 60, _FD_CHUNK])
+def test_term_path_with_shared_coordinates(monkeypatch, chunk):
+    # x_3 is read by every term and is also the first entry of a column, as
+    # x_1 is in LIARWHD and NONDIA; x_10 is read by outer alone.  Chunks of
+    # 1, 2, 3 and 7 coordinates cut through or around their rows.
+    monkeypatch.setattr(cglab.problems, "_FD_CHUNK", chunk)
+    w = np.arange(1.0, 5.0)
+
+    def elem(a, b, x3, _x10):
+        return w * (a - 2.0 * b) ** 4 + a * b * x3
+
+    def outer(s, x3, x10):
+        return s * x10 - x3
+
+    form = ElementForm(
+        elem, 4, offsets=(0, 3), stride=2, outer=outer, shared=(3, 10)
+    )
+    p = ProblemInstance(
+        "SHARED", 11, np.linspace(-2.0, 2.0, 11), form.value, np.zeros_like, form
+    )
+    rng = np.random.default_rng(37)
+    for x in (p.start, rng.uniform(-3.0, 3.0, 11)):
+        g = fd_gradient(p, x)
+        assert g.tobytes() == coordinate_loop_fd(p, x).tobytes()
+        assert g[[1, 8]].tolist() == [0.0, 0.0]
+        assert g[[3, 10]].all()
+
+
 def test_element_form_validation():
     for bad in (
         {"terms": 0},
@@ -627,6 +745,8 @@ def test_element_form_validation():
         {"offsets": (0, 0)},
         {"offsets": (-1, 0)},
         {"offsets": ()},
+        {"shared": (2, 2)},
+        {"shared": (-1,)},
     ):
         with pytest.raises(ValueError):
             ElementForm(**{"elem": np.square, "terms": 3, **bad})
@@ -635,6 +755,11 @@ def test_element_form_validation():
     with pytest.raises(DimensionMismatch, match="reach index 5"):
         ProblemInstance("E", 5, np.ones(5), form.value, np.zeros_like, form)
     ProblemInstance("E", 6, np.ones(6), form.value, np.zeros_like, form)
+    # a shared index must be a coordinate of the point
+    shared = ElementForm(lambda t, v: t * v, 3, shared=(3,))
+    with pytest.raises(DimensionMismatch, match="shared indices"):
+        ProblemInstance("E", 3, np.ones(3), shared.value, np.zeros_like, shared)
+    ProblemInstance("E", 4, np.ones(4), shared.value, np.zeros_like, shared)
     # an elem that does not keep the term axis
     summed = ElementForm(lambda t: np.sum(t, axis=-1), 3)
     q = ProblemInstance("S", 3, np.ones(3), summed.value, np.zeros_like, summed)

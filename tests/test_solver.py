@@ -9,6 +9,7 @@ identities the counters must satisfy.
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,7 +27,13 @@ from cglab.problems import (
     desk_suite,
     quadratic_instance,
 )
-from cglab.solver import SolverConfig, Status, minimize, theory_report
+from cglab.solver import (
+    SolverConfig,
+    Status,
+    _scaled_ratio,
+    minimize,
+    theory_report,
+)
 
 
 def test_config_defaults_match_protocol():
@@ -351,6 +358,48 @@ def test_theory_report_rejects_non_finite_lipschitz_constant():
     for bad in (np.inf, np.nan):
         with pytest.raises(ValueError, match="L must be positive and finite"):
             theory_report(r.trace, cfg, L=bad)
+
+
+def test_theory_report_on_a_trace_past_the_float_range():
+    # |g| ~ 1e80: |g|^4 overflows a float, but every ratio the report forms
+    # is of order 1
+    cfg = SolverConfig(record_trace=True)
+    p = quadratic_instance(np.diag([1.0, 2.0, 3.0]), start=np.full(3, 1e80))
+    r = minimize(p, cfg)
+    assert r.status is Status.CONVERGED and r.iters == 9
+    assert r.trace[0].gnorm ** 2 < math.inf
+    with pytest.raises(OverflowError):
+        r.trace[0].gnorm ** 4
+    rep = theory_report(r.trace, SolverConfig(), L=3.0)
+    assert rep.min_descent_ratio >= 1.0 - cfg.tau
+    assert rep.lemma1_ok is True
+    # the exact partial sums, rounded once
+    exact, expected = Fraction(0), []
+    for t in r.trace:
+        exact += Fraction(t.gnorm) ** 4 / Fraction(t.dnorm) ** 2
+        expected.append(float(exact))
+    assert rep.zoutendijk_partial_sums == pytest.approx(expected, rel=1e-14)
+    assert all(math.isfinite(v) for v in rep.zoutendijk_partial_sums)
+
+
+def test_theory_report_keeps_the_plain_expressions_in_range():
+    cfg = SolverConfig(record_trace=True)
+    r = minimize(quadratic_instance(np.diag(np.arange(1.0, 6.0))), cfg)
+    sums = theory_report(r.trace, cfg).zoutendijk_partial_sums
+    acc, expected = 0.0, []
+    for t in r.trace:
+        acc += t.gnorm**4 / t.dnorm**2
+        expected.append(acc)
+    assert sums == tuple(expected)
+
+
+def test_scaled_ratio_outside_the_float_range():
+    # overflow in a power, underflow of b**2 to zero, and a true ratio past
+    # the float range
+    assert _scaled_ratio(1.0, 1e100, 4, 1e150) == pytest.approx(1e100, rel=1e-15)
+    assert _scaled_ratio(2.0, 1e-170, 2, 1e-170) == pytest.approx(2.0, rel=1e-15)
+    assert _scaled_ratio(-1.0, 1e200, 4, 1.0) == -math.inf
+    assert _scaled_ratio(3.0, 2.0, 4, 4.0) == 3.0
 
 
 def test_theory_report_rejects_empty_trace():

@@ -102,12 +102,16 @@ class ElementForm:
         if len(set(offsets)) != len(offsets):
             raise ValueError(f"column offsets must be distinct, got {offsets}")
         if min(shared, default=0) < 0 or len(set(shared)) != len(shared):
-            raise ValueError(f"shared indices must be distinct and >= 0, got {shared}")
+            raise ValueError(
+                f"shared indices must be distinct and >= 0, got {shared}"
+            )
         cols = tuple(slice(o, o + self.stride * self.terms, self.stride) for o in offsets)
         # one call gathers elem's arguments, the columns and then the shared
         # values; for a batch, elem's shared values keep a unit last axis
         point_args = _getter(*cols, *shared)
-        batch_args = _getter(*[(..., c) for c in cols], *[(..., i, None) for i in shared])
+        batch_args = _getter(
+            *[(..., c) for c in cols], *[(..., i, None) for i in shared]
+        )
         batch_shared = _getter(*[(..., i) for i in shared])
         object.__setattr__(self, "_cols", cols)
         object.__setattr__(self, "_point_args", point_args)
@@ -384,12 +388,6 @@ def fd_gradient(p: ProblemInstance, x: Vector, h: float = _CBRT_EPS) -> Vector:
 # through squaring and SIMD pow, and matmul through another summation order,
 # and either can change the last bit.
 # ---------------------------------------------------------------------------
-
-
-def _at(x: np.ndarray, i: int):
-    """``x[..., i]``; for one point the numpy scalar ``x[i]``, which rounds
-    as the 0-d array would but skips its array arithmetic."""
-    return x[i] if x.ndim == 1 else x[..., i]
 
 
 def _scalar_pow(t, k: int):
@@ -701,7 +699,9 @@ def _extrosnb(n: int):
         g[0] += 2.0 * (x[0] - 1.0)
         return g
 
-    form = ElementForm(elem, n - 1, offsets=(0, 1), outer=_rosenbrock_outer, shared=(0,))
+    form = ElementForm(
+        elem, n - 1, offsets=(0, 1), outer=_rosenbrock_outer, shared=(0,)
+    )
     return form, grad, np.full(n, -1.0)
 
 

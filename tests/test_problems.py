@@ -16,7 +16,6 @@ import pytest
 import cglab.problems
 from cglab.problems import (
     _FD_CHUNK,
-    _at,
     _scalar_pow,
     CountingProblem,
     DimensionMismatch,
@@ -574,6 +573,11 @@ def test_element_sum_matches_value_fn_bits(name, dim):
 # The objectives of the families with shared coordinates as they were
 # written before they had an element form: the form must keep their bits,
 # every float operation in the same order.
+def _at(x, i):
+    # for one point the numpy scalar x[i], as the objectives read it
+    return x[i] if x.ndim == 1 else x[..., i]
+
+
 def _tridia_value(x):
     w = np.arange(2.0, x.shape[-1] + 1.0)
     r = 2.0 * x[..., 1:] - x[..., :-1]

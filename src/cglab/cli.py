@@ -35,7 +35,14 @@ from .bench import (
     write_profile_csv,
 )
 from .directions import MethodId
-from .problems import ProblemInstance, catalog, desk_suite, fd_gradient, filter_catalog
+from .problems import (
+    DimensionMismatch,
+    ProblemInstance,
+    catalog,
+    desk_suite,
+    fd_gradient,
+    filter_catalog,
+)
 from .solver import SolverConfig, Status, minimize
 
 __all__ = [
@@ -432,7 +439,9 @@ def run_gradient_check(
     Each instance is checked at its start point and 5 points drawn from a
     per-instance generator seeded by (seed, dim, name) so the report does
     not depend on catalog order.  Returns (report lines, failing keys).
-    ``seed`` must be >= 0 and ``tol`` positive and finite.
+    ``seed`` must be >= 0 and ``tol`` positive and finite.  A non-finite
+    error fails its instance; a gradient whose shape is not ``(dim,)``
+    raises :class:`DimensionMismatch`.
     """
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
@@ -445,11 +454,16 @@ def run_gradient_check(
         points = [p.start] + [
             p.start + rng.uniform(-1.0, 1.0, size=p.dim) for _ in range(5)
         ]
-        worst = 0.0
+        errs = []
         for x in points:
             fd = fd_gradient(p, x)
-            err = float(np.linalg.norm(p.grad_fn(np.asarray(x, float)) - fd))
-            worst = max(worst, err / (1.0 + float(np.linalg.norm(fd))))
+            g = np.asarray(p.grad_fn(np.asarray(x, float)), dtype=float)
+            if g.shape != fd.shape:  # would broadcast against fd
+                raise DimensionMismatch(f"{p.name}: gradient has shape {g.shape}")
+            err = float(np.linalg.norm(g - fd))
+            errs.append(err / (1.0 + float(np.linalg.norm(fd))))
+        # np.max, unlike max, carries a NaN error through to the report
+        worst = float(np.max(errs))
         ok = worst <= tol
         if not ok:
             failures.append(p.key)

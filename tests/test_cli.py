@@ -11,7 +11,7 @@ import pytest
 
 import cglab.bench
 import cglab.cli as cli
-from cglab.problems import ProblemInstance, catalog
+from cglab.problems import DimensionMismatch, ProblemInstance, catalog
 
 
 def run_cli(argv, capsys):
@@ -576,6 +576,38 @@ def test_check_gradients_detects_wrong_gradient(capsys, monkeypatch):
     assert code == 2
     assert out.splitlines()[0].startswith("FAIL LIAR")
     assert "LIAR-4" in err
+
+
+def _quadratic_with_grad(grad_fn):
+    return ProblemInstance(
+        name="Q",
+        dim=3,
+        start=np.ones(3),
+        value_fn=lambda x: np.sum(x * x, axis=-1),
+        grad_fn=grad_fn,
+    )
+
+
+@pytest.mark.parametrize("where", ["everywhere", "at start", "off start"])
+def test_run_gradient_check_fails_nan_gradient(where):
+    # max(0.0, nan) is 0.0, so a NaN error once read as a perfect gradient
+    def grad(x):
+        at_start = bool(np.array_equal(x, np.ones(3)))
+        nan = {"everywhere": True, "at start": at_start, "off start": not at_start}
+        return np.full(3, np.nan) if nan[where] else 2.0 * x
+
+    lines, failures = cli.run_gradient_check([_quadratic_with_grad(grad)])
+    assert failures == ["Q-3"]
+    assert lines == ["FAIL Q dim=3 rel_err=nan"]
+
+
+@pytest.mark.parametrize("shape", [(1,), (3, 1), (4,)])
+def test_run_gradient_check_rejects_wrong_gradient_shape(shape):
+    # a (1,) gradient would broadcast against every component, a (3, 1) one
+    # against fd as a 3 x 3 matrix
+    p = _quadratic_with_grad(lambda x: np.zeros(shape))
+    with pytest.raises(DimensionMismatch, match=r"Q: gradient has shape"):
+        cli.run_gradient_check([p])
 
 
 def test_run_gradient_check_function():

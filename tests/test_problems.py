@@ -413,7 +413,9 @@ def test_counting_problem_charges_overflowing_trials():
 
 def test_fd_gradient_validation():
     p = build("TRIDIA", 10)
-    for h in (0.0, -1.0, np.nan, np.inf, -np.inf):
+    # True once ran with a step of 1 + |x_i|; a string or None raised
+    # numpy's TypeError
+    for h in (0.0, -1.0, np.nan, np.inf, -np.inf, True, False, np.True_, "a", None):
         with pytest.raises(ValueError, match="h must be"):
             fd_gradient(p, p.start, h=h)
     cp = CountingProblem(p)
@@ -740,6 +742,54 @@ def test_term_path_with_shared_coordinates(monkeypatch, chunk):
         assert g.tobytes() == coordinate_loop_fd(p, x).tobytes()
         assert g[[1, 8]].tolist() == [0.0, 0.0]
         assert g[[3, 10]].all()
+
+
+@pytest.mark.parametrize("path", ["term", "block"])
+def test_fd_blocks_restore_the_base(monkeypatch, path):
+    # fd_gradient fills its buffer once and restores each block's moved
+    # entries after the reduction.  In blocks of 3, 3, 3 and 2 coordinates
+    # the shared x_3 opens the second block, whose rows the next two blocks
+    # reuse for column moves, and the last block is partial, so that its
+    # minus rows are rows the previous block wrote plus rows into.
+    w = np.arange(1.0, 5.0)
+
+    def elem(a, b, x3, _x10):
+        return w * (a - 2.0 * b) ** 4 + a * b * x3
+
+    def outer(s, x3, x10):
+        return s * x10 - x3
+
+    form = ElementForm(
+        elem, 4, offsets=(0, 3), stride=2, outer=outer, shared=(3, 10)
+    )
+    p = ProblemInstance(
+        "SHARED", 11, np.linspace(-2.0, 2.0, 11), form.value, np.zeros_like, form
+    )
+    if path == "block":
+        p = dataclasses.replace(p, elements=None)
+    # k = _FD_CHUNK // (2 w) coordinates per block, w = 4 terms or 11 entries
+    width = 4 if path == "term" else 11
+    monkeypatch.setattr(cglab.problems, "_FD_CHUNK", 3 * 2 * width)
+    rng = np.random.default_rng(43)
+    points = [rng.uniform(-3.0, 3.0, 11) for _ in range(2)]
+    # back to back, so that a call sees nothing a previous call left behind
+    gradients = [fd_gradient(p, x) for x in points]
+    for x, g in zip(points, gradients):
+        assert g.tobytes() == coordinate_loop_fd(p, x).tobytes()
+        assert g[[1, 8]].tolist() == [0.0, 0.0]
+        assert g[[3, 10]].all()
+
+
+def test_fd_gradient_hands_value_fn_a_read_only_block():
+    # a value_fn that wrote into its batch would leave the change in the
+    # buffer that later blocks patch, so it gets a view it cannot write
+    def scribble(x):
+        x[..., 0] = 0.0
+        return np.sum(x * x, axis=-1)
+
+    p = ProblemInstance("W", 3, np.ones(3), scribble, lambda x: 2.0 * x)
+    with pytest.raises(ValueError, match="read-only"):
+        fd_gradient(p, p.start)
 
 
 def test_element_form_validation():

@@ -590,7 +590,7 @@ def _quadratic_with_grad(grad_fn):
 
 @pytest.mark.parametrize("where", ["everywhere", "at start", "off start"])
 def test_run_gradient_check_fails_nan_gradient(where):
-    # max(0.0, nan) is 0.0, so a NaN error once read as a perfect gradient
+    # max(0.0, nan) is 0.0: a running max reads a NaN error as no error
     def grad(x):
         at_start = bool(np.array_equal(x, np.ones(3)))
         nan = {"everywhere": True, "at start": at_start, "off start": not at_start}

@@ -413,8 +413,8 @@ def test_counting_problem_charges_overflowing_trials():
 
 def test_fd_gradient_validation():
     p = build("TRIDIA", 10)
-    # True once ran with a step of 1 + |x_i|; a string or None raised
-    # numpy's TypeError
+    # True would run with a step of 1 + |x_i|, and a string or None would
+    # reach numpy as a TypeError
     for h in (0.0, -1.0, np.nan, np.inf, -np.inf, True, False, np.True_, "a", None):
         with pytest.raises(ValueError, match="h must be"):
             fd_gradient(p, p.start, h=h)

@@ -130,12 +130,6 @@ class ElementForm:
 
         object.__setattr__(self, "value", value)
 
-    def total(self, t: np.ndarray, *shared) -> np.ndarray:
-        """``outer`` of the sums over the last axis of a term array, given
-        each sum's shared values."""
-        s = np.add.reduce(t, axis=-1)
-        return s if self.outer is None else self.outer(s, *shared)
-
     def moved_terms(self, x: Vector, up: Vector, down: Vector):
         """The terms of ``x``, and the terms with one column or one shared
         coordinate moved.
@@ -286,13 +280,29 @@ class CountingProblem:
 
 _CBRT_EPS = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
-# Entries per block in fd_gradient.  Each block pays a fixed Python and
-# numpy-call cost: at 8192 entries an n = 1000 call ran 250 blocks of 4
-# coordinates.  Timed over the catalog's audit points (Xeon, 2 MB L2 per
-# core), 65,536 entries (512 KB) ran 1.1x faster than 32,768; 131,072 was
-# no faster and raised a process's peak RSS from 37.1 to 37.9 MB (35.7 MB
-# at 8192), and 262,144, a block the size of L2, ran 1.4x slower at 40.0 MB.
+# Entries per block on fd_gradient's block path (no element form).  Each
+# block pays a fixed Python and numpy-call cost: at 8192 entries an
+# n = 1000 call ran 250 blocks of 4 coordinates.  Timed over the catalog's
+# audit points (Xeon, 2 MB L2 per core), 65,536 entries (512 KB) ran 1.1x
+# faster than 32,768; 131,072 was no faster and raised a process's peak RSS
+# from 37.1 to 37.9 MB (35.7 MB at 8192), and 262,144, a block the size of
+# L2, ran 1.4x slower at 40.0 MB.  An element form's differences (the term
+# path) are summed leaf by leaf instead and do not use it.
 _FD_CHUNK = 65536
+
+# numpy's pairwise summation (Higham 1993), which np.add.reduce applies to
+# each float64 row: a row of at most _PAIRWISE_LEAF entries is a leaf that
+# numpy sums in one loop, and a longer row is the sum of its two halves,
+# split at _pairwise_split(w).  tests/test_problems.py pins both against
+# np.add.reduce.
+_PAIRWISE_LEAF = 128
+
+
+def _pairwise_split(w: int) -> int:
+    """Where numpy's pairwise sum splits a row of ``w > 128`` entries: half
+    the row, rounded down to its 8-way unrolled loop."""
+    half = w // 2
+    return half - half % 8
 
 
 def fd_gradient(p: ProblemInstance, x: Vector, h: float = _CBRT_EPS) -> Vector:
@@ -301,30 +311,35 @@ def fd_gradient(p: ProblemInstance, x: Vector, h: float = _CBRT_EPS) -> Vector:
     The per-coordinate step is ``h * (1 + |x_i|)``; the default base step is
     cbrt(machine eps), the usual balance of truncation vs. cancellation for
     central differences.  ``h`` must be a positive finite number, not a
-    bool.  The perturbed points are evaluated in ``(2k, w)`` blocks of
-    about ``_FD_CHUNK`` entries, the rows of ``x + h_i e_i`` for k
-    coordinates followed by those of ``x - h_i e_i``, and each component
-    has the bits of two 1-D ``value_fn`` calls.  The block buffer is filled
-    with the base row once per call; each block writes in only its moved
-    entries and, after the reduction, writes the base back over them, so a
-    block costs writes in proportion to its moved entries, not to its size.
+    bool.  Each component has the bits of two 1-D ``value_fn`` calls, at
+    ``x + h_i e_i`` and ``x - h_i e_i``.
 
-    Without an element form a block holds the points themselves (w = n)
-    and goes to ``value_fn`` as a read-only array; the batch contract makes
-    it row-exact.
-    With ``p.elements`` a block holds term arrays (w = terms): the terms of
-    ``x`` are computed once, and so are, per column, all terms with that
-    column moved, one element call each.  A row is the terms of ``x`` with
-    the moved terms of its coordinate written in.  A shared coordinate's
-    two rows are instead whole term arrays with that coordinate moved
-    wherever it is read, one element call each, and each row's sum goes to
-    ``outer`` with that row's shared values (the scalars of ``x`` in a
-    block without those two rows).  Every row sums the same
-    entries that ``value_fn`` adds, so the bits agree.  Element work per
-    call is O(n (r + s)) for r columns and s shared coordinates, not
-    O(n^2).  All catalog families but three take the term path; PENALTY1,
-    POWER and VARDIM keep the block path, since a sum over all of x enters
-    them.
+    Without an element form the perturbed points are evaluated in
+    ``(2k, n)`` blocks of about ``_FD_CHUNK`` entries, the rows of
+    ``x + h_i e_i`` for k coordinates followed by those of ``x - h_i e_i``.
+    The block buffer is filled with ``x`` once per call; each block writes
+    in only its 2k moved entries and, after ``value_fn``, writes ``x`` back
+    over them.  ``value_fn`` gets the block as a read-only array, and the
+    batch contract makes it row-exact.  PENALTY1, POWER and VARDIM take
+    this path, since a sum over all of x enters them.
+
+    With ``p.elements`` no point is evaluated.  The terms of ``x`` are
+    computed once, and so are, per column, all terms with that column moved,
+    one element call each: O(n (r + s)) element work for r columns and s
+    shared coordinates.  A coordinate's row is then the terms of ``x`` with
+    its few moved terms written in, and its value has to be that row's sum
+    in ``np.add.reduce``'s bits.  numpy sums a row as a tree (see
+    ``_PAIRWISE_LEAF``), so the row's sum differs from the sum of ``x``'s
+    terms only along the paths from the leaves its moved terms fall in.
+    The walk down that tree re-sums, at each leaf, only the rows of the
+    coordinates that move a term in it, as one ``np.add.reduce`` over a
+    ``(2m, <= 128)`` block, and at each inner node adds left and right sums
+    for those coordinates only, taking the base sum of a half that a
+    coordinate does not move.  That is O(n 128 + n log n) work and O(n)
+    memory per call.  A shared coordinate's two rows are instead whole term
+    arrays with that coordinate moved wherever it is read, one element call
+    and one 1-D sum each.  Every row's sum goes to ``outer`` with that
+    row's shared values.
     """
     try:  # written so that NaN fails it too; True is no step
         ok = not isinstance(h, (bool, np.bool_)) and 0.0 < h < math.inf
@@ -333,84 +348,126 @@ def fd_gradient(p: ProblemInstance, x: Vector, h: float = _CBRT_EPS) -> Vector:
     if not ok:
         raise ValueError(f"h must be positive and finite, got {h!r}")
     x = _check_point(p.name, (p.dim,), x)
-    n = p.dim
     steps = h * (1.0 + np.abs(x))
     up, down = x + steps, x - steps
-    form = p.elements
-    if form is None:
-        # the points are the identity's terms, one column with stride 1
-        base, moves, rows, stride = x, [(0, up, down)], [], 1
-
-        def reduce(block):
-            f = np.asarray(p.value_fn(block), dtype=float)
-            if f.shape != block.shape[:1]:
-                raise DimensionMismatch(
-                    f"{p.name}: value_fn gave shape {f.shape} for a batch of shape "
-                    f"{block.shape}; it must map (..., n) to (...)"
-                )
-            return f
-
+    if p.elements is None:
+        f_up, f_down = _block_values(p, x, up, down)
     else:
-        base, moves, rows = form.moved_terms(x, up, down)
-        stride, reduce = form.stride, form.total
-        if base.shape != (form.terms,):
-            raise DimensionMismatch(
-                f"{p.name}: elem gave shape {base.shape}, expected ({form.terms},)"
-            )
-    w = base.shape[0]
-    g = np.empty_like(x)
-    k = max(1, _FD_CHUNK // (2 * w))
-    # every row of buf holds base between blocks: a block writes its moved
-    # entries in, reduces, and writes base back over exactly those entries
-    buf = np.empty((2 * k, w))
-    buf[:] = base
-    flat = buf.reshape(-1)
-    # reduce reads a view it cannot write, so that no value_fn can leave a
-    # stale entry behind for the next block
-    frozen = buf.view()
-    frozen.flags.writeable = False
-    step = stride * w + 1
-    two_steps = 2.0 * steps
-    scalars = [x[i] for i, _, _ in rows]
-    for lo in range(0, n, k):
-        hi = min(lo + k, n)
-        m = hi - lo
-        patched = []
-        for o, plus, minus in moves:
-            # coordinate i = o + stride j sits in term j of this column, and
-            # moves in rows i - lo and m + i - lo: stride w + 1 apart when flat
-            first = max(0, -((o - lo) // stride))
-            last = min(w, (hi - 1 - o) // stride + 1)
-            if first < last:
-                start = (o + stride * first - lo) * w + first
-                stop = start + (last - first - 1) * step + 1
-                at = slice(start, stop, step)
-                below = slice(start + m * w, stop + m * w, step)
-                flat[at] = plus[first:last]
-                flat[below] = minus[first:last]
-                patched.append((at, below, base[first:last]))
-        # the shared values of x hold for every row but a shared
-        # coordinate's own two, which are whole term rows
-        values = scalars.copy()
-        for j, (i, plus, minus) in enumerate(rows):
-            if lo <= i < hi:
-                buf[i - lo] = plus
-                buf[m + i - lo] = minus
-                v = values[j] = np.full(2 * m, x[i])
-                v[i - lo] = up[i]
-                v[m + i - lo] = down[i]
-        f = reduce(frozen[: 2 * m], *values)
-        g[lo:hi] = (f[:m] - f[m:]) / two_steps[lo:hi]
-        for at, below, entries in patched:
-            flat[at] = entries
-            flat[below] = entries
-        for i, _, _ in rows:
-            if lo <= i < hi:
-                buf[i - lo] = base
-                buf[m + i - lo] = base
+        f_up, f_down = _term_values(p, x, up, down)
+    g = (f_up - f_down) / (2.0 * steps)
     if not np.isfinite(g).all():
         raise NonFiniteOutput(f"{p.name}: finite-difference gradient overflowed")
     return g
+
+
+def _block_values(p: ProblemInstance, x: Vector, up: Vector, down: Vector):
+    """``value_fn`` at ``x + steps e_i`` and ``x - steps e_i`` for every i,
+    in blocks of about ``_FD_CHUNK`` entries."""
+    n = p.dim
+    f_up, f_down = np.empty(n), np.empty(n)
+    k = max(1, _FD_CHUNK // (2 * n))
+    # every row of buf holds x between blocks: a block writes its moved
+    # entries in, evaluates, and writes x back over exactly those entries
+    buf = np.empty((2 * k, n))
+    buf[:] = x
+    flat = buf.reshape(-1)
+    # value_fn reads a view it cannot write, so that it cannot leave a
+    # stale entry behind for the next block
+    frozen = buf.view()
+    frozen.flags.writeable = False
+    for lo in range(0, n, k):
+        hi = min(lo + k, n)
+        m = hi - lo
+        # coordinate i moves in rows i - lo and m + i - lo: n + 1 apart when flat
+        at = slice(lo, lo + (m - 1) * (n + 1) + 1, n + 1)
+        below = slice(at.start + m * n, at.stop + m * n, n + 1)
+        flat[at] = up[lo:hi]
+        flat[below] = down[lo:hi]
+        f = np.asarray(p.value_fn(frozen[: 2 * m]), dtype=float)
+        if f.shape != (2 * m,):
+            raise DimensionMismatch(
+                f"{p.name}: value_fn gave shape {f.shape} for a batch of shape "
+                f"{(2 * m, n)}; it must map (..., n) to (...)"
+            )
+        f_up[lo:hi], f_down[lo:hi] = f[:m], f[m:]
+        flat[at] = x[lo:hi]
+        flat[below] = x[lo:hi]
+    return f_up, f_down
+
+
+def _term_values(p: ProblemInstance, x: Vector, up: Vector, down: Vector):
+    """The objective at ``x + steps e_i`` and ``x - steps e_i`` for every i,
+    from the element form's terms, in the bits of ``value_fn``."""
+    form = p.elements
+    base, moves, rows = form.moved_terms(x, up, down)
+    w, stride = form.terms, form.stride
+    if base.shape != (w,):
+        raise DimensionMismatch(f"{p.name}: elem gave shape {base.shape}, expected ({w},)")
+    span = (min(form.offsets), max(form.offsets), stride)
+    width = min(w, _PAIRWISE_LEAF)
+    buf = np.empty(2 * (span[1] - span[0] + stride * (width - 1) + 1) * width)
+    total, a, sums = _moved_sums(base, moves, span, 0, w, buf)
+    s = np.full((2, p.dim), total)
+    s[:, a : a + sums.shape[1]] = sums
+    # a shared coordinate's rows are whole term rows
+    for i, plus, minus in rows:
+        s[0, i] = np.add.reduce(plus)
+        s[1, i] = np.add.reduce(minus)
+    if form.outer is None:
+        return s[0], s[1]
+    # outer gets each row's shared values: those of x, but for a shared
+    # coordinate's own two rows
+    values = [x[i] for i in form.shared]
+    f_up, f_down = form.outer(s[0], *values), form.outer(s[1], *values)
+    for j, (i, _, _) in enumerate(rows):
+        moved = values.copy()
+        moved[j] = up[i]
+        f_up[i] = form.outer(s[0, i], *moved)
+        moved[j] = down[i]
+        f_down[i] = form.outer(s[1, i], *moved)
+    return f_up, f_down
+
+
+def _moved_sums(base, moves, span, lo, hi, buf):
+    """Sums over terms lo..hi-1, as numpy's pairwise tree forms them.
+
+    ``span = (first, last, stride)``: terms lo..hi-1 read coordinates
+    ``a = first + stride lo`` to ``last + stride (hi - 1)``, m of them.
+    Returns the sum of ``base[lo:hi]``, ``a``, and the ``(2, m)`` sums of
+    those coordinates' rows, each moved up (row 0) and down (row 1) by
+    ``moves`` (see :meth:`ElementForm.moved_terms`).  ``buf`` holds the
+    largest leaf block.
+    """
+    first, last, stride = span
+    a = first + stride * lo
+    m = last + stride * (hi - 1) + 1 - a
+    size = hi - lo
+    if size > _PAIRWISE_LEAF:
+        mid = lo + _pairwise_split(size)
+        left_base, _, left = _moved_sums(base, moves, span, lo, mid, buf)
+        right_base, right_a, right = _moved_sums(base, moves, span, mid, hi, buf)
+        # numpy adds the left half's sum to the right half's; a row that
+        # moves no term of a half has that half's base sum there
+        sums = np.full((2, m), left_base)
+        sums[:, : left.shape[1]] = left
+        padded = np.full((2, m), right_base)
+        padded[:, right_a - a :] = right
+        sums += padded
+        return left_base + right_base, a, sums
+    # a leaf: coordinate i = o + stride j moves term j of column o, in rows
+    # i - a and m + i - a, which are stride size + 1 apart when flat
+    block = buf[: 2 * m * size].reshape(2 * m, size)
+    block[:] = base[lo:hi]
+    flat = block.reshape(-1)
+    step = stride * size + 1
+    for o, plus, minus in moves:
+        start = (o - first) * size
+        at = slice(start, start + (size - 1) * step + 1, step)
+        below = slice(at.start + m * size, at.stop + m * size, step)
+        flat[at] = plus[lo:hi]
+        flat[below] = minus[lo:hi]
+    sums = np.add.reduce(block, axis=-1).reshape(2, m)
+    return np.add.reduce(base[lo:hi]), a, sums
 
 
 # ---------------------------------------------------------------------------

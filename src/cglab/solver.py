@@ -83,6 +83,8 @@ class SolverConfig:
         object.__setattr__(self, "method", MethodId(self.method))
         for name, valid, what in _FLOAT_RANGES:
             value = getattr(self, name)
+            if isinstance(value, (bool, np.bool_)):  # True compares as 1.0
+                raise ValueError(f"{name} must be a number, got {value!r}")
             try:
                 ok = valid(value)
             except TypeError:  # a string or None does not compare with floats

@@ -16,6 +16,8 @@ import pytest
 import cglab.problems
 from cglab.problems import (
     _FD_CHUNK,
+    _PAIRWISE_LEAF,
+    _pairwise_split,
     _scalar_pow,
     CountingProblem,
     DimensionMismatch,
@@ -441,24 +443,28 @@ def test_fd_gradient_validation():
 CBRT_EPS = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
 
+def coordinate_fd(p, x, i, h=CBRT_EPS):
+    """The central difference in coordinate i from two 1-D value_fn calls."""
+    hi = h * (1.0 + abs(x[i]))
+    xp = x.copy()
+    xm = x.copy()
+    xp[i] += hi
+    xm[i] -= hi
+    return (p.value_fn(xp) - p.value_fn(xm)) / (2.0 * hi)
+
+
 def coordinate_loop_fd(p, x, h=CBRT_EPS):
     """Central differences one perturbed point per value_fn call."""
     x = np.asarray(x, dtype=float)
-    g = np.empty_like(x)
-    for i in range(p.dim):
-        hi = h * (1.0 + abs(x[i]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += hi
-        xm[i] -= hi
-        g[i] = (p.value_fn(xp) - p.value_fn(xm)) / (2.0 * hi)
-    return g
+    return np.array([coordinate_fd(p, x, i, h) for i in range(p.dim)], dtype=float)
 
 
 def assert_batch_matches_rows(p, rng):
     n = p.dim
-    # the last stack has more rows than one fd_gradient batch holds
-    for k in (1, 2, _FD_CHUNK // n + 1):
+    # the last stack has one row more than the largest block fd_gradient's
+    # block path builds: k coordinates up and down, k <= n
+    biggest = 2 * min(n, max(1, _FD_CHUNK // (2 * n)))
+    for k in (1, 2, biggest + 1):
         around_start = p.start + rng.uniform(-2.0, 2.0, (k, n))
         spread = rng.uniform(-3.0, 3.0, (k, n))
         stack = np.where(np.arange(k)[:, None] % 2 == 0, around_start, spread)
@@ -560,7 +566,11 @@ def test_element_sum_matches_value_fn_bits(name, dim):
     p = build(name, dim)
     form = p.elements
     rng = np.random.default_rng([29, dim, *name.encode()])
-    for k in (1, 3, 2 * _FD_CHUNK // dim + 1):
+    # one row more than the largest block fd_gradient sums for the form: a
+    # leaf of up to _PAIRWISE_LEAF terms, two rows per coordinate it reads
+    width = min(form.terms, _PAIRWISE_LEAF)
+    read = max(form.offsets) - min(form.offsets) + form.stride * (width - 1) + 1
+    for k in (1, 3, 2 * read + 1):
         batch = p.start + rng.uniform(-3.0, 3.0, (k, dim))
         # the columns sliced here, not through the form's own indices
         cols = [batch[:, o :: form.stride][:, : form.terms] for o in form.offsets]
@@ -697,8 +707,9 @@ def test_term_path_element_work_is_linear(name, dim):
 
 @pytest.mark.parametrize("chunk", [8, 24, 60, _FD_CHUNK])
 def test_term_path_with_partial_columns(monkeypatch, chunk):
-    # columns that skip coordinates (1, 8 and 10 are read by no term) and
-    # chunks that cut through them, against the coordinate loop
+    # columns that skip coordinates (1, 8 and 10 are read by no term),
+    # against the coordinate loop; _FD_CHUNK sizes the block path's blocks
+    # only, and the term path must not depend on it
     monkeypatch.setattr(cglab.problems, "_FD_CHUNK", chunk)
     w = np.arange(1.0, 5.0)
 
@@ -719,8 +730,8 @@ def test_term_path_with_partial_columns(monkeypatch, chunk):
 @pytest.mark.parametrize("chunk", [8, 16, 24, 60, _FD_CHUNK])
 def test_term_path_with_shared_coordinates(monkeypatch, chunk):
     # x_3 is read by every term and is also the first entry of a column, as
-    # x_1 is in LIARWHD and NONDIA; x_10 is read by outer alone.  Chunks of
-    # 1, 2, 3 and 7 coordinates cut through or around their rows.
+    # x_1 is in LIARWHD and NONDIA; x_10 is read by outer alone.  The term
+    # path must not depend on _FD_CHUNK, which sizes the block path's blocks.
     monkeypatch.setattr(cglab.problems, "_FD_CHUNK", chunk)
     w = np.arange(1.0, 5.0)
 
@@ -746,11 +757,12 @@ def test_term_path_with_shared_coordinates(monkeypatch, chunk):
 
 @pytest.mark.parametrize("path", ["term", "block"])
 def test_fd_blocks_restore_the_base(monkeypatch, path):
-    # fd_gradient fills its buffer once and restores each block's moved
-    # entries after the reduction.  In blocks of 3, 3, 3 and 2 coordinates
-    # the shared x_3 opens the second block, whose rows the next two blocks
-    # reuse for column moves, and the last block is partial, so that its
-    # minus rows are rows the previous block wrote plus rows into.
+    # the block path fills its buffer once and restores each block's moved
+    # entries after value_fn.  In blocks of 3, 3, 3 and 2 coordinates the
+    # shared x_3 opens the second block, whose rows the next two blocks
+    # reuse, and the last block is partial, so that its minus rows are rows
+    # the previous block wrote plus rows into.  The term path refills its
+    # leaf buffer per leaf; two calls back to back must not see each other.
     w = np.arange(1.0, 5.0)
 
     def elem(a, b, x3, _x10):
@@ -778,6 +790,95 @@ def test_fd_blocks_restore_the_base(monkeypatch, path):
         assert g.tobytes() == coordinate_loop_fd(p, x).tobytes()
         assert g[[1, 8]].tolist() == [0.0, 0.0]
         assert g[[3, 10]].all()
+
+
+# ---------------------------------------------------------------------------
+# Pairwise-leaf term path: fd_gradient re-sums only the leaves of numpy's
+# summation tree that a coordinate moves, so the tree must be numpy's.
+# ---------------------------------------------------------------------------
+
+
+def tree_sum(a):
+    """``np.add.reduce(a, axis=-1)`` rebuilt from leaves and splits."""
+    w = a.shape[-1]
+    if w <= _PAIRWISE_LEAF:
+        return np.add.reduce(a, axis=-1)
+    mid = _pairwise_split(w)
+    return tree_sum(a[..., :mid]) + tree_sum(a[..., mid:])
+
+
+def test_numpy_sums_rows_as_a_pairwise_tree():
+    # The one place the numpy invariant behind the term path is stated: a
+    # float64 row of at most _PAIRWISE_LEAF entries is summed as one leaf,
+    # and a longer row as the sum of its halves split at _pairwise_split.
+    # A numpy that sums otherwise fails here, by name.
+    rng = np.random.default_rng(47)
+    for w in [*range(1, 2101), 4097, 10_001]:
+        # magnitudes from 1e-12 to 1e12, so that another order of additions
+        # changes the bits
+        mixed = rng.standard_normal(w) * 10.0 ** rng.integers(-12, 13, w)
+        zeros = np.where(rng.random(w) < 0.5, -0.0, mixed)
+        zeros[: min(w, 2 * _PAIRWISE_LEAF)] = -0.0  # whole leaves of -0.0
+        block = np.ascontiguousarray([mixed, zeros, np.full(w, -0.0), mixed[::-1]])
+        for row in block:
+            assert tree_sum(row).tobytes() == np.add.reduce(row).tobytes(), w
+        assert tree_sum(block).tobytes() == np.add.reduce(block, axis=-1).tobytes(), w
+
+
+def _boundary_form(terms, stride):
+    """A form with mixed-magnitude terms, columns that skip coordinates,
+    shared coordinates at both ends and one that opens the second leaf.
+
+    Returns the instance and the coordinates no term reads."""
+    offsets = {1: (0, 2), 2: (0, 3), 4: (0, 1, 6)}[stride]
+    n = max(offsets) + stride * (terms - 1) + 3  # x_{n-2} is read by nothing
+    # x_0 opens the first leaf's coordinates and is a column entry; the
+    # first coordinate the second leaf reads (if there is one) too; x_{n-1}
+    # only elem's and outer's shared values read
+    opening = (min(offsets) + stride * _pairwise_split(terms),) if terms > _PAIRWISE_LEAF else ()
+    shared = (0, *opening, n - 1)
+    weight = 10.0 ** np.random.default_rng([53, terms, stride]).uniform(-8.0, 8.0, terms)
+
+    r = len(offsets)
+
+    def elem(*args):
+        a, b, first, last = args[0], args[1], args[r], args[-1]
+        t = weight * ((a - 2.0 * b) ** 2 + 0.5 * a * first) + b * last
+        for v in (*args[2:r], *args[r + 1 : -1]):  # a third column, x_opening
+            t = t + 1e-3 * a * v
+        return t
+
+    def outer(s, first, *rest):
+        return s * 1.5 - first + rest[-1] * 0.25
+
+    form = ElementForm(elem, terms, offsets=offsets, stride=stride, outer=outer, shared=shared)
+    p = ProblemInstance("LEAF", n, np.linspace(-2.0, 2.0, n), form.value, np.zeros_like, form)
+    read = {o + stride * j for o in offsets for j in range(terms)}
+    return p, sorted(set(range(n)) - read - set(shared))
+
+
+@pytest.mark.parametrize("stride", [1, 2, 4])
+@pytest.mark.parametrize("terms", [127, 128, 129, 136, 255, 257, 1000])
+def test_term_path_at_leaf_boundaries(terms, stride):
+    # one leaf (127, 128), a leaf and a short one (129, 136), and trees two
+    # and more levels deep, at each stride, against the coordinate loop
+    p, skipped = _boundary_form(terms, stride)
+    x = np.random.default_rng([59, terms, stride]).uniform(-3.0, 3.0, p.dim)
+    g = fd_gradient(p, x)
+    assert g.tobytes() == coordinate_loop_fd(p, x).tobytes()
+    assert skipped and not g[skipped].any()
+    assert g[list(p.elements.shared)].all()
+
+
+def test_term_path_at_a_hundred_thousand_coordinates():
+    # about a thousand leaves and ten levels; the coordinates sit on both
+    # sides of leaf boundaries, in the middle and at the ends
+    n = 100_000
+    p = build("DQDRTIC", n)
+    x = p.start + np.random.default_rng(61).uniform(-3.0, 3.0, n)
+    g = fd_gradient(p, x)
+    for i in (0, 1, 127, 128, 129, 255, 256, n // 2, n - 2, n - 1):
+        assert g[i].tobytes() == np.float64(coordinate_fd(p, x, i)).tobytes(), i
 
 
 def test_fd_gradient_hands_value_fn_a_read_only_block():

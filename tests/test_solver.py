@@ -78,9 +78,10 @@ def test_config_validation():
         with pytest.raises(ValueError):
             SolverConfig(**bad)
     # a non-number is a ValueError that names its field, not a TypeError
-    # from the range comparison
+    # from the range comparison; so is a bool, which compares as 0.0 or 1.0
+    # and would pass every range that holds 1.0
     for name in FLOAT_FIELDS:
-        for bad in ("0.5", None):
+        for bad in ("0.5", None, True, False, np.True_):
             with pytest.raises(ValueError, match=f"^{name} must be a number"):
                 SolverConfig(**{name: bad})
     # a bool is an int to operator.index, but not an iteration count

@@ -827,14 +827,14 @@ def test_numpy_sums_rows_as_a_pairwise_tree():
 
 def _boundary_form(terms, stride):
     """A form with mixed-magnitude terms, columns that skip coordinates,
-    shared coordinates at both ends and one that opens the second leaf.
+    shared coordinates at both ends and one that opens the tree's right half.
 
     Returns the instance and the coordinates no term reads."""
     offsets = {1: (0, 2), 2: (0, 3), 4: (0, 1, 6)}[stride]
     n = max(offsets) + stride * (terms - 1) + 3  # x_{n-2} is read by nothing
-    # x_0 opens the first leaf's coordinates and is a column entry; the
-    # first coordinate the second leaf reads (if there is one) too; x_{n-1}
-    # only elem's and outer's shared values read
+    # x_0 opens the first leaf's coordinates and is a column entry, and so
+    # is the first coordinate the tree's right half reads (if the tree has
+    # more than one leaf); x_{n-1} only elem's and outer's shared values read
     opening = (min(offsets) + stride * _pairwise_split(terms),) if terms > _PAIRWISE_LEAF else ()
     shared = (0, *opening, n - 1)
     weight = 10.0 ** np.random.default_rng([53, terms, stride]).uniform(-8.0, 8.0, terms)
@@ -871,13 +871,15 @@ def test_term_path_at_leaf_boundaries(terms, stride):
 
 
 def test_term_path_at_a_hundred_thousand_coordinates():
-    # about a thousand leaves and ten levels; the coordinates sit on both
-    # sides of leaf boundaries, in the middle and at the ends
+    # 1024 leaves of 96 and 104 terms, ten levels deep; coordinate i moves
+    # term i alone, so 95 | 96 and 49,999 | 50,000 straddle leaf boundaries
+    # (the second pair the root's split), and the ends close the first and
+    # last leaves
     n = 100_000
     p = build("DQDRTIC", n)
     x = p.start + np.random.default_rng(61).uniform(-3.0, 3.0, n)
     g = fd_gradient(p, x)
-    for i in (0, 1, 127, 128, 129, 255, 256, n // 2, n - 2, n - 1):
+    for i in (0, 1, 95, 96, 127, 128, 129, n // 2 - 1, n // 2, n - 2, n - 1):
         assert g[i].tobytes() == np.float64(coordinate_fd(p, x, i)).tobytes(), i
 
 

@@ -21,6 +21,7 @@ import argparse
 import dataclasses
 import json
 import math
+import operator
 import os
 import sys
 from pathlib import Path
@@ -439,14 +440,22 @@ def run_gradient_check(
     Each instance is checked at its start point and 5 points drawn from a
     per-instance generator seeded by (seed, dim, name) so the report does
     not depend on catalog order.  Returns (report lines, failing keys).
-    ``seed`` must be >= 0 and ``tol`` positive and finite.  A non-finite
-    error fails its instance; a gradient whose shape is not ``(dim,)``
-    raises :class:`DimensionMismatch`.
+    ``seed`` must be an integer >= 0 and ``tol`` a positive finite number;
+    neither may be a bool.  A non-finite error fails its instance; a
+    gradient whose shape is not ``(dim,)`` raises :class:`DimensionMismatch`.
     """
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    if not 0.0 < tol < math.inf:  # written so that NaN fails it too
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+    try:  # numpy integers pass; floats, even 2.0, do not
+        index = operator.index(seed)
+    except TypeError:
+        index = -1
+    if index < 0 or isinstance(seed, (bool, np.bool_)):  # True is no seed
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    try:  # written so that NaN fails it too; True is no tolerance
+        ok = not isinstance(tol, (bool, np.bool_)) and 0.0 < tol < math.inf
+    except TypeError:  # a string or None does not compare with floats
+        ok = False
+    if not ok:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     lines = []
     failures = []
     for p in instances:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
-from functools import partial
 from operator import itemgetter
 from typing import Callable
 
@@ -70,8 +69,12 @@ class ElementForm:
     r column slices ``x[..., o::stride]`` of ``terms`` entries each, then
     one value per shared index, and returns the ``(..., terms)`` term
     array, each entry computed from its own column entries and the shared
-    values alone.  ``outer`` takes the sums and the shared values and is
-    elementwise; None is the identity.
+    values alone.  An objective built from c sums over the same terms
+    (PENALTY1's ``sum (x_i - 1)^2`` and ``sum x_i^2``) has ``elem`` return
+    a ``(c, ..., terms)`` array, c term rows, and ``outer`` then gets the
+    ``(c, ...)`` sums; c is read from the shape ``elem`` returns.
+    ``outer`` takes the sums and the shared values and is elementwise;
+    None is the identity.
 
     ``shared`` holds the absolute indices of the few coordinates that every
     term reads (x_n in each ARWHEAD term) or that ``outer`` reads for a
@@ -81,8 +84,9 @@ class ElementForm:
     batch ``elem`` gets ``x[..., i, None]`` and ``outer`` gets ``x[..., i]``,
     or the scalar where every point of the batch has the same value.
     :attr:`value` is the objective the form defines, a batch-aware
-    ``value_fn``; the terms are summed with ``np.add.reduce``, which is
-    ``np.sum``'s own reduction.
+    ``value_fn``; the terms are summed along their last axis with
+    ``np.add.reduce``, which is ``np.sum``'s own reduction and sums each
+    row of a C-ordered block as it sums that row alone.
     """
 
     elem: Callable[..., np.ndarray]
@@ -141,7 +145,7 @@ class ElementForm:
         ``down``).  ``rows`` holds ``(i, plus, minus)`` per shared index:
         the term arrays of ``x`` with ``x[i]`` replaced by ``up[i]`` or
         ``down[i]`` wherever it is read.  ``1 + 2 r + 2 len(shared)``
-        element calls of ``terms`` entries each.
+        element calls of ``terms`` entries per sum each.
         """
         elem, point_args = self.elem, self._point_args
         args = point_args(x)
@@ -320,8 +324,9 @@ def fd_gradient(p: ProblemInstance, x: Vector, h: float = _CBRT_EPS) -> Vector:
     The block buffer is filled with ``x`` once per call; each block writes
     in only its 2k moved entries and, after ``value_fn``, writes ``x`` back
     over them.  ``value_fn`` gets the block as a read-only array, and the
-    batch contract makes it row-exact.  PENALTY1, POWER and VARDIM take
-    this path, since a sum over all of x enters them.
+    batch contract makes it row-exact.  POWER and VARDIM take this path,
+    since a weighted sum over all of x enters them through ``np.dot``,
+    whose order of additions is BLAS's and not a tree.
 
     With ``p.elements`` no point is evaluated.  The terms of ``x`` are
     computed once, and so are, per column, all terms with that column moved,
@@ -338,8 +343,8 @@ def fd_gradient(p: ProblemInstance, x: Vector, h: float = _CBRT_EPS) -> Vector:
     coordinate does not move.  That is O(n 128 + n log n) work and O(n)
     memory per call.  A shared coordinate's two rows are instead whole term
     arrays with that coordinate moved wherever it is read, one element call
-    and one 1-D sum each.  Every row's sum goes to ``outer`` with that
-    row's shared values.
+    and one 1-D sum each.  A form of c sums walks the tree once per sum.
+    Every row's sums go to ``outer`` with that row's shared values.
     """
     try:  # written so that NaN fails it too; True is no step
         ok = not isinstance(h, (bool, np.bool_)) and 0.0 < h < math.inf
@@ -400,25 +405,43 @@ def _term_values(p: ProblemInstance, x: Vector, up: Vector, down: Vector):
     from the element form's terms, in the bits of ``value_fn``."""
     form = p.elements
     base, moves, rows = form.moved_terms(x, up, down)
-    w, stride = form.terms, form.stride
-    if base.shape != (w,):
-        raise DimensionMismatch(f"{p.name}: elem gave shape {base.shape}, expected ({w},)")
+    w, stride, shape = form.terms, form.stride, base.shape
+    if shape[-1:] != (w,) or base.ndim > 2:
+        raise DimensionMismatch(
+            f"{p.name}: elem gave shape {shape}, expected ({w},) or (c, {w})"
+        )
+    if base.ndim == 2 and form.outer is None:
+        raise DimensionMismatch(f"{p.name}: elem gave {shape[0]} sums and no outer")
+    for _, plus, minus in (*moves, *rows):
+        if plus.shape != shape or minus.shape != shape:
+            raise DimensionMismatch(
+                f"{p.name}: elem gave moved terms of shape {plus.shape} and "
+                f"{minus.shape}, but {shape} at x"
+            )
     span = (min(form.offsets), max(form.offsets), stride)
     width = min(w, _PAIRWISE_LEAF)
     buf = np.empty(2 * (span[1] - span[0] + stride * (width - 1) + 1) * width)
-    total, a, sums = _moved_sums(base, moves, span, 0, w, buf)
-    s = np.full((2, p.dim), total)
-    s[:, a : a + sums.shape[1]] = sums
+    # s[0, i] and s[1, i] hold the sum of coordinate i's row moved up and
+    # down, or the c sums of a form of c sums, each from a tree walk of its own
+    s = np.empty((2, p.dim, *shape[:-1]))
+    for k in np.ndindex(shape[:-1]):
+        kth = [(o, plus[k], minus[k]) for o, plus, minus in moves]
+        total, a, sums = _moved_sums(base[k], kth, span, 0, w, buf)
+        walked = s[(..., *k)]
+        walked[:] = total
+        walked[:, a : a + sums.shape[1]] = sums
     # a shared coordinate's rows are whole term rows
     for i, plus, minus in rows:
-        s[0, i] = np.add.reduce(plus)
-        s[1, i] = np.add.reduce(minus)
+        s[0, i] = np.add.reduce(plus, -1)
+        s[1, i] = np.add.reduce(minus, -1)
+    # outer takes the c sums along the first axis
+    f_up, f_down = np.moveaxis(s, 1, -1)
     if form.outer is None:
-        return s[0], s[1]
+        return f_up, f_down
     # outer gets each row's shared values: those of x, but for a shared
     # coordinate's own two rows
     values = [x[i] for i in form.shared]
-    f_up, f_down = form.outer(s[0], *values), form.outer(s[1], *values)
+    f_up, f_down = form.outer(f_up, *values), form.outer(f_down, *values)
     for j, (i, _, _) in enumerate(rows):
         moved = values.copy()
         moved[j] = up[i]
@@ -472,9 +495,13 @@ def _moved_sums(base, moves, span, lo, hi, buf):
 
 # ---------------------------------------------------------------------------
 # Batch helpers.  Where the 1-D objective raises a numpy scalar to a power or
-# takes np.dot, the batched form must repeat that per row: array ``**`` goes
-# through squaring and SIMD pow, and matmul through another summation order,
-# and either can change the last bit.
+# takes np.dot, each row of a batch must round the same.  Array ``**`` goes
+# through squaring and SIMD pow, which can change the last bit, so powers of
+# per-point values go through _scalar_pow.  matmul keeps np.dot's bits where
+# every stack item is a dot of two vectors, the row dot ``x[..., None, :] @ w``
+# and ``(1, n) @ (n, 1)``: numpy runs np.dot's own kernel per item.  A
+# matrix-vector product ``X @ w`` (gemv) sums in another order and does not;
+# tests/test_problems.py pins both forms the objectives use.
 # ---------------------------------------------------------------------------
 
 
@@ -485,14 +512,6 @@ def _scalar_pow(t, k: int):
     if t.ndim == 0:
         return np.float64(t) ** k
     return np.array([v**k for v in t.ravel()]).reshape(t.shape)
-
-
-def _per_row(fn, x: np.ndarray):
-    """``fn(row)`` for each row of ``x``, shaped like ``x`` minus its last axis."""
-    if x.ndim == 1:
-        return fn(x)
-    rows = x.reshape(-1, x.shape[-1])
-    return np.array([fn(r) for r in rows]).reshape(x.shape[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -849,16 +868,22 @@ def _penalty1(n: int):
     # PENALTY1 (MGH 23): f = 1e-5 sum (x_i - 1)^2 + (sum x_j^2 - 0.25)^2,
     # start x_i = i
     a = 1.0e-5
+    ends = np.array([1.0, 0.0])
 
-    def value(x):
-        s = np.add.reduce(x**2, axis=-1) - 0.25
-        return a * np.add.reduce((x - 1.0) ** 2, axis=-1) + _scalar_pow(s, 2)
+    def elem(t):
+        # two term rows, (1 - t)^2 and (0 - t)^2: IEEE subtraction rounds
+        # 1 - t to exactly -(t - 1) and 0 - t to -t, so they are
+        # (t - 1)^2 and t^2 bit for bit, from one ufunc call and no stack
+        return np.subtract.outer(ends, t) ** 2
+
+    def outer(s):
+        return a * s[0] + _scalar_pow(s[1] - 0.25, 2)
 
     def grad(x):
         s = np.add.reduce(x**2) - 0.25
         return 2.0 * a * (x - 1.0) + 4.0 * s * x
 
-    return value, grad, np.arange(1.0, n + 1.0)
+    return ElementForm(elem, n, outer=outer), grad, np.arange(1.0, n + 1.0)
 
 
 def _vardim(n: int):
@@ -867,12 +892,9 @@ def _vardim(n: int):
     w = np.arange(1.0, n + 1.0)
 
     def value(x):
-        s = _per_row(partial(np.dot, w), x - 1.0)
-        return (
-            np.add.reduce((x - 1.0) ** 2, axis=-1)
-            + _scalar_pow(s, 2)
-            + _scalar_pow(s, 4)
-        )
+        d = x - 1.0
+        s = np.dot(w, d) if x.ndim == 1 else np.matmul(d[..., None, :], w)[..., 0]
+        return np.add.reduce(d**2, axis=-1) + _scalar_pow(s, 2) + _scalar_pow(s, 4)
 
     def grad(x):
         s = np.dot(w, x - 1.0)
@@ -955,7 +977,10 @@ def _power(n: int):
     w = np.arange(1.0, n + 1.0)
 
     def value(x):
-        return _per_row(lambda r: np.dot(w, r) ** 2, x**2)
+        q = x**2
+        if x.ndim == 1:
+            return np.dot(w, q) ** 2
+        return _scalar_pow(np.matmul(q[..., None, :], w)[..., 0], 2)
 
     def grad(x):
         s = np.dot(w, x**2)
@@ -1076,7 +1101,9 @@ def quadratic_instance(
         start = np.ones(n)
 
     def value(x):
-        return _per_row(lambda r: 0.5 * r @ a @ r, x)
+        if x.ndim == 1:
+            return 0.5 * x @ a @ x
+        return (((0.5 * x)[..., None, :] @ a) @ x[..., :, None])[..., 0, 0]
 
     def grad(x):
         return a @ x

@@ -621,7 +621,17 @@ def test_run_gradient_check_function():
 
 @pytest.mark.parametrize(
     "kwargs, name",
-    [({"tol": float("nan")}, "tol"), ({"seed": -1}, "seed")],
+    [
+        ({"tol": float("nan")}, "tol"),
+        ({"seed": -1}, "seed"),
+        # True compares as 1 and 1.0, and numpy would take 2.0 as a seed
+        ({"tol": True}, "tol"),
+        ({"tol": "1e-6"}, "tol"),
+        ({"seed": True}, "seed"),
+        ({"seed": 1.5}, "seed"),
+        ({"seed": 2.0}, "seed"),
+        ({"seed": "3"}, "seed"),
+    ],
 )
 def test_run_gradient_check_rejects_bad_arguments(kwargs, name, monkeypatch):
     def unreachable(*args):

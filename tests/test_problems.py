@@ -528,8 +528,9 @@ def test_fd_gradient_matches_coordinate_loop(name, dim):
 # ---------------------------------------------------------------------------
 
 ELEMENT_KEYS = [(p.name, p.dim) for p in catalog() if p.elements is not None]
-# the families into which a sum over all of x enters keep the block path
-BLOCK_FAMILIES = {"PENALTY1", "POWER", "VARDIM"}
+# the families into which a weighted sum over all of x enters through np.dot
+# keep the block path
+BLOCK_FAMILIES = {"POWER", "VARDIM"}
 # the element-form families that read x_1 or x_n in every term, or in a
 # boundary term outside the sum
 SHARED_FAMILIES = {"ARWHEAD", "BDQRTIC", "DIXON3DQ", "EXTROSNB", "LIARWHD",
@@ -692,7 +693,7 @@ def test_term_path_element_work_is_linear(name, dim):
 
     def elem(*cols):
         t = form.elem(*cols)
-        evaluated.append(t.size)
+        evaluated.append(t.shape[-1])  # entries per sum: PENALTY1 has two
         return t
 
     counted = dataclasses.replace(form, elem=elem)
@@ -825,9 +826,11 @@ def test_numpy_sums_rows_as_a_pairwise_tree():
         assert tree_sum(block).tobytes() == np.add.reduce(block, axis=-1).tobytes(), w
 
 
-def _boundary_form(terms, stride):
+def _boundary_form(terms, stride, sums=1):
     """A form with mixed-magnitude terms, columns that skip coordinates,
-    shared coordinates at both ends and one that opens the tree's right half.
+    shared coordinates at both ends and one that opens the tree's right half;
+    with ``sums=2``, a form of two sums whose second term row is weighted
+    the other way round.
 
     Returns the instance and the coordinates no term reads."""
     offsets = {1: (0, 2), 2: (0, 3), 4: (0, 1, 6)}[stride]
@@ -846,9 +849,13 @@ def _boundary_form(terms, stride):
         t = weight * ((a - 2.0 * b) ** 2 + 0.5 * a * first) + b * last
         for v in (*args[2:r], *args[r + 1 : -1]):  # a third column, x_opening
             t = t + 1e-3 * a * v
-        return t
+        if sums == 1:
+            return t
+        return np.stack([t, weight[::-1] * (b + 0.5 * a) ** 2 - a * last])
 
     def outer(s, first, *rest):
+        if sums == 2:
+            s = s[0] - 0.5 * s[1] + 1e-3 * s[0] * s[1]
         return s * 1.5 - first + rest[-1] * 0.25
 
     form = ElementForm(elem, terms, offsets=offsets, stride=stride, outer=outer, shared=shared)
@@ -870,6 +877,20 @@ def test_term_path_at_leaf_boundaries(terms, stride):
     assert g[list(p.elements.shared)].all()
 
 
+@pytest.mark.parametrize("stride", [1, 2, 4])
+@pytest.mark.parametrize("terms", [127, 128, 129, 257, 1000])
+def test_two_sum_term_path_at_leaf_boundaries(terms, stride):
+    # each of the two sums walks its own tree; a shared coordinate's two
+    # rows carry both sums to outer
+    p, skipped = _boundary_form(terms, stride, sums=2)
+    x = np.random.default_rng([67, terms, stride]).uniform(-3.0, 3.0, p.dim)
+    assert p.elements.elem(*p.elements._point_args(x)).shape == (2, terms)
+    g = fd_gradient(p, x)
+    assert g.tobytes() == coordinate_loop_fd(p, x).tobytes()
+    assert skipped and not g[skipped].any()
+    assert g[list(p.elements.shared)].all()
+
+
 def test_term_path_at_a_hundred_thousand_coordinates():
     # 1024 leaves of 96 and 104 terms, ten levels deep; coordinate i moves
     # term i alone, so 95 | 96 and 49,999 | 50,000 straddle leaf boundaries
@@ -881,6 +902,69 @@ def test_term_path_at_a_hundred_thousand_coordinates():
     g = fd_gradient(p, x)
     for i in (0, 1, 95, 96, 127, 128, 129, n // 2 - 1, n // 2, n - 2, n - 1):
         assert g[i].tobytes() == np.float64(coordinate_fd(p, x, i)).tobytes(), i
+
+
+def test_penalty1_term_path_at_a_hundred_thousand_coordinates():
+    # PENALTY1's two sums, (x_i - 1)^2 and x_i^2, run over all of x, so
+    # every coordinate moves a term of each; the same leaf boundaries as
+    # above, against two 1-D value_fn calls per coordinate
+    n = 100_000
+    p = build("PENALTY1", n)
+    x = np.random.default_rng(73).uniform(-3.0, 3.0, n)
+    g = fd_gradient(p, x)
+    for i in (0, 1, 95, 96, 127, 128, 129, n // 2 - 1, n // 2, n - 2, n - 1):
+        assert g[i].tobytes() == np.float64(coordinate_fd(p, x, i)).tobytes(), i
+
+
+def test_term_path_refuses_mismatched_term_shapes():
+    # one sum at x but two with the column moved, or two sums at x but
+    # three moved: the moved rows cannot be written into x's terms
+    def more_when_moved(sums):
+        def elem(t):
+            c = sums if t[0] == 1.0 else sums + 1
+            return t * t if c == 1 else np.stack([t * k for k in range(1, c + 1)])
+
+        return elem
+
+    for sums in (1, 2):
+        form = ElementForm(more_when_moved(sums), 3, outer=lambda s: s[0])
+        p = ProblemInstance("M", 3, np.ones(3), form.value, np.zeros_like, form)
+        with pytest.raises(DimensionMismatch, match="moved terms"):
+            fd_gradient(p, p.start)
+    # two sums need an outer that combines them into one value
+    both = ElementForm(lambda t: np.stack([t, t * t]), 3)
+    q = ProblemInstance("B", 3, np.ones(3), both.value, np.zeros_like, both)
+    with pytest.raises(DimensionMismatch, match="2 sums and no outer"):
+        fd_gradient(q, q.start)
+
+
+def test_numpy_dots_stacked_rows_like_np_dot():
+    # The one place the numpy invariant behind the batches of POWER, VARDIM
+    # and quadratic_instance is stated: matmul runs np.dot's own kernel for
+    # each (1, n) @ (n,) or (1, n) @ (n, 1) stack item, so a stacked row dot
+    # has the bits of np.dot on that row.  (A gemv, X @ w, sums otherwise.)
+    rng = np.random.default_rng(79)
+    for n in [*range(1, 34), 50, 75, 100, 127, 128, 129, 200, 500, 1000, 1001, 4097]:
+        # magnitudes from 1e-12 to 1e12, so that another order of additions
+        # changes the bits
+        w = rng.standard_normal(n) * 10.0 ** rng.integers(-12, 13, n)
+        x = rng.standard_normal((2, 3, n)) * 10.0 ** rng.integers(-12, 13, (2, 3, n))
+        frozen = x.view()
+        frozen.flags.writeable = False
+        for batch in (x, x[1], frozen, frozen[0]):
+            got = np.matmul(batch[..., None, :], w)[..., 0]
+            rows = [np.dot(w, r) for r in batch.reshape(-1, n)]
+            expected = np.array(rows).reshape(batch.shape[:-1])
+            assert got.tobytes() == expected.tobytes(), (n, batch.shape)
+        if n > 1001:  # a 4097 x 4097 matrix is 134 MB
+            continue
+        m = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-6, 7, (n, n))
+        a = m + m.T
+        for batch in (x, frozen[0]):
+            got = (((0.5 * batch)[..., None, :] @ a) @ batch[..., :, None])[..., 0, 0]
+            rows = [0.5 * r @ a @ r for r in batch.reshape(-1, n)]
+            expected = np.array(rows).reshape(batch.shape[:-1])
+            assert got.tobytes() == expected.tobytes(), (n, batch.shape)
 
 
 def test_fd_gradient_hands_value_fn_a_read_only_block():

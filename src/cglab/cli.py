@@ -37,6 +37,7 @@ from .bench import (
 )
 from .directions import MethodId
 from .problems import (
+    _check_positive_finite,
     DimensionMismatch,
     ProblemInstance,
     catalog,
@@ -450,12 +451,7 @@ def run_gradient_check(
         index = -1
     if index < 0 or isinstance(seed, (bool, np.bool_)):  # True is no seed
         raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
-    try:  # written so that NaN fails it too; True is no tolerance
-        ok = not isinstance(tol, (bool, np.bool_)) and 0.0 < tol < math.inf
-    except TypeError:  # a string or None does not compare with floats
-        ok = False
-    if not ok:
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    _check_positive_finite("tol", tol)
     lines = []
     failures = []
     for p in instances:

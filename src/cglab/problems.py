@@ -231,6 +231,16 @@ def _getter(*keys):
     return lambda x: ()
 
 
+def _check_positive_finite(name: str, value) -> None:
+    """Refuse with ``ValueError`` anything but a positive finite number."""
+    try:  # written so that NaN fails it too; True compares as 1.0 but is no number
+        ok = not isinstance(value, (bool, np.bool_)) and 0.0 < value < math.inf
+    except TypeError:  # a string or None does not compare with floats
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 def _check_point(name: str, shape: tuple[int], x: Vector) -> Vector:
     x = np.asarray(x, dtype=float)
     if x.shape != shape:
@@ -346,12 +356,7 @@ def fd_gradient(p: ProblemInstance, x: Vector, h: float = _CBRT_EPS) -> Vector:
     and one 1-D sum each.  A form of c sums walks the tree once per sum.
     Every row's sums go to ``outer`` with that row's shared values.
     """
-    try:  # written so that NaN fails it too; True is no step
-        ok = not isinstance(h, (bool, np.bool_)) and 0.0 < h < math.inf
-    except TypeError:  # a string or None does not compare with floats
-        ok = False
-    if not ok:
-        raise ValueError(f"h must be positive and finite, got {h!r}")
+    _check_positive_finite("h", h)
     x = _check_point(p.name, (p.dim,), x)
     steps = h * (1.0 + np.abs(x))
     up, down = x + steps, x - steps
@@ -406,18 +411,14 @@ def _term_values(p: ProblemInstance, x: Vector, up: Vector, down: Vector):
     form = p.elements
     base, moves, rows = form.moved_terms(x, up, down)
     w, stride, shape = form.terms, form.stride, base.shape
-    if shape[-1:] != (w,) or base.ndim > 2:
+    other = {t.shape for _, *ends in (*moves, *rows) for t in ends} - {shape}
+    if shape[-1:] != (w,) or base.ndim > 2 or other:
         raise DimensionMismatch(
-            f"{p.name}: elem gave shape {shape}, expected ({w},) or (c, {w})"
+            f"{p.name}: elem gave shape {shape} at x and {sorted(other)} moved, "
+            f"expected ({w},) or (c, {w}) throughout"
         )
     if base.ndim == 2 and form.outer is None:
         raise DimensionMismatch(f"{p.name}: elem gave {shape[0]} sums and no outer")
-    for _, plus, minus in (*moves, *rows):
-        if plus.shape != shape or minus.shape != shape:
-            raise DimensionMismatch(
-                f"{p.name}: elem gave moved terms of shape {plus.shape} and "
-                f"{minus.shape}, but {shape} at x"
-            )
     span = (min(form.offsets), max(form.offsets), stride)
     width = min(w, _PAIRWISE_LEAF)
     buf = np.empty(2 * (span[1] - span[0] + stride * (width - 1) + 1) * width)
@@ -894,7 +895,10 @@ def _vardim(n: int):
     def value(x):
         d = x - 1.0
         s = np.dot(w, d) if x.ndim == 1 else np.matmul(d[..., None, :], w)[..., 0]
-        return np.add.reduce(d**2, axis=-1) + _scalar_pow(s, 2) + _scalar_pow(s, 4)
+        # squared in place, d**2's bits: a second temporary the size of a
+        # (2, 100000) block made glibc fault its pages in on every call
+        d2 = np.square(d, out=d)
+        return np.add.reduce(d2, axis=-1) + _scalar_pow(s, 2) + _scalar_pow(s, 4)
 
     def grad(x):
         s = np.dot(w, x - 1.0)
@@ -978,9 +982,8 @@ def _power(n: int):
 
     def value(x):
         q = x**2
-        if x.ndim == 1:
-            return np.dot(w, q) ** 2
-        return _scalar_pow(np.matmul(q[..., None, :], w)[..., 0], 2)
+        s = np.dot(w, q) if x.ndim == 1 else np.matmul(q[..., None, :], w)[..., 0]
+        return _scalar_pow(s, 2)
 
     def grad(x):
         s = np.dot(w, x**2)

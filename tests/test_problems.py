@@ -884,7 +884,7 @@ def test_two_sum_term_path_at_leaf_boundaries(terms, stride):
     # rows carry both sums to outer
     p, skipped = _boundary_form(terms, stride, sums=2)
     x = np.random.default_rng([67, terms, stride]).uniform(-3.0, 3.0, p.dim)
-    assert p.elements.elem(*p.elements._point_args(x)).shape == (2, terms)
+    assert p.elements.moved_terms(x, x, x)[0].shape == (2, terms)
     g = fd_gradient(p, x)
     assert g.tobytes() == coordinate_loop_fd(p, x).tobytes()
     assert skipped and not g[skipped].any()
@@ -926,10 +926,13 @@ def test_term_path_refuses_mismatched_term_shapes():
 
         return elem
 
-    for sums in (1, 2):
+    for sums, shapes in (
+        (1, r"\(3,\) at x and \[\(2, 3\)\]"),
+        (2, r"\(2, 3\) at x and \[\(3, 3\)\]"),
+    ):
         form = ElementForm(more_when_moved(sums), 3, outer=lambda s: s[0])
         p = ProblemInstance("M", 3, np.ones(3), form.value, np.zeros_like, form)
-        with pytest.raises(DimensionMismatch, match="moved terms"):
+        with pytest.raises(DimensionMismatch, match=shapes + " moved"):
             fd_gradient(p, p.start)
     # two sums need an outer that combines them into one value
     both = ElementForm(lambda t: np.stack([t, t * t]), 3)

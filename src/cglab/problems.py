@@ -135,17 +135,15 @@ class ElementForm:
         object.__setattr__(self, "value", value)
 
     def moved_terms(self, x: Vector, up: Vector, down: Vector):
-        """The terms of ``x``, and the terms with one column or one shared
-        coordinate moved.
+        """The terms of ``x``, and the terms with one column moved.
 
-        Returns ``(t, moves, rows)``.  ``t`` is the term array of ``x``.
+        Returns ``(t, moves)``.  ``t`` is the term array of ``x``.
         ``moves`` holds ``(offset, plus, minus)`` per column: ``plus`` is
         the term array with that column read from ``up`` and everything
         else, the shared values too, from ``x`` (``minus`` likewise from
-        ``down``).  ``rows`` holds ``(i, plus, minus)`` per shared index:
-        the term arrays of ``x`` with ``x[i]`` replaced by ``up[i]`` or
-        ``down[i]`` wherever it is read.  ``1 + 2 r + 2 len(shared)``
-        element calls of ``terms`` entries per sum each.
+        ``down``).  ``1 + 2 r`` element calls of ``terms`` entries per sum
+        each.  A shared coordinate's moved points are whole objective calls
+        instead (see :func:`fd_gradient`).
         """
         elem, point_args = self.elem, self._point_args
         args = point_args(x)
@@ -154,15 +152,7 @@ class ElementForm:
             plus = elem(*args[:j], up[c], *args[j + 1 :])
             minus = elem(*args[:j], down[c], *args[j + 1 :])
             moves.append((o, plus, minus))
-        rows = []
-        for i in self.shared:
-            ends = []
-            for moved in (up, down):
-                y = x.copy()
-                y[i] = moved[i]
-                ends.append(elem(*point_args(y)))
-            rows.append((i, *ends))
-        return elem(*args), moves, rows
+        return elem(*args), moves
 
 
 @dataclass(frozen=True, eq=False)
@@ -351,10 +341,10 @@ def fd_gradient(p: ProblemInstance, x: Vector, h: float = _CBRT_EPS) -> Vector:
     ``(2m, <= 128)`` block, and at each inner node adds left and right sums
     for those coordinates only, taking the base sum of a half that a
     coordinate does not move.  That is O(n 128 + n log n) work and O(n)
-    memory per call.  A shared coordinate's two rows are instead whole term
-    arrays with that coordinate moved wherever it is read, one element call
-    and one 1-D sum each.  A form of c sums walks the tree once per sum.
-    Every row's sums go to ``outer`` with that row's shared values.
+    memory per call.  A form of c sums walks the tree once per sum, and
+    ``outer`` gets every row's sums with the shared values of ``x``.  A
+    shared coordinate may move every term and ``outer``'s value too, so its
+    two points are instead two 1-D calls of the form's ``value``.
     """
     _check_positive_finite("h", h)
     x = _check_point(p.name, (p.dim,), x)
@@ -409,9 +399,9 @@ def _term_values(p: ProblemInstance, x: Vector, up: Vector, down: Vector):
     """The objective at ``x + steps e_i`` and ``x - steps e_i`` for every i,
     from the element form's terms, in the bits of ``value_fn``."""
     form = p.elements
-    base, moves, rows = form.moved_terms(x, up, down)
+    base, moves = form.moved_terms(x, up, down)
     w, stride, shape = form.terms, form.stride, base.shape
-    other = {t.shape for _, *ends in (*moves, *rows) for t in ends} - {shape}
+    other = {t.shape for _, *ends in moves for t in ends} - {shape}
     if shape[-1:] != (w,) or base.ndim > 2 or other:
         raise DimensionMismatch(
             f"{p.name}: elem gave shape {shape} at x and {sorted(other)} moved, "
@@ -422,33 +412,27 @@ def _term_values(p: ProblemInstance, x: Vector, up: Vector, down: Vector):
     span = (min(form.offsets), max(form.offsets), stride)
     width = min(w, _PAIRWISE_LEAF)
     buf = np.empty(2 * (span[1] - span[0] + stride * (width - 1) + 1) * width)
-    # s[0, i] and s[1, i] hold the sum of coordinate i's row moved up and
-    # down, or the c sums of a form of c sums, each from a tree walk of its own
-    s = np.empty((2, p.dim, *shape[:-1]))
+    # s[0, ..., i] and s[1, ..., i] hold the sums of coordinate i's row moved
+    # up and down, the c sums of a form of c sums each from a tree walk of
+    # its own, along the axis on which outer takes them
+    s = np.empty((2, *shape[:-1], p.dim))
     for k in np.ndindex(shape[:-1]):
         kth = [(o, plus[k], minus[k]) for o, plus, minus in moves]
         total, a, sums = _moved_sums(base[k], kth, span, 0, w, buf)
-        walked = s[(..., *k)]
+        walked = s[(slice(None), *k)]
         walked[:] = total
         walked[:, a : a + sums.shape[1]] = sums
-    # a shared coordinate's rows are whole term rows
-    for i, plus, minus in rows:
-        s[0, i] = np.add.reduce(plus, -1)
-        s[1, i] = np.add.reduce(minus, -1)
-    # outer takes the c sums along the first axis
-    f_up, f_down = np.moveaxis(s, 1, -1)
-    if form.outer is None:
-        return f_up, f_down
-    # outer gets each row's shared values: those of x, but for a shared
-    # coordinate's own two rows
-    values = [x[i] for i in form.shared]
-    f_up, f_down = form.outer(f_up, *values), form.outer(f_down, *values)
-    for j, (i, _, _) in enumerate(rows):
-        moved = values.copy()
-        moved[j] = up[i]
-        f_up[i] = form.outer(s[0, i], *moved)
-        moved[j] = down[i]
-        f_down[i] = form.outer(s[1, i], *moved)
+    f_up, f_down = s
+    if form.outer is not None:
+        values = [x[i] for i in form.shared]
+        f_up, f_down = form.outer(f_up, *values), form.outer(f_down, *values)
+    # a shared coordinate moves every term that reads it, and outer's value
+    # too: its two points are 1-D calls of the objective, in value's own bits
+    for i in form.shared:
+        for f, moved in ((f_up, up), (f_down, down)):
+            y = x.copy()
+            y[i] = moved[i]
+            f[i] = form.value(y)
     return f_up, f_down
 
 
@@ -498,21 +482,21 @@ def _moved_sums(base, moves, span, lo, hi, buf):
 # Batch helpers.  Where the 1-D objective raises a numpy scalar to a power or
 # takes np.dot, each row of a batch must round the same.  Array ``**`` goes
 # through squaring and SIMD pow, which can change the last bit, so powers of
-# per-point values go through _scalar_pow.  matmul keeps np.dot's bits where
-# every stack item is a dot of two vectors, the row dot ``x[..., None, :] @ w``
-# and ``(1, n) @ (n, 1)``: numpy runs np.dot's own kernel per item.  A
-# matrix-vector product ``X @ w`` (gemv) sums in another order and does not;
-# tests/test_problems.py pins both forms the objectives use.
+# per-point values go through _scalar_pow: a numpy scalar's ``**`` and
+# np.float_power on an array both call libm's pow, element by element.
+# matmul keeps np.dot's bits where every stack item is a dot of two vectors,
+# the row dot ``x[..., None, :] @ w`` and ``(1, n) @ (n, 1)``: numpy runs
+# np.dot's own kernel per item.  A matrix-vector product ``X @ w`` (gemv)
+# sums in another order and does not.  tests/test_problems.py pins the pow
+# and both dot forms the objectives use.
 # ---------------------------------------------------------------------------
 
 
 def _scalar_pow(t, k: int):
     """``t ** k`` elementwise, each element rounded as a numpy scalar pow."""
-    if type(t) is np.float64:  # one point's value: no conversion needed
+    if type(t) is np.float64:  # one point's value: ** is 10x faster on it
         return t**k
-    if t.ndim == 0:
-        return np.float64(t) ** k
-    return np.array([v**k for v in t.ravel()]).reshape(t.shape)
+    return np.float_power(t, k)
 
 
 # ---------------------------------------------------------------------------

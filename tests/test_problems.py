@@ -478,14 +478,31 @@ def assert_batch_matches_rows(p, rng):
 
 
 def test_scalar_pow_rounds_like_numpy_scalars():
-    # the 1-D objectives raise numpy scalars to powers; depending on the
-    # platform's pow, array ** rounds some of these values differently
-    t = np.random.default_rng(17).uniform(-3.0, 3.0, (100, 200))
-    for k in (2, 4):
-        expected = np.array([[np.float64(v) ** k for v in row] for row in t])
-        assert _scalar_pow(t, k).tobytes() == expected.tobytes()
-        assert _scalar_pow(t[0, 0], k) == expected[0, 0]
-        assert _scalar_pow(np.array(t[0, 0]), k) == expected[0, 0]
+    # The one place the numpy invariant behind the batch powers is stated:
+    # the 1-D objectives raise numpy scalars to powers, and np.float_power
+    # on an array rounds each element as the scalar ** does (both are libm's
+    # pow).  Depending on the platform's pow, array ** rounds some of these
+    # values differently.  A numpy that rounds otherwise fails here, by name.
+    rng = np.random.default_rng(17)
+    mixed = rng.uniform(-3.0, 3.0, 20_000) * 10.0 ** rng.integers(-160, 161, 20_000)
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2e-310, -1e-308, 1e-160, -1e-110,
+               1e155, -1e103, 1e78, -1.8e308, np.nan, -np.nan, np.inf, -np.inf]
+    small = rng.uniform(-3.0, 3.0, 24_000 - 20_000 - len(special))
+    t = np.concatenate([mixed, special, small]).reshape(120, 200)
+    frozen = t.view()
+    frozen.flags.writeable = False
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        for k in (2, 3, 4):
+            for batch in (t, t[:, 1::3], t.T, frozen, frozen[7]):
+                got = _scalar_pow(batch, k)
+                expected = [np.float64(v) ** k for v in batch.ravel()]
+                assert got.tobytes() == np.array(expected).tobytes(), (k, batch.shape)
+            assert np.isinf(_scalar_pow(t, k)).any()  # some powers overflow
+            for v in (*special, *t[0, :50]):
+                expected = np.float64(v) ** k
+                assert _scalar_pow(np.float64(v), k).tobytes() == expected.tobytes()
+                zero_d = _scalar_pow(np.array(v), k)
+                assert np.float64(zero_d).tobytes() == expected.tobytes(), (k, v)
 
 
 CATALOG_KEYS = [(p.name, p.dim) for p in catalog()]
@@ -891,16 +908,20 @@ def test_two_sum_term_path_at_leaf_boundaries(terms, stride):
     assert g[list(p.elements.shared)].all()
 
 
-def test_term_path_at_a_hundred_thousand_coordinates():
-    # 1024 leaves of 96 and 104 terms, ten levels deep; coordinate i moves
-    # term i alone, so 95 | 96 and 49,999 | 50,000 straddle leaf boundaries
-    # (the second pair the root's split), and the ends close the first and
-    # last leaves
+@pytest.mark.parametrize("name", ["DQDRTIC", "ARWHEAD", "TRIDIA"])
+def test_term_path_at_a_hundred_thousand_coordinates(name):
+    # About 1024 leaves of 96 and 104 terms, ten levels deep; in DQDRTIC
+    # coordinate i moves term i alone, so 95 | 96 and 49,999 | 50,000
+    # straddle leaf boundaries (the second pair the root's split), and the
+    # ends close the first and last leaves.  ARWHEAD's x_n is read by every
+    # term; TRIDIA's x_1 is shared and also opens its first column.  A shared
+    # coordinate's points are whole objective calls in a tree this deep.
     n = 100_000
-    p = build("DQDRTIC", n)
+    p = build(name, n)
     x = p.start + np.random.default_rng(61).uniform(-3.0, 3.0, n)
     g = fd_gradient(p, x)
-    for i in (0, 1, 95, 96, 127, 128, 129, n // 2 - 1, n // 2, n - 2, n - 1):
+    ends = (0, 1, 95, 96, 127, 128, 129, n // 2 - 1, n // 2, n - 2, n - 1)
+    for i in (*ends, *p.elements.shared):
         assert g[i].tobytes() == np.float64(coordinate_fd(p, x, i)).tobytes(), i
 
 

@@ -413,8 +413,8 @@ def _term_values(p: ProblemInstance, x: Vector, up: Vector, down: Vector):
     width = min(w, _PAIRWISE_LEAF)
     buf = np.empty(2 * (span[1] - span[0] + stride * (width - 1) + 1) * width)
     # s[0, ..., i] and s[1, ..., i] hold the sums of coordinate i's row moved
-    # up and down, the c sums of a form of c sums each from a tree walk of
-    # its own, along the axis on which outer takes them
+    # up and down (c of them for a form of c sums, each from a tree walk of
+    # its own), laid out as outer takes them
     s = np.empty((2, *shape[:-1], p.dim))
     for k in np.ndindex(shape[:-1]):
         kth = [(o, plus[k], minus[k]) for o, plus, minus in moves]

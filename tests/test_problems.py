@@ -914,14 +914,14 @@ def test_term_path_at_a_hundred_thousand_coordinates(name):
     # coordinate i moves term i alone, so 95 | 96 and 49,999 | 50,000
     # straddle leaf boundaries (the second pair the root's split), and the
     # ends close the first and last leaves.  ARWHEAD's x_n is read by every
-    # term; TRIDIA's x_1 is shared and also opens its first column.  A shared
-    # coordinate's points are whole objective calls in a tree this deep.
+    # term, and TRIDIA's x_1 is shared and also opens its first column; the
+    # points of a shared coordinate are whole objective calls.
     n = 100_000
     p = build(name, n)
     x = p.start + np.random.default_rng(61).uniform(-3.0, 3.0, n)
     g = fd_gradient(p, x)
-    ends = (0, 1, 95, 96, 127, 128, 129, n // 2 - 1, n // 2, n - 2, n - 1)
-    for i in (*ends, *p.elements.shared):
+    boundaries = (0, 1, 95, 96, 127, 128, 129, n // 2 - 1, n // 2, n - 2, n - 1)
+    for i in (*boundaries, *p.elements.shared):
         assert g[i].tobytes() == np.float64(coordinate_fd(p, x, i)).tobytes(), i
 
 

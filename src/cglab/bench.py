@@ -10,7 +10,6 @@ and the limit at large t is its solve fraction.
 from __future__ import annotations
 
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,26 +95,21 @@ class SuiteRun:
 def run_suite(
     problems: list[ProblemInstance],
     solver_configs: list[SolverConfig],
-    parallelism: int = 1,
     time_repeats: int = 3,
     labels: list[str] | None = None,
 ) -> tuple[dict[str, CostMatrix], list[SuiteRun]]:
     """Run every (problem, solver) pair once and assemble cost matrices.
 
-    ``f_evals`` and ``iters`` cells come from a single run and are
-    deterministic for any ``parallelism``, which is the number of threads
-    those first runs share.  The ``time`` cell is the median wall time over
-    ``time_repeats`` runs of a converged pair: its first run, then
-    ``time_repeats - 1`` repeats on the calling thread after all first runs.
-    Above ``parallelism == 1`` the first run's wall time is measured while
-    the threads share the CPU.  ``labels`` names the matrix columns and
-    defaults to each config's method id; pass explicit labels when configs
-    share a method.
+    Pairs run serially, problem by problem and, within a problem, config by
+    config.  ``f_evals`` and ``iters`` cells come from a pair's single
+    counted run.  The ``time`` cell is the median wall time over
+    ``time_repeats`` runs of a converged pair: its counted run, then
+    ``time_repeats - 1`` repeats right after it.  ``labels`` names the
+    matrix columns and defaults to each config's method id; pass explicit
+    labels when configs share a method.
     """
     if not problems or not solver_configs:
         raise EmptyMatrix("need at least one problem and one solver")
-    if parallelism < 1:
-        raise ValueError(f"parallelism must be >= 1, got {parallelism}")
     if time_repeats < 1:
         raise ValueError(f"time_repeats must be >= 1, got {time_repeats}")
     if labels is None:
@@ -125,36 +119,26 @@ def run_suite(
     if len(set(labels)) != len(labels):
         raise ValueError(f"solver labels must be unique, got {labels}")
 
-    keys = tuple((p.name, p.dim) for p in problems)
     shape = (len(problems), len(solver_configs))
-    # pair i is (problems[i // n_solvers], solver_configs[i % n_solvers])
-    pair_problems = [p for p in problems for _ in solver_configs]
-    pair_configs = [cfg for _ in problems for cfg in solver_configs]
-    if parallelism == 1:
-        results = list(map(minimize, pair_problems, pair_configs))
-    else:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            results = list(pool.map(minimize, pair_problems, pair_configs))
-
     cells: dict[str, np.ndarray] = {m: np.full(shape, FAILED) for m in METRICS}
-    for i, (p, cfg, first) in enumerate(zip(pair_problems, pair_configs, results)):
+    runs = []
+    for i, j in np.ndindex(shape):
+        p, cfg = problems[i], solver_configs[j]
+        first = minimize(p, cfg)
+        runs.append(SuiteRun(labels[j], p.name, p.dim, first))
         if first.status is not Status.CONVERGED:
             continue
         times = [first.wall_time]
         times += [minimize(p, cfg).wall_time for _ in range(time_repeats - 1)]
-        cell = divmod(i, len(solver_configs))
-        cells["f_evals"][cell] = first.f_evals
-        cells["iters"][cell] = first.iters
-        cells["time"][cell] = max(statistics.median(times), 1.0e-9)
+        cells["f_evals"][i, j] = first.f_evals
+        cells["iters"][i, j] = first.iters
+        cells["time"][i, j] = max(statistics.median(times), 1.0e-9)
 
+    keys = tuple((p.name, p.dim) for p in problems)
     matrices = {
         m: CostMatrix(solvers=tuple(labels), problems=keys, costs=cells[m], metric=m)
         for m in METRICS
     }
-    runs = [
-        SuiteRun(solver=labels[i % len(labels)], problem=p.name, dim=p.dim, result=r)
-        for i, (p, r) in enumerate(zip(pair_problems, results))
-    ]
     return matrices, runs
 
 

@@ -124,7 +124,6 @@ def _add_output_options(p: argparse.ArgumentParser) -> None:
         default=None,
         help=f"artifact directory (default ${OUTPUT_DIR_ENV} or ./results)",
     )
-    p.add_argument("--parallelism", type=_int_at_least(1), default=1)
 
 
 def _add_problem_filter(p: argparse.ArgumentParser) -> None:
@@ -149,6 +148,12 @@ def _int_at_least(low: int):
         return value
 
     return convert
+
+
+def _serial(text: str) -> int:
+    if text != "1":
+        raise argparse.ArgumentTypeError(f"runs are serial; must be 1, got {text}")
+    return 1
 
 
 def _positive_float(text: str) -> float:
@@ -189,6 +194,9 @@ def _build_parser() -> _Parser:
         default=3,
         dest="time_repeats",
         help="runs per converged pair for the wall-time median",
+    )
+    p_suite.add_argument(
+        "--parallelism", type=_serial, default=1, help="must be 1: runs are serial"
     )
 
     p_sweep = sub.add_parser("sweep-tau", help="sweep the NEW update's tau")
@@ -345,7 +353,6 @@ def _run_grid(args, title, flag, labels, configs, time_repeats, write_artifacts)
     matrices, runs = run_suite(
         problems,
         configs,
-        parallelism=args.parallelism,
         time_repeats=time_repeats,
         labels=labels,
     )

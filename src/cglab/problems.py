@@ -244,11 +244,10 @@ def _check_point(name: str, shape: tuple[int], x: Vector) -> Vector:
 class CountingProblem:
     """Counter-charging view of a :class:`ProblemInstance`.
 
-    One wrapper per run; its counts ``f_evals`` and ``g_evals`` are not
-    thread-safe and are meant to be confined to a single solve.  Overflow
-    raises :class:`NonFiniteOutput`; numpy's error state is the caller's:
-    :func:`~cglab.solver.minimize` turns overflow and invalid warnings off,
-    a direct caller decides itself.
+    One wrapper per run, which its counts ``f_evals`` and ``g_evals``
+    belong to.  Overflow raises :class:`NonFiniteOutput`; numpy's error
+    state is the caller's: :func:`~cglab.solver.minimize` turns overflow
+    and invalid warnings off, a direct caller decides itself.
     """
 
     def __init__(self, instance: ProblemInstance):
@@ -432,7 +431,10 @@ def _term_values(p: ProblemInstance, x: Vector, up: Vector, down: Vector):
         for f, moved in ((f_up, up), (f_down, down)):
             y = x.copy()
             y[i] = moved[i]
-            f[i] = form.value(y)
+            v = form.value(y)
+            if np.shape(v):
+                raise DimensionMismatch(f"{p.name}: shape {np.shape(v)}, x_{i} moved")
+            f[i] = v
     return f_up, f_down
 
 

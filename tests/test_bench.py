@@ -6,9 +6,6 @@ small cases, and hypothesis covers the CDF/scale-invariance/dominance
 properties with randomized matrices containing failed cells.
 """
 
-import collections
-import threading
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -263,47 +260,33 @@ def test_run_suite_failed_cell_in_all_metrics():
         assert np.isinf(matrices[metric].costs[0, 0])
 
 
-def test_run_suite_parallelism_determinism():
-    problems = [build("TRIDIA", 50), build("WOODS", 100), build("POWER", 50)]
-    configs = [SolverConfig(), SolverConfig(method=MethodId.FR)]
-    m1, _ = run_suite(problems, configs, parallelism=1, time_repeats=1)
-    m4, _ = run_suite(problems, configs, parallelism=4, time_repeats=1)
-    assert np.array_equal(m1["f_evals"].costs, m4["f_evals"].costs)
-    assert np.array_equal(m1["iters"].costs, m4["iters"].costs)
-
-
-@pytest.mark.parametrize("parallelism", [1, 2])
-def test_run_suite_run_count(parallelism, monkeypatch):
-    # every pair runs once, and a converged pair time_repeats times in all,
-    # whatever the parallelism; repeats run on the calling thread
+@pytest.mark.parametrize("time_repeats", [1, 2])
+def test_run_suite_run_count(time_repeats, monkeypatch):
+    # pairs run in row-major order, each converged pair followed at once by
+    # its time_repeats - 1 repeats
     real = cglab.bench.minimize
-    runs_by_thread = collections.Counter()
-    lock = threading.Lock()
+    calls = []
 
     def recording(p, cfg):
-        main = threading.current_thread() is threading.main_thread()
-        with lock:
-            runs_by_thread[(p.key, cfg.method.value, main)] += 1
+        calls.append((p.key, cfg.method.value))
         return real(p, cfg)
 
     monkeypatch.setattr(cglab.bench, "minimize", recording)
     problems = [build("TRIDIA", 50), build("WOODS", 100)]
     configs = [SolverConfig(), SolverConfig(method=MethodId.FR, max_iters=1)]
-    _, runs = run_suite(problems, configs, parallelism=parallelism, time_repeats=3)
-    expected = collections.Counter()
-    for r in runs:
-        pair = (f"{r.problem}-{r.dim}", r.solver)
-        converged = r.result.status is Status.CONVERGED
-        expected[(*pair, parallelism == 1)] += 1
-        expected[(*pair, True)] += 2 if converged else 0
-    assert sum(r.result.status is Status.CONVERGED for r in runs) == 2
-    assert +runs_by_thread == +expected
+    _, runs = run_suite(problems, configs, time_repeats=time_repeats)
+    pairs = [(p.key, cfg.method.value) for p in problems for cfg in configs]
+    assert [(f"{r.problem}-{r.dim}", r.solver) for r in runs] == pairs
+    converged = [r.result.status is Status.CONVERGED for r in runs]
+    assert converged == [True, False, True, False]
+    expected = []
+    for pair, ok in zip(pairs, converged):
+        expected += [pair] * (time_repeats if ok else 1)
+    assert calls == expected
 
 
 def test_run_suite_validation():
     p = build("TRIDIA", 50)
-    with pytest.raises(ValueError):
-        run_suite([p], [SolverConfig()], parallelism=0)
     with pytest.raises(ValueError):
         run_suite([p], [SolverConfig()], time_repeats=0)
     with pytest.raises(ValueError):

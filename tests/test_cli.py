@@ -476,8 +476,7 @@ def test_sweep_tau_has_no_single_tau_flag(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("parallelism", ["1", "2"])
-def test_sweep_runs_each_cell_once(parallelism, tmp_path, capsys, monkeypatch):
+def test_sweep_runs_each_cell_once(tmp_path, capsys, monkeypatch):
     calls = []
     real = cglab.bench.minimize
 
@@ -487,7 +486,7 @@ def test_sweep_runs_each_cell_once(parallelism, tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cglab.bench, "minimize", counting)
     argv = ["sweep-tau", "--taus", "0.1,0.3", "--problems", "TRIDIA", "--max-dim", "100"]
-    argv += ["--parallelism", parallelism, "--output", str(tmp_path)]
+    argv += ["--output", str(tmp_path)]
     code, _, _ = run_cli(argv, capsys)
     assert code == 0
     keys = [p.key for p in catalog() if p.name == "TRIDIA" and p.dim <= 100]
@@ -498,8 +497,8 @@ def test_sweep_runs_each_cell_once(parallelism, tmp_path, capsys, monkeypatch):
     "command, flag, value",
     [
         ("suite", "--parallelism", "0"),
+        ("suite", "--parallelism", "2"),
         ("suite", "--time-repeats", "0"),
-        ("sweep-tau", "--time-repeats", "-2"),
         ("sweep-tau", "--taus", "1.5"),
         ("sweep-tau", "--taus", "nan"),
     ],
@@ -513,6 +512,7 @@ def test_grid_setting_out_of_range_exit_one(command, flag, value, tmp_path, caps
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and flag in err
+    assert flag != "--parallelism" or "runs are serial" in err
     assert not out_dir.exists()  # refused before anything ran
 
 

@@ -961,6 +961,16 @@ def test_term_path_refuses_mismatched_term_shapes():
     with pytest.raises(DimensionMismatch, match="2 sums and no outer"):
         fd_gradient(q, q.start)
 
+    # a shared coordinate's moved points are whole objective calls, which
+    # must give one value each, not two sums
+    def more_when_shared_moves(t, s):
+        return t * s if s == 1.0 else np.stack([t, t * s])
+
+    shared = ElementForm(more_when_shared_moves, 3, shared=(3,))
+    r = ProblemInstance("S", 4, np.ones(4), shared.value, np.zeros_like, shared)
+    with pytest.raises(DimensionMismatch, match=r"shape \(2,\), x_3 moved"):
+        fd_gradient(r, r.start)
+
 
 def test_numpy_dots_stacked_rows_like_np_dot():
     # The one place the numpy invariant behind the batches of POWER, VARDIM

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import ProblemInstance
+from .problems import ProblemInstance, _check_integer
 from .solver import RunResult, SolverConfig, Status, minimize
 
 __all__ = [
@@ -110,8 +110,7 @@ def run_suite(
     """
     if not problems or not solver_configs:
         raise EmptyMatrix("need at least one problem and one solver")
-    if time_repeats < 1:
-        raise ValueError(f"time_repeats must be >= 1, got {time_repeats}")
+    _check_integer("time_repeats", time_repeats, 1)
     if labels is None:
         labels = [cfg.method.value for cfg in solver_configs]
     if len(labels) != len(solver_configs):

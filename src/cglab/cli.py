@@ -21,7 +21,6 @@ import argparse
 import dataclasses
 import json
 import math
-import operator
 import os
 import sys
 from pathlib import Path
@@ -37,6 +36,7 @@ from .bench import (
 )
 from .directions import MethodId
 from .problems import (
+    _check_integer,
     _check_positive_finite,
     DimensionMismatch,
     ProblemInstance,
@@ -452,12 +452,7 @@ def run_gradient_check(
     neither may be a bool.  A non-finite error fails its instance; a
     gradient whose shape is not ``(dim,)`` raises :class:`DimensionMismatch`.
     """
-    try:  # numpy integers pass; floats, even 2.0, do not
-        index = operator.index(seed)
-    except TypeError:
-        index = -1
-    if index < 0 or isinstance(seed, (bool, np.bool_)):  # True is no seed
-        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    _check_integer("seed", seed, 0)
     _check_positive_finite("tol", tol)
     lines = []
     failures = []

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import Callable
 
 import numpy as np
@@ -231,6 +231,17 @@ def _check_positive_finite(name: str, value) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
+def _check_integer(name: str, value, low: int) -> None:
+    """Refuse with ``ValueError`` anything but an integer >= ``low``: numpy
+    integers pass; bools (True is no count) and floats, even 2.0, do not."""
+    try:
+        ok = not isinstance(value, (bool, np.bool_)) and index(value) >= low
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def _check_point(name: str, shape: tuple[int], x: Vector) -> Vector:
     x = np.asarray(x, dtype=float)
     if x.shape != shape:
@@ -245,9 +256,11 @@ class CountingProblem:
     """Counter-charging view of a :class:`ProblemInstance`.
 
     One wrapper per run, which its counts ``f_evals`` and ``g_evals``
-    belong to.  Overflow raises :class:`NonFiniteOutput`; numpy's error
-    state is the caller's: :func:`~cglab.solver.minimize` turns overflow
-    and invalid warnings off, a direct caller decides itself.
+    belong to.  :meth:`gradient` differentiates at the point of the last
+    :meth:`evaluate` that returned a value, so a point is checked once.
+    Overflow raises :class:`NonFiniteOutput`; numpy's error state is the
+    caller's: :func:`~cglab.solver.minimize` turns overflow and invalid
+    warnings off, a direct caller decides itself.
     """
 
     def __init__(self, instance: ProblemInstance):
@@ -259,6 +272,7 @@ class CountingProblem:
         self._shape = (instance.dim,)
         self._value_fn = instance.value_fn
         self._grad_fn = instance.grad_fn
+        self._x = None  # the last point evaluate returned a value for
 
     def evaluate(self, x: Vector) -> float:
         """f(x); charges exactly one objective evaluation."""
@@ -267,18 +281,24 @@ class CountingProblem:
         f = float(self._value_fn(x))
         if not math.isfinite(f):
             raise NonFiniteOutput(f"{self._name}: objective overflowed")
+        self._x = x
         return f
 
-    def gradient(self, x: Vector) -> Vector:
-        """grad f(x); charges exactly one gradient evaluation."""
-        x = _check_point(self._name, self._shape, x)
+    def gradient(self) -> tuple[Vector, float]:
+        """``(g, g'g)`` at that point; charges exactly one gradient
+        evaluation.  A finite g whose g'g overflows gives ``g'g = inf``; a
+        NaN or infinite entry raises :class:`NonFiniteOutput`."""
+        if self._x is None:
+            raise RuntimeError(f"{self._name}: gradient() before any evaluate()")
         self.g_evals += 1
-        g = np.asarray(self._grad_fn(x), dtype=float)
+        g = np.asarray(self._grad_fn(self._x), dtype=float)
         if g.shape != self._shape:
             raise DimensionMismatch(f"{self._name}: gradient has shape {g.shape}")
-        if np.count_nonzero(np.isfinite(g)) != g.size:
+        gg = float(g.dot(g))
+        # a finite g'g means finite entries, so only a non-finite one is looked into
+        if not math.isfinite(gg) and np.count_nonzero(np.isfinite(g)) != g.size:
             raise NonFiniteOutput(f"{self._name}: gradient overflowed")
-        return g
+        return g, gg
 
 
 _CBRT_EPS = float(np.finfo(float).eps) ** (1.0 / 3.0)

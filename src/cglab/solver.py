@@ -9,7 +9,6 @@ descent-cone and steplength bounds the NEW update is designed to satisfy.
 from __future__ import annotations
 
 import math
-import operator
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -19,7 +18,7 @@ import numpy as np
 
 from .directions import MethodId, direction
 from .linesearch import NotDescent, StepFloorReached, armijo_backtrack, initial_step
-from .problems import CountingProblem, NonFiniteOutput, ProblemInstance
+from .problems import CountingProblem, NonFiniteOutput, ProblemInstance, _check_integer
 
 __all__ = [
     "IterationRecord",
@@ -91,14 +90,7 @@ class SolverConfig:
                 raise ValueError(f"{name} must be a number, got {value!r}") from None
             if not ok:
                 raise ValueError(f"{name} must be {what}, got {value}")
-        try:  # numpy integers pass; floats, even 4000.0, NaN and inf do not
-            max_iters = operator.index(self.max_iters)
-        except TypeError:
-            max_iters = None
-        if max_iters is None or isinstance(self.max_iters, bool):  # True is no count
-            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
-        if max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+        _check_integer("max_iters", self.max_iters, 1)
 
 
 @dataclass(frozen=True)
@@ -174,18 +166,14 @@ def minimize(p: ProblemInstance, cfg: SolverConfig) -> RunResult:
     x = np.array(p.start, dtype=float)
     try:
         f = cp.evaluate(x)
-        g = cp.gradient(x)
+        g, gg = cp.gradient()
     except NonFiniteOutput:
         return _result(Status.NUMERICAL_FAILURE, 0, np.nan, np.nan)
 
-    gg = float(g.dot(g))
     gnorm = math.sqrt(gg)  # the same bits as numpy's linalg.norm
     threshold = cfg.eps_scale * gnorm
     method, tau, hz_eta, guard = cfg.method, cfg.tau, cfg.hz_eta, cfg.bb_guard
-    gg_prev = None
-    d_prev = None
-    s_prev = None
-    y_prev = None
+    gg_prev = d_prev = s_prev = y_prev = None
     k = 0
 
     while True:
@@ -227,15 +215,13 @@ def minimize(p: ProblemInstance, cfg: SolverConfig) -> RunResult:
             )
 
         f = f_new
-        g_prev = g
+        g_prev, gg_prev = g, gg
         try:
-            g = cp.gradient(x)
+            g, gg = cp.gradient()
         except NonFiniteOutput:
             return _result(Status.NUMERICAL_FAILURE, k + 1, f, np.nan)
         y_prev = g - g_prev
         d_prev = d
-        gg_prev = gg
-        gg = float(g.dot(g))
         gnorm = math.sqrt(gg)
         k += 1
 

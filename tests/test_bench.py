@@ -260,7 +260,7 @@ def test_run_suite_failed_cell_in_all_metrics():
         assert np.isinf(matrices[metric].costs[0, 0])
 
 
-@pytest.mark.parametrize("time_repeats", [1, 2])
+@pytest.mark.parametrize("time_repeats", [1, 2, np.int64(2)])  # numpy integers count
 def test_run_suite_run_count(time_repeats, monkeypatch):
     # pairs run in row-major order, each converged pair followed at once by
     # its time_repeats - 1 repeats
@@ -287,8 +287,10 @@ def test_run_suite_run_count(time_repeats, monkeypatch):
 
 def test_run_suite_validation():
     p = build("TRIDIA", 50)
-    with pytest.raises(ValueError):
-        run_suite([p], [SolverConfig()], time_repeats=0)
+    # True would run one repeat and 2.5 fail inside range; a count is an integer
+    for bad in (0, -1, True, np.True_, 2.5, 2.0, "3", None):
+        with pytest.raises(ValueError, match="time_repeats must be an integer >= 1"):
+            run_suite([p], [SolverConfig()], time_repeats=bad)
     with pytest.raises(ValueError):
         run_suite([p], [SolverConfig(), SolverConfig()], labels=["X", "X"])
     with pytest.raises(ValueError):

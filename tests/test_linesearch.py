@@ -96,7 +96,7 @@ def lying_gradient_instance():
 def test_step_floor_reached_on_false_descent():
     p = CountingProblem(lying_gradient_instance())
     x = np.array([0.0])
-    g = p.gradient(x)
+    g = p.instance.grad_fn(x)
     d = -g
     with pytest.raises(StepFloorReached):
         armijo_backtrack(p, x, 1.0, float(np.dot(d, g)), d, 1.0, CFG)

@@ -389,7 +389,7 @@ def test_counting_problem_counts():
     x = cp.instance.start
     for _ in range(3):
         cp.evaluate(x)
-    cp.gradient(x)
+    cp.gradient()
     assert cp.f_evals == 3
     assert cp.g_evals == 1
 
@@ -403,7 +403,70 @@ def test_counting_problem_validation():
     bad = np.ones(10)
     bad[3] = np.inf
     with pytest.raises(NonFiniteInput):
-        cp.gradient(bad)
+        cp.evaluate(bad)
+    assert cp.f_evals == 0  # refused before charging
+
+
+def test_gradient_before_any_value_raises():
+    cp = CountingProblem(build("TRIDIA", 10))
+    with pytest.raises(RuntimeError, match="before any evaluate"):
+        cp.gradient()
+    with pytest.raises(NonFiniteInput):
+        cp.evaluate(np.full(10, np.inf))
+    with pytest.raises(RuntimeError, match="before any evaluate"):
+        cp.gradient()  # a refused point is no point to differentiate at
+    assert (cp.f_evals, cp.g_evals) == (0, 0)
+
+
+def test_gradient_is_taken_at_the_last_accepted_point():
+    p = build("SROSENBR", 10)
+    cp = CountingProblem(p)
+    x = np.linspace(-1.0, 1.0, 10)
+    cp.evaluate(x)
+    with pytest.raises(NonFiniteInput):
+        cp.evaluate(np.full(10, np.inf))
+    with pytest.warns(RuntimeWarning), pytest.raises(NonFiniteOutput):
+        cp.evaluate(np.full(10, 1e200))
+    g, gg = cp.gradient()
+    assert g.tobytes() == p.grad_fn(x).tobytes()
+    assert gg == float(g.dot(g))  # the bits of g'g, not of a norm squared
+    assert (cp.f_evals, cp.g_evals) == (2, 1)
+    y = x + 0.5
+    cp.evaluate(y)
+    assert cp.gradient()[0].tobytes() == p.grad_fn(y).tobytes()
+
+
+def _constant_gradient_instance(g):
+    return ProblemInstance(
+        name="CONSTG",
+        dim=g.size,
+        start=np.zeros(g.size),
+        value_fn=lambda x: 0.0,
+        grad_fn=lambda x: g.copy(),
+    )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_gradient_refuses_a_non_finite_entry(bad):
+    g = np.ones(5)
+    g[2] = bad
+    cp = CountingProblem(_constant_gradient_instance(g))
+    cp.evaluate(np.zeros(5))
+    with pytest.raises(NonFiniteOutput, match="gradient overflowed"):
+        cp.gradient()
+    assert cp.g_evals == 1
+
+
+def test_gradient_returns_an_overflowing_square_as_inf():
+    # every entry is finite but g'g = 4e400 is not: that is minimize's
+    # NumericalFailure on an infinite norm, not a refused gradient
+    g = np.array([1e200, -2e200, 3.0])
+    cp = CountingProblem(_constant_gradient_instance(g))
+    cp.evaluate(np.zeros(3))
+    with pytest.warns(RuntimeWarning):  # numpy's error state is the caller's
+        got, gg = cp.gradient()
+    assert gg == math.inf
+    assert got.tobytes() == g.tobytes()
 
 
 def test_counting_problem_charges_overflowing_trials():
@@ -561,22 +624,58 @@ def test_element_form_families():
     assert shared == SHARED_FAMILIES
 
 
+def leaf_edges(w, lo=0):
+    """The first and last entry of each leaf of numpy's pairwise sum over
+    entries ``lo .. lo + w - 1``."""
+    if w <= _PAIRWISE_LEAF:
+        return [lo, lo + w - 1]
+    mid = _pairwise_split(w)
+    return leaf_edges(mid, lo) + leaf_edges(w - mid, lo + mid)
+
+
+def sample_coordinates(p):
+    """Both ends, every 13th coordinate (13 is prime to numpy's 8-way
+    unrolled leaf loop), the shared coordinates, and every coordinate that
+    a term at an edge of one of the summation tree's leaves reads."""
+    form = p.elements
+    edges = leaf_edges(form.terms)
+    read = {o + form.stride * j for o in form.offsets for j in edges}
+    return sorted({*range(0, p.dim, 13), p.dim - 1, *read, *form.shared})
+
+
+def sampled_block_fd(p, x, coords):
+    """fd_gradient's block path at ``coords`` alone: one value_fn call on the
+    C-ordered block of the rows ``x + h_i e_i``, then ``x - h_i e_i``."""
+    m = len(coords)
+    steps = CBRT_EPS * (1.0 + np.abs(x[coords]))
+    block = np.tile(x, (2 * m, 1))
+    block[np.arange(m), coords] = x[coords] + steps
+    block[np.arange(m, 2 * m), coords] = x[coords] - steps
+    f = p.value_fn(block)
+    return (f[:m] - f[m:]) / (2.0 * steps)
+
+
 @pytest.mark.parametrize("name,dim", ELEMENT_KEYS)
 def test_term_path_matches_block_path(name, dim):
+    # the block path at a sample of coordinates: the full one is a (2n, n)
+    # evaluation per point, 1.5 s a case at n = 1000.  Every coordinate of
+    # the term path is pinned by test_fd_gradient_matches_coordinate_loop,
+    # and every block row by test_value_fn_batch_matches_rows.
     p = build(name, dim)
-    block = dataclasses.replace(p, elements=None)
+    coords = sample_coordinates(p)
     rng = np.random.default_rng([23, dim, *name.encode()])
     for x in [p.start] + [rng.uniform(-3.0, 3.0, dim) for _ in range(3)]:
-        assert fd_gradient(p, x).tobytes() == fd_gradient(block, x).tobytes()
+        got = fd_gradient(p, x)[coords]
+        assert got.tobytes() == sampled_block_fd(p, x, coords).tobytes()
     # a coordinate whose terms overflow: every perturbed value is inf or NaN
     for i in (dim // 2, *p.elements.shared):
         x = p.start.copy()
         x[i] = 1e200
         with np.errstate(over="ignore", invalid="ignore"):
             assert not np.isfinite(p.value_fn(x))
-            for q in (p, block):
-                with pytest.raises(NonFiniteOutput):
-                    fd_gradient(q, x)
+            assert not np.isfinite(sampled_block_fd(p, x, coords)).any()
+            with pytest.raises(NonFiniteOutput):
+                fd_gradient(p, x)
 
 
 @pytest.mark.parametrize("name,dim", ELEMENT_KEYS)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import ProblemInstance, _check_integer
+from .problems import ProblemInstance, _check_scalar
 from .solver import RunResult, SolverConfig, Status, minimize
 
 __all__ = [
@@ -110,7 +110,7 @@ def run_suite(
     """
     if not problems or not solver_configs:
         raise EmptyMatrix("need at least one problem and one solver")
-    _check_integer("time_repeats", time_repeats, 1)
+    _check_scalar("time_repeats", time_repeats, 1)
     if labels is None:
         labels = [cfg.method.value for cfg in solver_configs]
     if len(labels) != len(solver_configs):

@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -36,8 +35,7 @@ from .bench import (
 )
 from .directions import MethodId
 from .problems import (
-    _check_integer,
-    _check_positive_finite,
+    _check_scalar,
     DimensionMismatch,
     ProblemInstance,
     catalog,
@@ -137,15 +135,20 @@ def _add_problem_filter(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-dim", type=int, default=None, dest="max_dim")
 
 
-def _int_at_least(low: int):
-    def convert(text: str) -> int:
+def _checked(name: str, parse, *bounds):
+    """argparse type: the text parsed by ``parse`` (``int`` or ``float``), then
+    checked by ``_check_scalar(name, value, *bounds)``; text that does not
+    parse reaches the check as a string and is refused as no number."""
+
+    def convert(text: str):
         try:
-            value = int(text)
+            value = parse(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
-        return value
+            value = text
+        try:
+            return _check_scalar(name, value, *bounds)
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
 
     return convert
 
@@ -154,16 +157,6 @@ def _serial(text: str) -> int:
     if text != "1":
         raise argparse.ArgumentTypeError(f"runs are serial; must be 1, got {text}")
     return 1
-
-
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
-    return value
 
 
 def _build_parser() -> _Parser:
@@ -190,7 +183,7 @@ def _build_parser() -> _Parser:
     _add_output_options(p_suite)
     p_suite.add_argument(
         "--time-repeats",
-        type=_int_at_least(1),
+        type=_checked("time_repeats", int, 1),
         default=3,
         dest="time_repeats",
         help="runs per converged pair for the wall-time median",
@@ -213,8 +206,8 @@ def _build_parser() -> _Parser:
         "check-gradients", help="compare analytic gradients with finite differences"
     )
     p_check.add_argument("--problems", default=None, metavar="GLOB")
-    p_check.add_argument("--seed", type=_int_at_least(0), default=0)
-    p_check.add_argument("--tol", type=_positive_float, default=1.0e-6)
+    p_check.add_argument("--seed", type=_checked("seed", int, 0), default=0)
+    p_check.add_argument("--tol", type=_checked("tol", float), default=1.0e-6)
 
     sub.add_parser("list-problems", help="print the catalog as NAME<TAB>DIM")
     return parser
@@ -452,8 +445,8 @@ def run_gradient_check(
     neither may be a bool.  A non-finite error fails its instance; a
     gradient whose shape is not ``(dim,)`` raises :class:`DimensionMismatch`.
     """
-    _check_integer("seed", seed, 0)
-    _check_positive_finite("tol", tol)
+    _check_scalar("seed", seed, 0)
+    _check_scalar("tol", tol)
     lines = []
     failures = []
     for p in instances:

@@ -17,6 +17,7 @@ from .problems import (
     NonFiniteInput,
     NonFiniteOutput,
     Vector,
+    _check_scalar,
 )
 
 if TYPE_CHECKING:  # solver imports this module
@@ -84,6 +85,7 @@ def armijo_backtrack(
     """Largest step in ``{alpha_bar * rho**i}`` with sufficient decrease.
 
     ``dg`` is the slope d'g at ``x``, computed by the caller along with ``d``;
+    ``alpha_bar`` is a positive finite number (not a bool), else ``ValueError``;
     ``cfg`` supplies rho, c1 and the step floor, range-checked when it was
     built, so the loop always ends.  Every trial at a finite point charges
     one objective evaluation to ``problem``.  Trial points whose objective
@@ -96,8 +98,7 @@ def armijo_backtrack(
     """
     if not math.isfinite(dg) or dg >= 0.0:
         raise NotDescent(f"d'g = {dg}, need a strict descent direction")
-    if alpha_bar <= 0.0 or not math.isfinite(alpha_bar):
-        raise ValueError(f"alpha_bar must be positive and finite, got {alpha_bar}")
+    _check_scalar("alpha_bar", alpha_bar)
 
     evaluate = problem.evaluate
     rho, c1, floor = cfg.rho, cfg.c1, cfg.step_floor

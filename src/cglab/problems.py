@@ -221,25 +221,35 @@ def _getter(*keys):
     return lambda x: ()
 
 
-def _check_positive_finite(name: str, value) -> None:
-    """Refuse with ``ValueError`` anything but a positive finite number."""
-    try:  # written so that NaN fails it too; True compares as 1.0 but is no number
-        ok = not isinstance(value, (bool, np.bool_)) and 0.0 < value < math.inf
-    except TypeError:  # a string or None does not compare with floats
-        ok = False
-    if not ok:
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+def _check_scalar(name: str, value, low=0.0, high=math.inf, *, closed=False):
+    """Return ``value`` if it is a number in range, else raise ``ValueError``
+    naming ``name``.  The one owner of every scalar argument check.
 
-
-def _check_integer(name: str, value, low: int) -> None:
-    """Refuse with ``ValueError`` anything but an integer >= ``low``: numpy
-    integers pass; bools (True is no count) and floats, even 2.0, do not."""
+    An int ``low`` asks for a count, an integer >= ``low``: numpy integers
+    pass, floats (even 2.0) do not.  A float ``low`` asks for a number in
+    ``(low, high)``, or ``[low, high)`` if ``closed``; NaN is in no range.
+    A bool is refused either way: True compares as 1 but is no number.
+    """
+    count = isinstance(low, int)
+    number = not isinstance(value, (bool, np.bool_))
     try:
-        ok = not isinstance(value, (bool, np.bool_)) and index(value) >= low
-    except TypeError:
-        ok = False
-    if not ok:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        if count:
+            ok = number and index(value) >= low
+        else:
+            ok = number and (low <= value if closed else low < value) and value < high
+    except TypeError:  # a string or None; for a count, a float too
+        ok = number = False
+    if ok:
+        return value
+    if count:
+        what = f"an integer >= {low}"
+    elif not number:
+        what = "a number"
+    elif (low, high, closed) == (0.0, math.inf, False):
+        what = "positive and finite"
+    else:
+        what = f"in {'[' if closed else '('}{low:g}, {high:g})"
+    raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
 def _check_point(name: str, shape: tuple[int], x: Vector) -> Vector:
@@ -365,7 +375,7 @@ def fd_gradient(p: ProblemInstance, x: Vector, h: float = _CBRT_EPS) -> Vector:
     shared coordinate may move every term and ``outer``'s value too, so its
     two points are instead two 1-D calls of the form's ``value``.
     """
-    _check_positive_finite("h", h)
+    _check_scalar("h", h)
     x = _check_point(p.name, (p.dim,), x)
     steps = h * (1.0 + np.abs(x))
     up, down = x + steps, x - steps

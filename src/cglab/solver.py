@@ -18,7 +18,7 @@ import numpy as np
 
 from .directions import MethodId, direction
 from .linesearch import NotDescent, StepFloorReached, armijo_backtrack, initial_step
-from .problems import CountingProblem, NonFiniteOutput, ProblemInstance, _check_integer
+from .problems import CountingProblem, NonFiniteOutput, ProblemInstance, _check_scalar
 
 __all__ = [
     "IterationRecord",
@@ -40,19 +40,6 @@ class Status(str, Enum):
     NUMERICAL_FAILURE = "NumericalFailure"
 
 
-# (field, range test, range text) of SolverConfig's float settings; each test
-# is written so that NaN fails it too
-_FLOAT_RANGES = (
-    ("tau", lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
-    ("rho", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
-    ("c1", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
-    *(
-        (name, lambda v: 0.0 < v < math.inf, "positive and finite")
-        for name in ("eps_scale", "step_floor", "bb_guard", "hz_eta")
-    ),
-)
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Run parameters.  Defaults are the benchmarking protocol values:
@@ -65,6 +52,8 @@ class SolverConfig:
     the sweep grid uses it as its baseline point.  ``step_floor`` is an
     absolute cutoff: a trial step below it aborts the line search and the
     run; eps/10 is small enough that a healthy search never sees it.
+    A bool, a non-number or a value out of range in a numeric setting, and
+    anything but a bool in ``record_trace``, is a ``ValueError`` naming it.
     """
 
     method: MethodId = MethodId.NEW
@@ -80,17 +69,14 @@ class SolverConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "method", MethodId(self.method))
-        for name, valid, what in _FLOAT_RANGES:
-            value = getattr(self, name)
-            if isinstance(value, (bool, np.bool_)):  # True compares as 1.0
-                raise ValueError(f"{name} must be a number, got {value!r}")
-            try:
-                ok = valid(value)
-            except TypeError:  # a string or None does not compare with floats
-                raise ValueError(f"{name} must be a number, got {value!r}") from None
-            if not ok:
-                raise ValueError(f"{name} must be {what}, got {value}")
-        _check_integer("max_iters", self.max_iters, 1)
+        _check_scalar("tau", self.tau, 0.0, 1.0, closed=True)
+        _check_scalar("rho", self.rho, 0.0, 1.0)
+        _check_scalar("c1", self.c1, 0.0, 1.0)
+        for name in ("eps_scale", "step_floor", "bb_guard", "hz_eta"):
+            _check_scalar(name, getattr(self, name))
+        _check_scalar("max_iters", self.max_iters, 1)
+        if not isinstance(self.record_trace, bool):
+            raise ValueError(f"record_trace must be a bool, got {self.record_trace!r}")
 
 
 @dataclass(frozen=True)
@@ -268,7 +254,7 @@ def theory_report(
     NEW update); ``max_dirnorm_ratio`` is max of ||d|| / ||g|| (<= 1 + tau).
     The partial sums of ||g||^4 / ||d||^2 track the summability condition
     behind the convergence proof.  With a Lipschitz constant ``L`` supplied
-    (positive and finite, else ``ValueError``), ``lemma1_ok`` brute-force
+    (a positive finite number, else ``ValueError``), ``lemma1_ok`` brute-force
     checks the per-iteration steplength floor
     alpha_k >= min{alpha_bar_k (1-tau)^2, rho (1-c1)(1-tau)/L} g^2/d^2.
     For a quadratic 0.5 x'Ax, L is ``np.linalg.eigvalsh(A)[-1]``.  A trace
@@ -289,8 +275,7 @@ def theory_report(
 
     lemma1_ok = None
     if L is not None:
-        if not 0.0 < L < math.inf:  # written so that NaN fails it too
-            raise ValueError(f"L must be positive and finite, got {L}")
+        _check_scalar("L", L)
         lemma1_ok = True
         one_minus_tau = 1.0 - cfg.tau
         for r in trace:

@@ -499,19 +499,28 @@ def test_sweep_runs_each_cell_once(tmp_path, capsys, monkeypatch):
         ("suite", "--parallelism", "0"),
         ("suite", "--parallelism", "2"),
         ("suite", "--time-repeats", "0"),
+        ("suite", "--time-repeats", "x"),
         ("sweep-tau", "--taus", "1.5"),
         ("sweep-tau", "--taus", "nan"),
+        pytest.param(
+            "suite", "--config", '{"max_iters": 0}', id="suite---config-max_iters-0"
+        ),
     ],
 )
 def test_grid_setting_out_of_range_exit_one(command, flag, value, tmp_path, capsys):
     out_dir = tmp_path / "out"
+    named = flag
+    if flag == "--config":  # value is the file's JSON, and the error names its key
+        config = tmp_path / "config.json"
+        config.write_text(value)
+        value, named = str(config), next(iter(json.loads(value)))
     code, out, err = run_cli(
         [command, "--problems", "TRIDIA", "--output", str(out_dir), flag, value],
         capsys,
     )
     assert code == 1
     assert out == ""
-    assert err.startswith("error:") and flag in err
+    assert err.startswith("error:") and named in err
     assert flag != "--parallelism" or "runs are serial" in err
     assert not out_dir.exists()  # refused before anything ran
 
@@ -542,7 +551,7 @@ def test_check_gradients_empty_filter(capsys):
     assert "no catalog problems" in err
 
 
-@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf", "abc"])
 def test_check_gradients_rejects_bad_tol(tol, capsys):
     code, out, err = run_cli(
         ["check-gradients", "--problems", "TRIDIA", f"--tol={tol}"], capsys
@@ -553,12 +562,14 @@ def test_check_gradients_rejects_bad_tol(tol, capsys):
 
 
 def test_check_gradients_rejects_negative_seed(capsys):
-    code, out, err = run_cli(
-        ["check-gradients", "--problems", "TRIDIA", "--seed", "-1"], capsys
-    )
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error:") and "--seed" in err
+    # a seed is a count: 1.5 is refused at parse time like -1
+    for seed in ("-1", "1.5"):
+        code, out, err = run_cli(
+            ["check-gradients", "--problems", "TRIDIA", "--seed", seed], capsys
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "--seed" in err
 
 
 def test_check_gradients_detects_wrong_gradient(capsys, monkeypatch):

@@ -71,9 +71,11 @@ def test_rejects_non_descent_direction():
 def test_bad_alpha_bar_rejected():
     p = CountingProblem(one_d_parabola())
     x = np.array([1.0])
-    for bad in (0.0, -1.0, np.inf, np.nan):
-        with pytest.raises(ValueError):
+    # True compares as 1.0 but is no step; a string does not compare at all
+    for bad in (0.0, -1.0, np.inf, np.nan, True, np.True_, "1.0", None):
+        with pytest.raises(ValueError, match="^alpha_bar must be"):
             armijo_backtrack(p, x, 1.0, -4.0, np.array([-2.0]), bad, CFG)
+    assert p.f_evals == 0
 
 
 def lying_gradient_instance():

@@ -88,6 +88,10 @@ def test_config_validation():
     for flag in (True, False):
         with pytest.raises(ValueError, match="max_iters must be an integer"):
             SolverConfig(max_iters=flag)
+    # "no" is truthy and would record a trace; only a bool says whether to
+    for bad in ("no", "", 0, 1, None, np.True_):
+        with pytest.raises(ValueError, match="^record_trace must be a bool"):
+            SolverConfig(record_trace=bad)
 
 
 def test_identity_quadratic_one_step():
@@ -358,6 +362,10 @@ def test_theory_report_rejects_non_finite_lipschitz_constant():
     r = minimize(quadratic_instance(np.diag(np.arange(1.0, 6.0))), cfg)
     for bad in (np.inf, np.nan):
         with pytest.raises(ValueError, match="L must be positive and finite"):
+            theory_report(r.trace, cfg, L=bad)
+    # True would run as L = 1.0 and a string would fail inside the floor
+    for bad in (True, np.True_, "2"):
+        with pytest.raises(ValueError, match="^L must be a number"):
             theory_report(r.trace, cfg, L=bad)
 
 

@@ -131,8 +131,8 @@ def _add_problem_filter(p: argparse.ArgumentParser) -> None:
         metavar="GLOB",
         help="catalog name filter; default is the 20-problem desk suite",
     )
-    p.add_argument("--min-dim", type=int, default=None, dest="min_dim")
-    p.add_argument("--max-dim", type=int, default=None, dest="max_dim")
+    p.add_argument("--min-dim", type=_checked("min_dim", int, 1), dest="min_dim")
+    p.add_argument("--max-dim", type=_checked("max_dim", int, 1), dest="max_dim")
 
 
 def _checked(name: str, parse, *bounds):
@@ -165,7 +165,7 @@ def _build_parser() -> _Parser:
 
     p_solve = sub.add_parser("solve", help="run one solver on one problem")
     p_solve.add_argument("--problem", required=True, help="catalog name (glob allowed)")
-    p_solve.add_argument("--dim", type=int, default=None)
+    p_solve.add_argument("--dim", type=_checked("dim", int, 1))
     p_solve.add_argument("--method", choices=[m.value for m in MethodId])
     p_solve.add_argument(
         "--trace", action="store_true", help="include the iteration trace in the JSON"

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 from operator import index, itemgetter
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -164,8 +164,9 @@ class ProblemInstance:
     C-ordered ``(..., n)`` array it returns the ``(...)`` array of values,
     and each entry has the same bits as the 1-D call on that row
     (:func:`fd_gradient` relies on this; a Fortran-ordered batch sums in
-    another order).  ``grad_fn`` takes one point.  Instances are immutable
-    and safe to share.
+    another order).  ``grad_fn`` takes one point.  ``dim`` is an integer
+    >= 1 (a ``ValueError`` names it otherwise) and ``start`` has shape
+    ``(dim,)``.  Instances are immutable and safe to share.
 
     ``elements``, if given, is the objective's :class:`ElementForm`, and
     :func:`fd_gradient` evaluates through it instead of ``value_fn``.  Its
@@ -182,9 +183,8 @@ class ProblemInstance:
     elements: ElementForm | None = None
 
     def __post_init__(self):
+        _check_scalar(f"{self.name} dim", self.dim, 1)
         start = np.array(self.start, dtype=float)
-        if self.dim < 1:
-            raise DimensionMismatch(f"dim must be >= 1, got {self.dim}")
         if start.shape != (self.dim,):
             raise DimensionMismatch(
                 f"{self.name}: start has shape {start.shape}, expected ({self.dim},)"
@@ -228,10 +228,14 @@ def _check_scalar(name: str, value, low=0.0, high=math.inf, *, closed=False):
     An int ``low`` asks for a count, an integer >= ``low``: numpy integers
     pass, floats (even 2.0) do not.  A float ``low`` asks for a number in
     ``(low, high)``, or ``[low, high)`` if ``closed``; NaN is in no range.
-    A bool is refused either way: True compares as 1 but is no number.
+    A bool is refused either way: True compares as 1 but is no number.  So
+    is an array of one or more dimensions, which compares entry by entry; a
+    0-d array passes.
     """
     count = isinstance(low, int)
-    number = not isinstance(value, (bool, np.bool_))
+    # getattr is np.ndim for every value the tests below can accept, at a
+    # twentieth of its cost on a float; alpha_bar is checked every iteration
+    number = not isinstance(value, (bool, np.bool_)) and getattr(value, "ndim", 0) == 0
     try:
         if count:
             ok = number and index(value) >= low
@@ -534,7 +538,8 @@ def _scalar_pow(t, k: int):
 # ---------------------------------------------------------------------------
 # Problem definitions.  Each builder returns (value_fn, grad_fn, start) for a
 # given dimension, or (ElementForm, grad_fn, start); the comment records the
-# algebraic form and standard start.
+# algebraic form and standard start.  A builder gets only a legal n: build
+# checks it against the family's _CATALOG entry first.
 # ---------------------------------------------------------------------------
 
 
@@ -547,8 +552,6 @@ def _srosenbr(n: int):
     # Extended Rosenbrock, separable pairs:
     #   f = sum_j 100 (x_{2j} - x_{2j-1}^2)^2 + (1 - x_{2j-1})^2
     # start (-1.2, 1, -1.2, 1, ...)
-    if n < 2 or n % 2:
-        raise ValueError("SROSENBR needs even n >= 2")
 
     def elem(o, e):
         return 100.0 * (e - o**2) ** 2 + (1.0 - o) ** 2
@@ -570,8 +573,6 @@ def _woods(n: int):
     #   f = sum 100(b - a^2)^2 + (1-a)^2 + 90(d - c^2)^2 + (1-c)^2
     #       + 10(b + d - 2)^2 + 0.1(b - d)^2
     # start (-3, -1, -3, -1, ...)
-    if n < 4 or n % 4:
-        raise ValueError("WOODS needs n divisible by 4")
 
     def elem(a, b, c, d):
         return (
@@ -604,8 +605,6 @@ def _powellsg(n: int):
     # Extended Powell singular, quadruples (a, b, c, d):
     #   f = sum (a + 10b)^2 + 5(c - d)^2 + (b - 2c)^4 + 10(a - d)^4
     # start (3, -1, 0, 1, ...)
-    if n < 4 or n % 4:
-        raise ValueError("POWELLSG needs n divisible by 4")
 
     def elem(a, b, c, d):
         return (
@@ -635,8 +634,6 @@ def _powellsg(n: int):
 def _tridia(n: int):
     # TRIDIA (alpha=2, beta=gamma=delta=1):
     #   f = (x_1 - 1)^2 + sum_{i=2..n} i (2 x_i - x_{i-1})^2,  start all 1
-    if n < 2:
-        raise ValueError("TRIDIA needs n >= 2")
     w = np.arange(2.0, n + 1.0)
 
     def elem(u, y, _x1):
@@ -660,8 +657,6 @@ def _tridia(n: int):
 def _dqdrtic(n: int):
     # DQDRTIC: f = sum_{i=1..n-2} x_i^2 + 100 x_{i+1}^2 + 100 x_{i+2}^2,
     # start all 3
-    if n < 3:
-        raise ValueError("DQDRTIC needs n >= 3")
     c = np.zeros(n)
     c[: n - 2] += 1.0
     c[1 : n - 1] += 100.0
@@ -679,8 +674,6 @@ def _dqdrtic(n: int):
 def _dixon3dq(n: int):
     # DIXON3DQ: f = (x_1 - 1)^2 + sum_{i=1..n-1}(x_i - x_{i+1})^2 + (x_n - 1)^2,
     # start all -1
-    if n < 2:
-        raise ValueError("DIXON3DQ needs n >= 2")
 
     def elem(u, y, _x1, _xn):
         return (u - y) ** 2
@@ -703,8 +696,6 @@ def _dixon3dq(n: int):
 
 def _arwhead(n: int):
     # ARWHEAD: f = sum_{i=1..n-1} (x_i^2 + x_n^2)^2 - 4 x_i + 3, start all 1
-    if n < 2:
-        raise ValueError("ARWHEAD needs n >= 2")
 
     def elem(u, xn):
         h = u**2 + _scalar_pow(xn, 2)
@@ -738,8 +729,6 @@ def _liarwhd(n: int):
 def _nondia(n: int):
     # NONDIA (Shanno-78): f = (x_1 - 1)^2 + sum_{i=2..n} 100 (x_1 - x_{i-1}^2)^2,
     # start all -1
-    if n < 2:
-        raise ValueError("NONDIA needs n >= 2")
 
     def elem(u, x1):
         return (x1 - u**2) ** 2
@@ -757,8 +746,6 @@ def _nondia(n: int):
 
 def _engval1(n: int):
     # ENGVAL1: f = sum_{i=1..n-1} (x_i^2 + x_{i+1}^2)^2 - 4 x_i + 3, start all 2
-    if n < 2:
-        raise ValueError("ENGVAL1 needs n >= 2")
 
     def elem(u, y):
         h = u**2 + y**2
@@ -778,8 +765,6 @@ def _freuroth(n: int):
     # Extended Freudenstein & Roth:
     #   r1_i = x_i - 13 + ((5 - y) y - 2) y,  r2_i = x_i - 29 + ((y + 1) y - 14) y
     # with y = x_{i+1}; f = sum r1^2 + r2^2; start (0.5, -2, 0, ..., 0)
-    if n < 2:
-        raise ValueError("FREUROTH needs n >= 2")
 
     def _residuals(u, y):
         r1 = u - 13.0 + ((5.0 - y) * y - 2.0) * y
@@ -809,8 +794,6 @@ def _freuroth(n: int):
 def _extrosnb(n: int):
     # Extended Rosenbrock, nonseparable (chained):
     #   f = (x_1 - 1)^2 + sum_{i=2..n} 100 (x_i - x_{i-1}^2)^2, start all -1
-    if n < 2:
-        raise ValueError("EXTROSNB needs n >= 2")
 
     def elem(u, y, _x1):
         return (y - u**2) ** 2
@@ -831,8 +814,6 @@ def _extrosnb(n: int):
 
 def _cosine(n: int):
     # COSINE: f = sum_{i=1..n-1} cos(x_i^2 - 0.5 x_{i+1}), start all 1
-    if n < 2:
-        raise ValueError("COSINE needs n >= 2")
 
     def elem(u, y):
         return np.cos(u**2 - 0.5 * y)
@@ -850,8 +831,6 @@ def _cosine(n: int):
 def _edensch(n: int):
     # EDENSCH: f = 16 + sum_{i=1..n-1} (x_i - 2)^4 + (x_i x_{i+1} - 2 x_{i+1})^2
     #                        + (x_{i+1} + 1)^2,  start all 0
-    if n < 2:
-        raise ValueError("EDENSCH needs n >= 2")
 
     def elem(u, y):
         a = u - 2.0
@@ -927,8 +906,6 @@ def _bdqrtic(n: int):
     # BDQRTIC: f = sum_{i=1..n-4} (3 - 4 x_i)^2
     #              + (x_i^2 + 2 x_{i+1}^2 + 3 x_{i+2}^2 + 4 x_{i+3}^2 + 5 x_n^2)^2
     # start all 1
-    if n < 5:
-        raise ValueError("BDQRTIC needs n >= 5")
     m = n - 4
 
     def _parts(a, b, c, d, xn):
@@ -965,8 +942,6 @@ def _tointgss(n: int):
     #   f = sum_{i=1..n-2} (t + x_{i+2}^2) (2 - exp(-(x_i - x_{i+1})^2
     #                                            / (0.1 + x_{i+2}^2)))
     # start all 3
-    if n < 3:
-        raise ValueError("TOINTGSS needs n >= 3")
     t = 10.0 / (n - 2.0)
 
     def elem(u, v, z):
@@ -1008,65 +983,67 @@ def _power(n: int):
     return value, grad, np.ones(n)
 
 
-# name -> (builder, catalog dimensions).  Dimensions follow the published
-# CUTEst suggestions, truncated to n <= 1000 for desk scale (EDENSCH's only
-# published size, 2000, is capped to 1000); the builders accept any legal n.
-_CATALOG: dict[str, tuple[Callable, tuple[int, ...]]] = {
-    "ARWHEAD": (_arwhead, (100, 500, 1000)),
-    "BDQRTIC": (_bdqrtic, (100, 500, 1000)),
-    "COSINE": (_cosine, (100, 1000)),
-    "DIXON3DQ": (_dixon3dq, (100,)),
-    "DQDRTIC": (_dqdrtic, (50, 100, 500, 1000)),
-    "DQRTIC": (_dqrtic, (50, 100, 500, 1000)),
-    "EDENSCH": (_edensch, (1000,)),
-    "ENGVAL1": (_engval1, (50, 100, 1000)),
-    "EXTROSNB": (_extrosnb, (100, 1000)),
-    "FREUROTH": (_freuroth, (50, 100, 500, 1000)),
-    "LIARWHD": (_liarwhd, (100, 500, 1000)),
-    "NONDIA": (_nondia, (50, 90, 100, 500, 1000)),
-    "PENALTY1": (_penalty1, (50, 100, 500, 1000)),
-    "POWELLSG": (_powellsg, (60, 80, 100, 500, 1000)),
-    "POWER": (_power, (50, 75, 100, 500, 1000)),
-    "QUARTC": (_dqrtic, (100, 500, 1000)),
-    "SROSENBR": (_srosenbr, (50, 100, 500, 1000)),
-    "TOINTGSS": (_tointgss, (50, 100, 500, 1000)),
-    "TRIDIA": (_tridia, (50, 100, 500, 1000)),
-    "VARDIM": (_vardim, (50, 100, 200)),
-    "WOODS": (_woods, (100, 1000)),
-}
+class _Family(NamedTuple):
+    """A catalog family: its builder and every size it is run or built at.
 
-# One representative instance per catalog family (DIXON3DQ excluded: its
-# condition number makes every low-memory method crawl), small enough that a
-# full four-method comparison stays interactive.
-_DESK_SUITE: tuple[tuple[str, int], ...] = (
-    ("ARWHEAD", 100),
-    ("BDQRTIC", 100),
-    ("COSINE", 100),
-    ("DQDRTIC", 100),
-    ("DQRTIC", 50),
-    ("EDENSCH", 1000),
-    ("ENGVAL1", 100),
-    ("EXTROSNB", 100),
-    ("FREUROTH", 100),
-    ("LIARWHD", 100),
-    ("NONDIA", 100),
-    ("PENALTY1", 100),
-    ("POWELLSG", 100),
-    ("POWER", 100),
-    ("QUARTC", 100),
-    ("SROSENBR", 100),
-    ("TOINTGSS", 100),
-    ("TRIDIA", 50),
-    ("VARDIM", 50),
-    ("WOODS", 100),
-)
+    ``build`` accepts an integer n >= ``least`` that is a multiple of
+    ``step``.  ``dims`` are the family's catalog instances and ``desk`` its
+    one desk-suite instance, or None if the desk suite leaves it out.
+    """
+
+    builder: Callable
+    least: int
+    step: int
+    dims: tuple[int, ...]
+    desk: int | None
+
+
+# The one table of families.  Catalog dims follow the published CUTEst
+# suggestions, truncated to n <= 1000 for desk scale (EDENSCH's only
+# published size, 2000, is capped to 1000).  Desk dims are small enough that
+# a full four-method comparison stays interactive.
+_CATALOG: dict[str, _Family] = {
+    "ARWHEAD": _Family(_arwhead, 2, 1, (100, 500, 1000), 100),
+    "BDQRTIC": _Family(_bdqrtic, 5, 1, (100, 500, 1000), 100),
+    "COSINE": _Family(_cosine, 2, 1, (100, 1000), 100),
+    # no desk instance: its condition number makes every low-memory method crawl
+    "DIXON3DQ": _Family(_dixon3dq, 2, 1, (100,), None),
+    "DQDRTIC": _Family(_dqdrtic, 3, 1, (50, 100, 500, 1000), 100),
+    "DQRTIC": _Family(_dqrtic, 1, 1, (50, 100, 500, 1000), 50),
+    "EDENSCH": _Family(_edensch, 2, 1, (1000,), 1000),
+    "ENGVAL1": _Family(_engval1, 2, 1, (50, 100, 1000), 100),
+    "EXTROSNB": _Family(_extrosnb, 2, 1, (100, 1000), 100),
+    "FREUROTH": _Family(_freuroth, 2, 1, (50, 100, 500, 1000), 100),
+    "LIARWHD": _Family(_liarwhd, 1, 1, (100, 500, 1000), 100),
+    "NONDIA": _Family(_nondia, 2, 1, (50, 90, 100, 500, 1000), 100),
+    "PENALTY1": _Family(_penalty1, 1, 1, (50, 100, 500, 1000), 100),
+    "POWELLSG": _Family(_powellsg, 4, 4, (60, 80, 100, 500, 1000), 100),
+    "POWER": _Family(_power, 1, 1, (50, 75, 100, 500, 1000), 100),
+    "QUARTC": _Family(_dqrtic, 1, 1, (100, 500, 1000), 100),
+    "SROSENBR": _Family(_srosenbr, 2, 2, (50, 100, 500, 1000), 100),
+    "TOINTGSS": _Family(_tointgss, 3, 1, (50, 100, 500, 1000), 100),
+    "TRIDIA": _Family(_tridia, 2, 1, (50, 100, 500, 1000), 50),
+    "VARDIM": _Family(_vardim, 1, 1, (50, 100, 200), 50),
+    "WOODS": _Family(_woods, 4, 4, (100, 1000), 100),
+}
 
 
 def build(name: str, dim: int) -> ProblemInstance:
-    """Construct a catalog problem at an arbitrary legal dimension."""
+    """Construct a catalog problem at any legal dimension.
+
+    The legal sizes come from the family's ``_CATALOG`` entry: an integer
+    ``dim`` >= its ``least`` that is a multiple of its ``step``.  Any other
+    ``dim`` (a bool, a float such as 2.0, too small, or off the step) is a
+    ``ValueError`` naming the family and the value, raised before the
+    builder runs; this is the one place a family's size is judged.
+    """
     if name not in _CATALOG:
         raise NotInCatalog(name)
-    value, grad, start = _CATALOG[name][0](dim)
+    family = _CATALOG[name]
+    _check_scalar(f"{name} dim", dim, family.least)
+    if dim % family.step:
+        raise ValueError(f"{name} dim must be a multiple of {family.step}, got {dim!r}")
+    value, grad, start = family.builder(dim)
     form = value if isinstance(value, ElementForm) else None
     return ProblemInstance(
         name=name,
@@ -1082,7 +1059,7 @@ def catalog() -> list[ProblemInstance]:
     """All catalog instances, sorted by (name, dim)."""
     out = []
     for name in sorted(_CATALOG):
-        for dim in sorted(_CATALOG[name][1]):
+        for dim in sorted(_CATALOG[name].dims):
             out.append(build(name, dim))
     return out
 
@@ -1090,7 +1067,11 @@ def catalog() -> list[ProblemInstance]:
 def filter_catalog(
     pattern: str = "*", min_dim: int | None = None, max_dim: int | None = None
 ) -> list[ProblemInstance]:
-    """Catalog subset by name glob and dimension range."""
+    """Catalog subset by name glob and dimension range.  A bound that is not
+    None must be an integer >= 1 (see ``_check_scalar``)."""
+    for bound, value in (("min_dim", min_dim), ("max_dim", max_dim)):
+        if value is not None:
+            _check_scalar(bound, value, 1)
     out = []
     for p in catalog():
         if not fnmatchcase(p.name, pattern):
@@ -1104,8 +1085,9 @@ def filter_catalog(
 
 
 def desk_suite() -> list[ProblemInstance]:
-    """The designated 20-problem desk suite (one instance per family)."""
-    return [build(name, dim) for name, dim in _DESK_SUITE]
+    """The 20-problem desk suite: each family's desk instance, in name order."""
+    families = sorted(_CATALOG.items())
+    return [build(name, f.desk) for name, f in families if f.desk is not None]
 
 
 def quadratic_instance(

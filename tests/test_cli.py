@@ -56,6 +56,17 @@ def test_solve_unknown_problem_exit_one(capsys):
     assert "no catalog problem matches" in err
 
 
+@pytest.mark.parametrize("dim", ["0", "-3", "2.5", "x"])
+def test_solve_dim_refused_at_parse_time(dim, capsys):
+    # refused at parse time, naming the flag, not by the filter's "no
+    # catalog problem matches"
+    code, out, err = run_cli(["solve", "--problem", "TRIDIA", "--dim", dim], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: argument --dim: dim must be")
+    assert "no catalog problem matches" not in err
+
+
 def test_solve_ambiguous_without_dim(capsys):
     code, _, err = run_cli(["solve", "--problem", "TRIDIA"], capsys)
     assert code == 1
@@ -502,6 +513,8 @@ def test_sweep_runs_each_cell_once(tmp_path, capsys, monkeypatch):
         ("suite", "--time-repeats", "x"),
         ("sweep-tau", "--taus", "1.5"),
         ("sweep-tau", "--taus", "nan"),
+        ("suite", "--min-dim", "0"),
+        ("suite", "--max-dim", "2.5"),
         pytest.param(
             "suite", "--config", '{"max_iters": 0}', id="suite---config-max_iters-0"
         ),
@@ -642,6 +655,8 @@ def test_run_gradient_check_function():
         ({"seed": 1.5}, "seed"),
         ({"seed": 2.0}, "seed"),
         ({"seed": "3"}, "seed"),
+        ({"tol": np.array([1e-6, 1e-6])}, "tol"),
+        ({"seed": np.array([1])}, "seed"),
     ],
 )
 def test_run_gradient_check_rejects_bad_arguments(kwargs, name, monkeypatch):

@@ -331,6 +331,33 @@ def test_tointgss_origin_is_stationary():
 # ---------------------------------------------------------------------------
 
 
+# name -> the family's catalog dims, its smallest legal n, and the step n
+# must be a multiple of
+FAMILIES = {
+    "ARWHEAD": ((100, 500, 1000), 2, 1),
+    "BDQRTIC": ((100, 500, 1000), 5, 1),
+    "COSINE": ((100, 1000), 2, 1),
+    "DIXON3DQ": ((100,), 2, 1),
+    "DQDRTIC": ((50, 100, 500, 1000), 3, 1),
+    "DQRTIC": ((50, 100, 500, 1000), 1, 1),
+    "EDENSCH": ((1000,), 2, 1),
+    "ENGVAL1": ((50, 100, 1000), 2, 1),
+    "EXTROSNB": ((100, 1000), 2, 1),
+    "FREUROTH": ((50, 100, 500, 1000), 2, 1),
+    "LIARWHD": ((100, 500, 1000), 1, 1),
+    "NONDIA": ((50, 90, 100, 500, 1000), 2, 1),
+    "PENALTY1": ((50, 100, 500, 1000), 1, 1),
+    "POWELLSG": ((60, 80, 100, 500, 1000), 4, 4),
+    "POWER": ((50, 75, 100, 500, 1000), 1, 1),
+    "QUARTC": ((100, 500, 1000), 1, 1),
+    "SROSENBR": ((50, 100, 500, 1000), 2, 2),
+    "TOINTGSS": ((50, 100, 500, 1000), 3, 1),
+    "TRIDIA": ((50, 100, 500, 1000), 2, 1),
+    "VARDIM": ((50, 100, 200), 1, 1),
+    "WOODS": ((100, 1000), 4, 4),
+}
+
+
 def test_catalog_structure():
     cat = catalog()
     assert len(cat) == 69
@@ -339,6 +366,8 @@ def test_catalog_structure():
     assert len(set(keys)) == len(keys)
     assert all(1 <= p.dim <= 1000 for p in cat)
     assert len({p.name for p in cat}) == 21
+    # each family's own dims, so that a table edit cannot move one unseen
+    assert keys == [(name, n) for name, f in FAMILIES.items() for n in f[0]]
 
 
 def test_desk_suite_structure():
@@ -348,17 +377,50 @@ def test_desk_suite_structure():
     assert len(set(names)) == 20  # one instance per family
     cat_keys = {(p.name, p.dim) for p in catalog()}
     assert all((p.name, p.dim) in cat_keys for p in desk)
+    assert [(p.name, p.dim) for p in desk] == [
+        ("ARWHEAD", 100),
+        ("BDQRTIC", 100),
+        ("COSINE", 100),
+        ("DQDRTIC", 100),
+        ("DQRTIC", 50),
+        ("EDENSCH", 1000),
+        ("ENGVAL1", 100),
+        ("EXTROSNB", 100),
+        ("FREUROTH", 100),
+        ("LIARWHD", 100),
+        ("NONDIA", 100),
+        ("PENALTY1", 100),
+        ("POWELLSG", 100),
+        ("POWER", 100),
+        ("QUARTC", 100),
+        ("SROSENBR", 100),
+        ("TOINTGSS", 100),
+        ("TRIDIA", 50),
+        ("VARDIM", 50),
+        ("WOODS", 100),
+    ]
 
 
 def test_lookup_and_build_errors():
     with pytest.raises(NotInCatalog):
         build("NOSUCH", 10)
-    with pytest.raises(ValueError):
-        build("SROSENBR", 7)  # odd
-    with pytest.raises(ValueError):
-        build("WOODS", 10)  # not a multiple of 4
-    with pytest.raises(ValueError):
-        build("BDQRTIC", 4)
+    for name, (_, least, step) in FAMILIES.items():
+        assert build(name, least).dim == least
+        assert build(name, least + step).dim == least + step
+        # too small, off the step, a bool (which compares as 1) and a float
+        # (even a whole one): each is refused before the builder runs, by a
+        # ValueError naming the family and the value
+        bad = [least - 1, True, float(least + step)]
+        if step > 1:
+            bad.append(least + 1)
+        for dim in bad:
+            with pytest.raises(ValueError, match=rf"^{name} dim must be .*got {dim!r}$"):
+                build(name, dim)
+    assert build("TRIDIA", np.int64(50)).key == "TRIDIA-50"
+    with pytest.raises(ValueError, match="^DQRTIC dim must be an integer >= 1, got 2.5$"):
+        build("DQRTIC", 2.5)
+    with pytest.raises(ValueError, match="^WOODS dim must be a multiple of 4, got 10$"):
+        build("WOODS", 10)
 
 
 def test_filter_catalog():
@@ -371,6 +433,12 @@ def test_filter_catalog():
     assert all(p.dim <= 100 for p in filter_catalog("*", max_dim=100))
     assert all(p.name.startswith("D") for p in filter_catalog("D*"))
     assert filter_catalog("NOSUCH*") == []
+    # a bound is a count, as the CLI's --min-dim and --max-dim are
+    for bound in ("min_dim", "max_dim"):
+        for bad in (0, -3, True, 2.5, 100.0, "50"):
+            with pytest.raises(ValueError, match=f"^{bound} must be an integer >= 1"):
+                filter_catalog(**{bound: bad})
+    assert len(filter_catalog(min_dim=np.int64(1000))) == 19
 
 
 def test_start_points_are_immutable():
@@ -483,6 +551,13 @@ def test_fd_gradient_validation():
     for h in (0.0, -1.0, np.nan, np.inf, -np.inf, True, False, np.True_, "a", None):
         with pytest.raises(ValueError, match="h must be"):
             fd_gradient(p, p.start, h=h)
+    # an array compares entry by entry: it is refused by name, even with one
+    # entry, not by numpy's "truth value ... is ambiguous", which names no h
+    for h in (np.array([1e-6, 1e-6]), np.array([1e-6])):
+        with pytest.raises(ValueError, match="^h must be a number"):
+            fd_gradient(p, p.start, h=h)
+    zero_d = fd_gradient(p, p.start, h=np.array(1e-6))  # a 0-d array is a number
+    assert zero_d.tobytes() == fd_gradient(p, p.start, h=1e-6).tobytes()
     cp = CountingProblem(p)
     fd_gradient(p, p.start)
     assert cp.f_evals == 0  # the oracle never touches counters
@@ -1173,3 +1248,16 @@ def test_problem_instance_validation():
             )
         with pytest.raises(NonFiniteInput):
             quadratic_instance(np.eye(2), start=np.array([1.0, bad]))
+    # a dim that is no count is refused by name: True and 2.0 would match a
+    # start of shape (1,) or (2,), since (1,) == (True,) and (2,) == (2.0,),
+    # and 2.0 would give the key Q-2.0
+    for dim in (True, 2.0, 0, -1, "2", None):
+        with pytest.raises(ValueError, match="^Q dim must be an integer >= 1"):
+            ProblemInstance(
+                name="Q",
+                dim=dim,
+                start=np.ones(int(dim) if isinstance(dim, (bool, float)) else 2),
+                value_fn=lambda x: 0.0,
+                grad_fn=lambda x: np.zeros(2),
+            )
+    assert ProblemInstance("Q", np.int64(2), np.ones(2), None, None).key == "Q-2"

@@ -84,6 +84,9 @@ def test_config_validation():
         for bad in ("0.5", None, True, False, np.True_):
             with pytest.raises(ValueError, match=f"^{name} must be a number"):
                 SolverConfig(**{name: bad})
+    for bad in (np.array([0.1, 0.2]), np.array([0.1])):
+        with pytest.raises(ValueError, match="^tau must be a number"):
+            SolverConfig(tau=bad)
     # a bool is an int to operator.index, but not an iteration count
     for flag in (True, False):
         with pytest.raises(ValueError, match="max_iters must be an integer"):
@@ -363,10 +366,14 @@ def test_theory_report_rejects_non_finite_lipschitz_constant():
     for bad in (np.inf, np.nan):
         with pytest.raises(ValueError, match="L must be positive and finite"):
             theory_report(r.trace, cfg, L=bad)
-    # True would run as L = 1.0 and a string would fail inside the floor
-    for bad in (True, np.True_, "2"):
+    # True would run as L = 1.0 and a string would fail inside the floor;
+    # an array would raise numpy's "truth value ... is ambiguous", which
+    # names no L.  A 0-d array is a number
+    for bad in (True, np.True_, "2", np.array([5.0, 5.0]), np.array([5.0])):
         with pytest.raises(ValueError, match="^L must be a number"):
             theory_report(r.trace, cfg, L=bad)
+    zero_d = theory_report(r.trace, cfg, L=np.array(5.0))
+    assert zero_d == theory_report(r.trace, cfg, L=5.0)
 
 
 def test_theory_report_on_a_trace_past_the_float_range():

@@ -79,14 +79,16 @@ class ElementForm:
     ``shared`` holds the absolute indices of the few coordinates that every
     term reads (x_n in each ARWHEAD term) or that ``outer`` reads for a
     boundary term (TRIDIA's ``(x_1 - 1)^2``).  They are distinct and may
-    also be column entries.  Each value broadcasts against what its
-    receiver gets: for one point both get the numpy scalar ``x[i]``; for a
-    batch ``elem`` gets ``x[..., i, None]`` and ``outer`` gets ``x[..., i]``,
-    or the scalar where every point of the batch has the same value.
-    :attr:`value` is the objective the form defines, a batch-aware
-    ``value_fn``; the terms are summed along their last axis with
-    ``np.add.reduce``, which is ``np.sum``'s own reduction and sums each
-    row of a C-ordered block as it sums that row alone.
+    also be column entries.  A point is a batch of one: ``elem`` gets the
+    columns ``x[..., c]`` and the shared values ``x[..., i, None]``, and
+    ``outer`` gets ``x[..., i]``, so for one point a shared value reaches
+    ``elem`` as a ``(1,)`` array and ``outer`` as a 0-d array.  ``outer``
+    may also get a numpy scalar where every point of a batch has the same
+    value.  :attr:`value` is the objective the form defines, a batch-aware
+    ``value_fn`` with one expression for a point and a batch; the terms are
+    summed along their last axis with ``np.add.reduce``, which is
+    ``np.sum``'s own reduction and sums each row of a C-ordered block as it
+    sums that row alone.
     """
 
     elem: Callable[..., np.ndarray]
@@ -97,7 +99,7 @@ class ElementForm:
     shared: tuple[int, ...] = ()
     value: Callable[[Vector], np.ndarray] = field(init=False, repr=False)
     _cols: tuple = field(init=False, repr=False)
-    _point_args: Callable = field(init=False, repr=False)
+    _args: Callable = field(init=False, repr=False)
 
     def __post_init__(self):
         offsets, shared = self.offsets, self.shared
@@ -111,26 +113,16 @@ class ElementForm:
             )
         cols = tuple(slice(o, o + self.stride * self.terms, self.stride) for o in offsets)
         # one call gathers elem's arguments, the columns and then the shared
-        # values; for a batch, elem's shared values keep a unit last axis
-        point_args = _getter(*cols, *shared)
-        batch_args = _getter(
-            *[(..., c) for c in cols], *[(..., i, None) for i in shared]
-        )
-        batch_shared = _getter(*[(..., i) for i in shared])
+        # values, which keep a unit last axis
+        args = _getter(*[(..., c) for c in cols], *[(..., i, None) for i in shared])
+        shared_values = _getter(*[(..., i) for i in shared])
         object.__setattr__(self, "_cols", cols)
-        object.__setattr__(self, "_point_args", point_args)
-        elem, outer, r, one = self.elem, self.outer, len(cols), len(shared) == 1
+        object.__setattr__(self, "_args", args)
+        elem, outer = self.elem, self.outer
 
         def value(x):
-            if x.ndim != 1:
-                s = np.add.reduce(elem(*batch_args(x)), -1)
-                return s if outer is None else outer(s, *batch_shared(x))
-            args = point_args(x)
-            s = np.add.reduce(elem(*args), -1)
-            if outer is None:
-                return s
-            # a direct call costs about 0.2 us less than unpacking a slice
-            return outer(s, args[r]) if one else outer(s, *args[r:])
+            s = np.add.reduce(elem(*args(x)), -1)
+            return s if outer is None else outer(s, *shared_values(x))
 
         object.__setattr__(self, "value", value)
 
@@ -142,11 +134,10 @@ class ElementForm:
         the term array with that column read from ``up`` and everything
         else, the shared values too, from ``x`` (``minus`` likewise from
         ``down``).  ``1 + 2 r`` element calls of ``terms`` entries per sum
-        each.  A shared coordinate's moved points are whole objective calls
-        instead (see :func:`fd_gradient`).
+        each.  A shared coordinate's moved points are whole points instead,
+        evaluated by ``_block_values`` (see :func:`fd_gradient`).
         """
-        elem, point_args = self.elem, self._point_args
-        args = point_args(x)
+        elem, args = self.elem, self._args(x)
         moves = []
         for j, (o, c) in enumerate(zip(self.offsets, self._cols)):
             plus = elem(*args[:j], up[c], *args[j + 1 :])
@@ -164,7 +155,9 @@ class ProblemInstance:
     C-ordered ``(..., n)`` array it returns the ``(...)`` array of values,
     and each entry has the same bits as the 1-D call on that row
     (:func:`fd_gradient` relies on this; a Fortran-ordered batch sums in
-    another order).  ``grad_fn`` takes one point.  ``dim`` is an integer
+    another order).  The catalog's objectives keep it by construction: each
+    evaluates a point with its batch expression, as a batch of one.
+    ``grad_fn`` takes one point.  ``dim`` is an integer
     >= 1 (a ``ValueError`` names it otherwise) and ``start`` has shape
     ``(dim,)``.  Instances are immutable and safe to share.
 
@@ -228,14 +221,19 @@ def _check_scalar(name: str, value, low=0.0, high=math.inf, *, closed=False):
     An int ``low`` asks for a count, an integer >= ``low``: numpy integers
     pass, floats (even 2.0) do not.  A float ``low`` asks for a number in
     ``(low, high)``, or ``[low, high)`` if ``closed``; NaN is in no range.
-    A bool is refused either way: True compares as 1 but is no number.  So
-    is an array of one or more dimensions, which compares entry by entry; a
-    0-d array passes.
+    A bool is refused either way, numpy's too and a 0-d bool array: True
+    compares as 1 but is no number.  So is an array of one or more
+    dimensions, which compares entry by entry; another 0-d array passes.
     """
     count = isinstance(low, int)
-    # getattr is np.ndim for every value the tests below can accept, at a
-    # twentieth of its cost on a float; alpha_bar is checked every iteration
-    number = not isinstance(value, (bool, np.bool_)) and getattr(value, "ndim", 0) == 0
+    # getattr is np.ndim and .dtype for every value the tests below can
+    # accept, at a twentieth of np.ndim's cost on a float; alpha_bar is
+    # checked every iteration
+    number = (
+        not isinstance(value, bool)
+        and getattr(value, "ndim", 0) == 0
+        and getattr(value, "dtype", None) != bool
+    )
     try:
         if count:
             ok = number and index(value) >= low
@@ -351,17 +349,21 @@ def fd_gradient(p: ProblemInstance, x: Vector, h: float = _CBRT_EPS) -> Vector:
     bool.  Each component has the bits of two 1-D ``value_fn`` calls, at
     ``x + h_i e_i`` and ``x - h_i e_i``.
 
-    Without an element form the perturbed points are evaluated in
-    ``(2k, n)`` blocks of about ``_FD_CHUNK`` entries, the rows of
+    Whole perturbed points are evaluated in one place, ``_block_values``:
+    in ``(2k, n)`` blocks of about ``_FD_CHUNK`` entries, the rows of
     ``x + h_i e_i`` for k coordinates followed by those of ``x - h_i e_i``.
     The block buffer is filled with ``x`` once per call; each block writes
-    in only its 2k moved entries and, after ``value_fn``, writes ``x`` back
-    over them.  ``value_fn`` gets the block as a read-only array, and the
-    batch contract makes it row-exact.  POWER and VARDIM take this path,
-    since a weighted sum over all of x enters them through ``np.dot``,
-    whose order of additions is BLAS's and not a tree.
+    in only its 2k moved entries and, after the objective, writes ``x``
+    back over them.  The objective gets the block as a read-only array, and
+    the batch contract makes it row-exact.  Without an element form every
+    coordinate takes this path.  POWER and VARDIM do, since a weighted sum
+    over all of x enters them through a row dot, whose order of additions
+    is BLAS's and not a tree.
 
-    With ``p.elements`` no point is evaluated.  The terms of ``x`` are
+    With ``p.elements`` only the shared coordinates are whole points, and
+    ``_block_values`` evaluates them through the form's ``value``: a shared
+    coordinate may move every term and ``outer``'s value too.  For every
+    other coordinate no point is evaluated.  The terms of ``x`` are
     computed once, and so are, per column, all terms with that column moved,
     one element call each: O(n (r + s)) element work for r columns and s
     shared coordinates.  A coordinate's row is then the terms of ``x`` with
@@ -375,16 +377,14 @@ def fd_gradient(p: ProblemInstance, x: Vector, h: float = _CBRT_EPS) -> Vector:
     for those coordinates only, taking the base sum of a half that a
     coordinate does not move.  That is O(n 128 + n log n) work and O(n)
     memory per call.  A form of c sums walks the tree once per sum, and
-    ``outer`` gets every row's sums with the shared values of ``x``.  A
-    shared coordinate may move every term and ``outer``'s value too, so its
-    two points are instead two 1-D calls of the form's ``value``.
+    ``outer`` gets every row's sums with the shared values of ``x``.
     """
     _check_scalar("h", h)
     x = _check_point(p.name, (p.dim,), x)
     steps = h * (1.0 + np.abs(x))
     up, down = x + steps, x - steps
     if p.elements is None:
-        f_up, f_down = _block_values(p, x, up, down)
+        f_up, f_down = _block_values(p.name, p.value_fn, x, up, down, np.arange(p.dim))
     else:
         f_up, f_down = _term_values(p, x, up, down)
     g = (f_up - f_down) / (2.0 * steps)
@@ -393,38 +393,38 @@ def fd_gradient(p: ProblemInstance, x: Vector, h: float = _CBRT_EPS) -> Vector:
     return g
 
 
-def _block_values(p: ProblemInstance, x: Vector, up: Vector, down: Vector):
-    """``value_fn`` at ``x + steps e_i`` and ``x - steps e_i`` for every i,
-    in blocks of about ``_FD_CHUNK`` entries."""
-    n = p.dim
-    f_up, f_down = np.empty(n), np.empty(n)
-    k = max(1, _FD_CHUNK // (2 * n))
+def _block_values(name: str, value, x: Vector, up: Vector, down: Vector, moved: Vector):
+    """``value`` at ``x + steps e_i`` and ``x - steps e_i`` for each i in the
+    index array ``moved``, in blocks of about ``_FD_CHUNK`` entries."""
+    n, count = x.size, len(moved)
+    f_up, f_down = np.empty(count), np.empty(count)
+    k = max(1, min(count, _FD_CHUNK // (2 * n)))
     # every row of buf holds x between blocks: a block writes its moved
     # entries in, evaluates, and writes x back over exactly those entries
     buf = np.empty((2 * k, n))
     buf[:] = x
     flat = buf.reshape(-1)
-    # value_fn reads a view it cannot write, so that it cannot leave a
-    # stale entry behind for the next block
+    # value reads a view it cannot write, so that it cannot leave a stale
+    # entry behind for the next block
     frozen = buf.view()
     frozen.flags.writeable = False
-    for lo in range(0, n, k):
-        hi = min(lo + k, n)
-        m = hi - lo
-        # coordinate i moves in rows i - lo and m + i - lo: n + 1 apart when flat
-        at = slice(lo, lo + (m - 1) * (n + 1) + 1, n + 1)
-        below = slice(at.start + m * n, at.stop + m * n, n + 1)
-        flat[at] = up[lo:hi]
-        flat[below] = down[lo:hi]
-        f = np.asarray(p.value_fn(frozen[: 2 * m]), dtype=float)
+    for lo in range(0, count, k):
+        at = moved[lo : lo + k]
+        m = len(at)
+        # coordinate moved[lo + j] moves in rows j and m + j
+        above = np.arange(0, m * n, n) + at
+        below = above + m * n
+        flat[above] = up[at]
+        flat[below] = down[at]
+        f = np.asarray(value(frozen[: 2 * m]), dtype=float)
         if f.shape != (2 * m,):
             raise DimensionMismatch(
-                f"{p.name}: value_fn gave shape {f.shape} for a batch of shape "
+                f"{name}: the objective gave shape {f.shape} for a batch of shape "
                 f"{(2 * m, n)}; it must map (..., n) to (...)"
             )
-        f_up[lo:hi], f_down[lo:hi] = f[:m], f[m:]
-        flat[at] = x[lo:hi]
-        flat[below] = x[lo:hi]
+        f_up[lo : lo + m], f_down[lo : lo + m] = f[:m], f[m:]
+        flat[above] = x[at]
+        flat[below] = x[at]
     return f_up, f_down
 
 
@@ -459,16 +459,8 @@ def _term_values(p: ProblemInstance, x: Vector, up: Vector, down: Vector):
     if form.outer is not None:
         values = [x[i] for i in form.shared]
         f_up, f_down = form.outer(f_up, *values), form.outer(f_down, *values)
-    # a shared coordinate moves every term that reads it, and outer's value
-    # too: its two points are 1-D calls of the objective, in value's own bits
-    for i in form.shared:
-        for f, moved in ((f_up, up), (f_down, down)):
-            y = x.copy()
-            y[i] = moved[i]
-            v = form.value(y)
-            if np.shape(v):
-                raise DimensionMismatch(f"{p.name}: shape {np.shape(v)}, x_{i} moved")
-            f[i] = v
+    shared = np.array(form.shared, dtype=np.intp)
+    f_up[shared], f_down[shared] = _block_values(p.name, form.value, x, up, down, shared)
     return f_up, f_down
 
 
@@ -515,16 +507,17 @@ def _moved_sums(base, moves, span, lo, hi, buf):
 
 
 # ---------------------------------------------------------------------------
-# Batch helpers.  Where the 1-D objective raises a numpy scalar to a power or
-# takes np.dot, each row of a batch must round the same.  Array ``**`` goes
-# through squaring and SIMD pow, which can change the last bit, so powers of
-# per-point values go through _scalar_pow: a numpy scalar's ``**`` and
-# np.float_power on an array both call libm's pow, element by element.
-# matmul keeps np.dot's bits where every stack item is a dot of two vectors,
-# the row dot ``x[..., None, :] @ w`` and ``(1, n) @ (n, 1)``: numpy runs
-# np.dot's own kernel per item.  A matrix-vector product ``X @ w`` (gemv)
-# sums in another order and does not.  tests/test_problems.py pins the pow
-# and both dot forms the objectives use.
+# Batch helpers.  Every objective evaluates one point as a batch of one, with
+# its batch expression, and each row of a batch must round as that point.
+# numpy turns a 0-d result into a numpy scalar, whose ``**`` calls libm's pow,
+# while array ``**`` goes through squaring and SIMD pow, which can change the
+# last bit; so powers of per-point values go through _scalar_pow, since
+# np.float_power on an array calls libm's pow too, element by element.  Row
+# dots are stacked matmul, ``x[..., None, :] @ w`` and ``(1, n) @ (n, 1)``,
+# for one point too: numpy runs np.dot's own kernel per stack item, so each
+# item has np.dot's bits.  A matrix-vector product ``X @ w`` (gemv) sums in
+# another order and does not.  tests/test_problems.py pins the pow and both
+# dot forms the objectives use.
 # ---------------------------------------------------------------------------
 
 
@@ -889,7 +882,7 @@ def _vardim(n: int):
 
     def value(x):
         d = x - 1.0
-        s = np.dot(w, d) if x.ndim == 1 else np.matmul(d[..., None, :], w)[..., 0]
+        s = np.matmul(d[..., None, :], w)[..., 0]
         # squared in place, d**2's bits: a second temporary the size of a
         # (2, 100000) block made glibc fault its pages in on every call
         d2 = np.square(d, out=d)
@@ -973,7 +966,7 @@ def _power(n: int):
 
     def value(x):
         q = x**2
-        s = np.dot(w, q) if x.ndim == 1 else np.matmul(q[..., None, :], w)[..., 0]
+        s = np.matmul(q[..., None, :], w)[..., 0]
         return _scalar_pow(s, 2)
 
     def grad(x):
@@ -1093,17 +1086,22 @@ def desk_suite() -> list[ProblemInstance]:
 def quadratic_instance(
     a: np.ndarray, name: str = "QUAD", start: Vector | None = None
 ) -> ProblemInstance:
-    """Diagnostic quadratic f = 0.5 x'Ax for a symmetric matrix A."""
+    """Diagnostic quadratic f = 0.5 x'Ax for a symmetric matrix A.
+
+    ``a`` must be square (a :class:`DimensionMismatch` otherwise) and exactly
+    symmetric (a ``ValueError`` otherwise): ``grad_fn`` is ``A x``, the
+    gradient of 0.5 x'Ax only when A equals its transpose.
+    """
     a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionMismatch(f"quadratic matrix must be square, got shape {a.shape}")
+    if not np.array_equal(a, a.T):
+        raise ValueError("quadratic matrix must be symmetric, A x is its gradient only then")
     n = a.shape[0]
-    if a.shape != (n, n):
-        raise DimensionMismatch(f"quadratic matrix must be square, got {a.shape}")
     if start is None:
         start = np.ones(n)
 
     def value(x):
-        if x.ndim == 1:
-            return 0.5 * x @ a @ x
         return (((0.5 * x)[..., None, :] @ a) @ x[..., :, None])[..., 0, 0]
 
     def grad(x):

@@ -657,6 +657,7 @@ def test_run_gradient_check_function():
         ({"seed": "3"}, "seed"),
         ({"tol": np.array([1e-6, 1e-6])}, "tol"),
         ({"seed": np.array([1])}, "seed"),
+        ({"tol": np.array(True)}, "tol"),
     ],
 )
 def test_run_gradient_check_rejects_bad_arguments(kwargs, name, monkeypatch):

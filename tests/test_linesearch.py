@@ -72,10 +72,14 @@ def test_bad_alpha_bar_rejected():
     p = CountingProblem(one_d_parabola())
     x = np.array([1.0])
     # True compares as 1.0 but is no step; a string does not compare at all
-    for bad in (0.0, -1.0, np.inf, np.nan, True, np.True_, "1.0", None):
+    for bad in (0.0, -1.0, np.inf, np.nan, True, np.True_, np.array(True), "1.0", None):
         with pytest.raises(ValueError, match="^alpha_bar must be"):
             armijo_backtrack(p, x, 1.0, -4.0, np.array([-2.0]), bad, CFG)
     assert p.f_evals == 0
+    # a 0-d array of floats is a number
+    zero_d = armijo_backtrack(p, x, 1.0, -4.0, np.array([-2.0]), np.array(2.0), CFG)
+    plain = armijo_backtrack(p, x, 1.0, -4.0, np.array([-2.0]), 2.0, CFG)
+    assert (zero_d.alpha, zero_d.backtracks) == (plain.alpha, plain.backtracks)
 
 
 def lying_gradient_instance():

@@ -548,7 +548,8 @@ def test_fd_gradient_validation():
     p = build("TRIDIA", 10)
     # True would run with a step of 1 + |x_i|, and a string or None would
     # reach numpy as a TypeError
-    for h in (0.0, -1.0, np.nan, np.inf, -np.inf, True, False, np.True_, "a", None):
+    bools = (True, False, np.True_, np.array(True))
+    for h in (0.0, -1.0, np.nan, np.inf, -np.inf, *bools, "a", None):
         with pytest.raises(ValueError, match="h must be"):
             fd_gradient(p, p.start, h=h)
     # an array compares entry by entry: it is refused by name, even with one
@@ -556,8 +557,9 @@ def test_fd_gradient_validation():
     for h in (np.array([1e-6, 1e-6]), np.array([1e-6])):
         with pytest.raises(ValueError, match="^h must be a number"):
             fd_gradient(p, p.start, h=h)
-    zero_d = fd_gradient(p, p.start, h=np.array(1e-6))  # a 0-d array is a number
-    assert zero_d.tobytes() == fd_gradient(p, p.start, h=1e-6).tobytes()
+    for h in (1e-6, 2.0):  # a 0-d array of floats is a number
+        zero_d = fd_gradient(p, p.start, h=np.array(h))
+        assert zero_d.tobytes() == fd_gradient(p, p.start, h=h).tobytes()
     cp = CountingProblem(p)
     fd_gradient(p, p.start)
     assert cp.f_evals == 0  # the oracle never touches counters
@@ -758,11 +760,9 @@ def test_element_sum_matches_value_fn_bits(name, dim):
     p = build(name, dim)
     form = p.elements
     rng = np.random.default_rng([29, dim, *name.encode()])
-    # one row more than the largest block fd_gradient sums for the form: a
-    # leaf of up to _PAIRWISE_LEAF terms, two rows per coordinate it reads
-    width = min(form.terms, _PAIRWISE_LEAF)
-    read = max(form.offsets) - min(form.offsets) + form.stride * (width - 1) + 1
-    for k in (1, 3, 2 * read + 1):
+    # one row more than the largest batch fd_gradient hands the form's
+    # value: two rows per shared coordinate
+    for k in (1, 3, 2 * len(form.shared) + 1):
         batch = p.start + rng.uniform(-3.0, 3.0, (k, dim))
         # the columns sliced here, not through the form's own indices
         cols = [batch[:, o :: form.stride][:, : form.terms] for o in form.offsets]
@@ -880,11 +880,13 @@ def test_term_path_skips_value_fn(name, dim):
 def test_term_path_element_work_is_linear(name, dim):
     p = build(name, dim)
     form = p.elements
+    sums = form.moved_terms(p.start, p.start, p.start)[0].size // form.terms
     evaluated = []
 
     def elem(*cols):
         t = form.elem(*cols)
-        evaluated.append(t.shape[-1])  # entries per sum: PENALTY1 has two
+        # entries per sum over every row of a batch: PENALTY1 has two sums
+        evaluated.append(t.size // sums)
         return t
 
     counted = dataclasses.replace(form, elem=elem)
@@ -1135,14 +1137,14 @@ def test_term_path_refuses_mismatched_term_shapes():
     with pytest.raises(DimensionMismatch, match="2 sums and no outer"):
         fd_gradient(q, q.start)
 
-    # a shared coordinate's moved points are whole objective calls, which
-    # must give one value each, not two sums
+    # a shared coordinate's moved points are one batch of whole points,
+    # which must give one value each, not two sums
     def more_when_shared_moves(t, s):
-        return t * s if s == 1.0 else np.stack([t, t * s])
+        return t * s if np.all(s == 1.0) else np.stack([t, t * s])
 
     shared = ElementForm(more_when_shared_moves, 3, shared=(3,))
     r = ProblemInstance("S", 4, np.ones(4), shared.value, np.zeros_like, shared)
-    with pytest.raises(DimensionMismatch, match=r"shape \(2,\), x_3 moved"):
+    with pytest.raises(DimensionMismatch, match=r"shape \(2, 2\) for a batch of shape \(2, 4\)"):
         fd_gradient(r, r.start)
 
 
@@ -1177,14 +1179,24 @@ def test_numpy_dots_stacked_rows_like_np_dot():
 
 def test_fd_gradient_hands_value_fn_a_read_only_block():
     # a value_fn that wrote into its batch would leave the change in the
-    # buffer that later blocks patch, so it gets a view it cannot write
+    # buffer that later blocks patch, so it gets a view it cannot write; so
+    # does a form's value, which evaluates the shared coordinates' points
     def scribble(x):
         x[..., 0] = 0.0
         return np.sum(x * x, axis=-1)
 
-    p = ProblemInstance("W", 3, np.ones(3), scribble, lambda x: 2.0 * x)
-    with pytest.raises(ValueError, match="read-only"):
-        fd_gradient(p, p.start)
+    def scribble_batch(t, v):
+        if v.ndim > 1:  # a batch of points, not the shared value of x
+            v[...] = 0.0
+        return t * v
+
+    form = ElementForm(scribble_batch, 3, shared=(3,))
+    for p in (
+        ProblemInstance("W", 3, np.ones(3), scribble, lambda x: 2.0 * x),
+        ProblemInstance("F", 4, np.ones(4), form.value, np.zeros_like, form),
+    ):
+        with pytest.raises(ValueError, match="read-only"):
+            fd_gradient(p, p.start)
 
 
 def test_element_form_validation():
@@ -1222,8 +1234,14 @@ def test_quadratic_instance():
     x = np.array([1.0, 1.0, 1.0])
     assert p.value_fn(x) == 4.0
     assert np.array_equal(p.grad_fn(x), np.array([1.0, 2.0, 5.0]))
-    with pytest.raises(DimensionMismatch):
-        quadratic_instance(np.ones((2, 3)))
+    # a matrix that is not 2-D and square, 2.0 too, names its shape
+    for bad in (np.ones((2, 3)), 2.0, np.ones(3), np.ones((2, 2, 2))):
+        with pytest.raises(DimensionMismatch, match="must be square"):
+            quadratic_instance(bad)
+    # grad_fn is A x, the gradient of 0.5 x'Ax only for a symmetric A
+    for bad in ([[1.0, 2.0], [0.0, 1.0]], [[1.0, 1.0 + 1e-15], [1.0, 1.0]]):
+        with pytest.raises(ValueError, match="must be symmetric"):
+            quadratic_instance(bad)
 
 
 def test_problem_instance_validation():

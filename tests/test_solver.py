@@ -81,9 +81,10 @@ def test_config_validation():
     # from the range comparison; so is a bool, which compares as 0.0 or 1.0
     # and would pass every range that holds 1.0
     for name in FLOAT_FIELDS:
-        for bad in ("0.5", None, True, False, np.True_):
+        for bad in ("0.5", None, True, False, np.True_, np.array(True)):
             with pytest.raises(ValueError, match=f"^{name} must be a number"):
                 SolverConfig(**{name: bad})
+    assert SolverConfig(eps_scale=np.array(2.0)).eps_scale == 2.0
     for bad in (np.array([0.1, 0.2]), np.array([0.1])):
         with pytest.raises(ValueError, match="^tau must be a number"):
             SolverConfig(tau=bad)

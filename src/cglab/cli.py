@@ -205,7 +205,7 @@ def _build_parser() -> _Parser:
     p_check = sub.add_parser(
         "check-gradients", help="compare analytic gradients with finite differences"
     )
-    p_check.add_argument("--problems", default=None, metavar="GLOB")
+    p_check.add_argument("--problems", default="*", metavar="GLOB")
     p_check.add_argument("--seed", type=_checked("seed", int, 0), default=0)
     p_check.add_argument("--tol", type=_checked("tol", float), default=1.0e-6)
 
@@ -303,11 +303,7 @@ def cmd_solve(args) -> int:
     if args.print_config:
         _print_config(cfg)
         return 0
-    matches = [
-        p
-        for p in filter_catalog(args.problem)
-        if args.dim is None or p.dim == args.dim
-    ]
+    matches = filter_catalog(args.problem, args.dim, args.dim)
     if not matches:
         raise _CliError(f"no catalog problem matches {args.problem!r} dim={args.dim}")
     if len(matches) > 1:
@@ -472,9 +468,7 @@ def run_gradient_check(
 
 
 def cmd_check_gradients(args) -> int:
-    instances = (
-        catalog() if args.problems is None else filter_catalog(args.problems)
-    )
+    instances = filter_catalog(args.problems)
     if not instances:
         raise _CliError("no catalog problems match the filter")
     lines, failures = run_gradient_check(instances, seed=args.seed, tol=args.tol)

@@ -20,7 +20,8 @@ All methods share the two-term recursion ``d_k = -g_k + beta_k d_{k-1}``
 ``HZ``
     Hager-Zhang (CG_DESCENT):
     beta = (y - 2 d ||y||^2 / d'y)' g / d'y, truncated from below at
-    -1 / (||d|| min(eta, ||g_{k-1}||)) with eta = ``SolverConfig.hz_eta``.
+    -1 / (||d|| min(eta, ||g_{k-1}||)) with eta = 0.01, the value
+    Hager and Zhang fix (SIAM J. Optim. 16, 2005).
 
 FR and HZ do not guarantee descent under a backtracking-only search, so
 :func:`direction` restarts them with the steepest-descent direction whenever
@@ -38,6 +39,7 @@ from .problems import Vector
 __all__ = ["DirectionResult", "MethodId", "direction"]
 
 _CURVATURE_TINY = 1.0e-30
+_HZ_ETA = 0.01  # HZ's truncation eta
 
 
 class MethodId(str, Enum):
@@ -66,7 +68,6 @@ def direction(
     y: Vector | None,
     gg_prev: float | None,
     tau: float,
-    hz_eta: float,
 ) -> DirectionResult:
     """Next search direction for ``method``; the one place restarts are decided.
 
@@ -107,7 +108,7 @@ def direction(
             raw = float((y - (2.0 * yy / dy) * d_prev).dot(g)) / dy
             # a zero previous direction or gradient means no truncation
             denom = math.sqrt(float(d_prev.dot(d_prev))) * min(
-                hz_eta, math.sqrt(gg_prev)
+                _HZ_ETA, math.sqrt(gg_prev)
             )
             beta = max(raw, -math.inf if denom == 0.0 else -1.0 / denom)
         else:

@@ -31,6 +31,12 @@ __all__ = [
     "initial_step",
 ]
 
+# Absolute floor on a trial step: eps/10, so small that a healthy search
+# never reaches it; a trial below it aborts the search and the run.
+_STEP_FLOOR = 2.0**-52 / 10.0
+# Least curvature s'y for which the Barzilai-Borwein quotient is used.
+_BB_GUARD = 1.0e-8
+
 
 class NotDescent(ValueError):
     """The supplied direction has d'g >= 0, so no Armijo step can exist."""
@@ -51,14 +57,14 @@ class LineSearchOutcome(NamedTuple):
     step: Vector
 
 
-def initial_step(s: Vector | None, y: Vector | None, guard: float) -> float:
+def initial_step(s: Vector | None, y: Vector | None) -> float:
     """Barzilai-Borwein trial step ``s's / s'y`` from the previous move.
 
     ``s`` and ``y`` are float arrays of one shape, as :func:`minimize` holds
     them.  Falls back to 1.0 on the first iteration (both arguments None),
-    whenever the curvature ``s'y`` is below ``guard``, where the quotient
-    would be huge or negative, and whenever the quotient is not positive and
-    finite (``s's`` overflowing, or ``s'y`` infinite).
+    whenever the curvature ``s'y`` is at most ``_BB_GUARD`` (1e-8), where
+    the quotient would be huge or negative, and whenever the quotient is not
+    positive and finite (``s's`` overflowing, or ``s'y`` infinite).
     """
     if s is None and y is None:
         return 1.0
@@ -67,7 +73,7 @@ def initial_step(s: Vector | None, y: Vector | None, guard: float) -> float:
     if s.shape != y.shape:
         raise DimensionMismatch(f"s has shape {s.shape}, y has shape {y.shape}")
     sy = float(s.dot(y))
-    if sy <= guard:
+    if sy <= _BB_GUARD:
         return 1.0
     bb = float(s.dot(s)) / sy
     return bb if 0.0 < bb < math.inf else 1.0
@@ -86,13 +92,14 @@ def armijo_backtrack(
 
     ``dg`` is the slope d'g at ``x``, computed by the caller along with ``d``;
     ``alpha_bar`` is a positive finite number (not a bool), else ``ValueError``;
-    ``cfg`` supplies rho, c1 and the step floor, range-checked when it was
-    built, so the loop always ends.  Every trial at a finite point charges
-    one objective evaluation to ``problem``.  Trial points whose objective
-    overflows, or that are themselves non-finite (possible when
-    ``alpha_bar * d`` overflows), are treated as plain Armijo rejections and
-    backtracked past; :class:`CountingProblem` refuses the latter before
-    charging anything.
+    ``cfg`` supplies rho and c1, range-checked when it was built, and a
+    trial step below ``_STEP_FLOOR`` (eps/10) raises
+    :class:`StepFloorReached`, so the loop always ends.  Every trial at a
+    finite point charges one objective evaluation to ``problem``.  Trial
+    points whose objective overflows, or that are themselves non-finite
+    (possible when ``alpha_bar * d`` overflows), are treated as plain Armijo
+    rejections and backtracked past; :class:`CountingProblem` refuses the
+    latter before charging anything.
     numpy's error state is the caller's: :func:`~cglab.solver.minimize`
     turns overflow and invalid warnings off, a direct caller decides itself.
     """
@@ -101,13 +108,13 @@ def armijo_backtrack(
     _check_scalar("alpha_bar", alpha_bar)
 
     evaluate = problem.evaluate
-    rho, c1, floor = cfg.rho, cfg.c1, cfg.step_floor
+    rho, c1 = cfg.rho, cfg.c1
     alpha = float(alpha_bar)
     backtracks = 0
     while True:
-        if alpha < floor:
+        if alpha < _STEP_FLOOR:
             raise StepFloorReached(
-                f"trial step {alpha:.3e} fell below floor {floor:.3e}"
+                f"trial step {alpha:.3e} fell below floor {_STEP_FLOOR:.3e}"
             )
         step = alpha * d
         trial = x + step

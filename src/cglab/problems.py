@@ -1050,31 +1050,29 @@ def build(name: str, dim: int) -> ProblemInstance:
 
 def catalog() -> list[ProblemInstance]:
     """All catalog instances, sorted by (name, dim)."""
-    out = []
-    for name in sorted(_CATALOG):
-        for dim in sorted(_CATALOG[name].dims):
-            out.append(build(name, dim))
-    return out
+    return filter_catalog()
 
 
 def filter_catalog(
     pattern: str = "*", min_dim: int | None = None, max_dim: int | None = None
 ) -> list[ProblemInstance]:
-    """Catalog subset by name glob and dimension range.  A bound that is not
-    None must be an integer >= 1 (see ``_check_scalar``)."""
+    """Catalog subset by name glob and dimension range, sorted by (name, dim).
+
+    Only the matching instances are built.  A bound that is not None must
+    be an integer >= 1 (see ``_check_scalar``).
+    """
     for bound, value in (("min_dim", min_dim), ("max_dim", max_dim)):
         if value is not None:
             _check_scalar(bound, value, 1)
-    out = []
-    for p in catalog():
-        if not fnmatchcase(p.name, pattern):
-            continue
-        if min_dim is not None and p.dim < min_dim:
-            continue
-        if max_dim is not None and p.dim > max_dim:
-            continue
-        out.append(p)
-    return out
+    lo = 1 if min_dim is None else min_dim
+    hi = math.inf if max_dim is None else max_dim
+    return [
+        build(name, dim)
+        for name in sorted(_CATALOG)
+        if fnmatchcase(name, pattern)
+        for dim in sorted(_CATALOG[name].dims)
+        if lo <= dim <= hi
+    ]
 
 
 def desk_suite() -> list[ProblemInstance]:
@@ -1088,13 +1086,17 @@ def quadratic_instance(
 ) -> ProblemInstance:
     """Diagnostic quadratic f = 0.5 x'Ax for a symmetric matrix A.
 
-    ``a`` must be square (a :class:`DimensionMismatch` otherwise) and exactly
-    symmetric (a ``ValueError`` otherwise): ``grad_fn`` is ``A x``, the
-    gradient of 0.5 x'Ax only when A equals its transpose.
+    ``a`` must be square (a :class:`DimensionMismatch` otherwise), finite (a
+    :class:`NonFiniteInput` otherwise) and exactly symmetric (a
+    ``ValueError`` otherwise): ``grad_fn`` is ``A x``, the gradient of
+    0.5 x'Ax only when A equals its transpose.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"quadratic matrix must be square, got shape {a.shape}")
+    # before the symmetry test, to which a NaN is unequal to itself
+    if not np.isfinite(a).all():
+        raise NonFiniteInput(f"{name}: non-finite entries in quadratic matrix")
     if not np.array_equal(a, a.T):
         raise ValueError("quadratic matrix must be symmetric, A x is its gradient only then")
     n = a.shape[0]

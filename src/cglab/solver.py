@@ -45,13 +45,13 @@ class SolverConfig:
     """Run parameters.  Defaults are the benchmarking protocol values:
 
     tau 0.002, rho 0.5, c1 1e-4, relative gradient tolerance 1e-6, at most
-    4000 iterations, step floor eps/10, BB curvature guard 1e-8, HZ
-    truncation eta 0.01.
+    4000 iterations.  These are the paper's parameters; the safeguards
+    around them (the step floor and BB curvature guard in
+    :mod:`~cglab.linesearch`, HZ's eta in :mod:`~cglab.directions`) are
+    constants of the module that reads them.
 
     tau = 0 is accepted (the NEW update degenerates to steepest descent);
-    the sweep grid uses it as its baseline point.  ``step_floor`` is an
-    absolute cutoff: a trial step below it aborts the line search and the
-    run; eps/10 is small enough that a healthy search never sees it.
+    the sweep grid uses it as its baseline point.
     A bool, a non-number or a value out of range in a numeric setting, and
     anything but a bool in ``record_trace``, is a ``ValueError`` naming it.
     """
@@ -62,9 +62,6 @@ class SolverConfig:
     c1: float = 1.0e-4
     eps_scale: float = 1.0e-6
     max_iters: int = 4000
-    step_floor: float = 2.0**-52 / 10.0
-    bb_guard: float = 1.0e-8
-    hz_eta: float = 0.01
     record_trace: bool = False
 
     def __post_init__(self):
@@ -72,8 +69,7 @@ class SolverConfig:
         _check_scalar("tau", self.tau, 0.0, 1.0, closed=True)
         _check_scalar("rho", self.rho, 0.0, 1.0)
         _check_scalar("c1", self.c1, 0.0, 1.0)
-        for name in ("eps_scale", "step_floor", "bb_guard", "hz_eta"):
-            _check_scalar(name, getattr(self, name))
+        _check_scalar("eps_scale", self.eps_scale)
         _check_scalar("max_iters", self.max_iters, 1)
         if not isinstance(self.record_trace, bool):
             raise ValueError(f"record_trace must be a bool, got {self.record_trace!r}")
@@ -158,7 +154,7 @@ def minimize(p: ProblemInstance, cfg: SolverConfig) -> RunResult:
 
     gnorm = math.sqrt(gg)  # the same bits as numpy's linalg.norm
     threshold = cfg.eps_scale * gnorm
-    method, tau, hz_eta, guard = cfg.method, cfg.tau, cfg.hz_eta, cfg.bb_guard
+    method, tau = cfg.method, cfg.tau
     gg_prev = d_prev = s_prev = y_prev = None
     k = 0
 
@@ -170,10 +166,8 @@ def minimize(p: ProblemInstance, cfg: SolverConfig) -> RunResult:
         if k >= cfg.max_iters:
             return _result(Status.ITERATION_LIMIT, k, f, gnorm)
 
-        d, dg, beta, restarted = direction(
-            method, g, gg, d_prev, y_prev, gg_prev, tau, hz_eta
-        )
-        alpha_bar = initial_step(s_prev, y_prev, guard)
+        d, dg, beta, restarted = direction(method, g, gg, d_prev, y_prev, gg_prev, tau)
+        alpha_bar = initial_step(s_prev, y_prev)
 
         try:
             alpha, f_new, x, backtracks, s_prev = armijo_backtrack(

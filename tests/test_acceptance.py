@@ -22,7 +22,7 @@ import pytest
 import cglab.cli as cli
 from cglab.bench import default_t_grid, performance_profile, run_suite, win_fractions
 from cglab.directions import MethodId
-from cglab.linesearch import armijo_backtrack
+from cglab.linesearch import _STEP_FLOOR, armijo_backtrack
 from cglab.problems import CountingProblem, catalog, desk_suite, quadratic_instance
 from cglab.solver import SolverConfig, Status, minimize
 
@@ -284,7 +284,7 @@ def _brute_force_armijo(value_fn, x, f, g, d, alpha_bar, cfg):
     i = 0
     while True:
         alpha = float(alpha_bar) * cfg.rho**i
-        if alpha < cfg.step_floor:
+        if alpha < _STEP_FLOOR:
             return None
         with np.errstate(over="ignore", invalid="ignore"):
             trial = x + alpha * d

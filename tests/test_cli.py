@@ -11,6 +11,7 @@ import pytest
 
 import cglab.bench
 import cglab.cli as cli
+import cglab.problems
 from cglab.problems import DimensionMismatch, ProblemInstance, catalog
 
 
@@ -118,9 +119,6 @@ def test_print_config_defaults(capsys):
         "c1": 1.0e-4,
         "eps_scale": 1.0e-6,
         "max_iters": 4000,
-        "step_floor": 2.0**-52 / 10.0,
-        "bb_guard": 1.0e-8,
-        "hz_eta": 0.01,
     }
 
 
@@ -197,7 +195,7 @@ def test_config_file_errors(tmp_path, capsys):
         {"tau": "x"},
         {"max_iters": None},
         {"max_iters": 2.5},
-        {"bb_guard": True},
+        {"c1": True},
         {"eps_scale": float("nan")},
         {"method": "SD"},
     ):
@@ -210,13 +208,60 @@ def test_config_file_errors(tmp_path, capsys):
 
 
 def test_invalid_config_value_exit_one(capsys):
-    bad_flags = (("--tau", "1.5"), ("--eps-scale", "nan"), ("--bb-guard", "nan"))
+    bad_flags = (("--tau", "1.5"), ("--eps-scale", "nan"), ("--c1", "nan"))
     for flag, value in bad_flags:
         code, _, err = run_cli(
             ["solve", "--problem", "TRIDIA", "--dim", "50", flag, value], capsys
         )
         assert code == 1
         assert flag[2:].replace("-", "_") in err
+
+
+@pytest.mark.parametrize(
+    "name, value", [("step_floor", 1e-17), ("bb_guard", 1e-8), ("hz_eta", 0.1)]
+)
+def test_safeguard_constants_are_no_settings(name, value, tmp_path, monkeypatch, capsys):
+    # the step floor, BB guard and HZ eta are module constants: neither a
+    # flag nor a config key sets them, and naming one starts no run
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(cli, "minimize", no_run)
+    monkeypatch.setattr(cli, "run_suite", no_run)
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({name: value}))
+    flag = "--" + name.replace("_", "-")
+    out_dir = tmp_path / "out"
+    solve = ["solve", "--problem", "TRIDIA", "--dim", "50"]
+    suite = ["suite", "--problems", "TRIDIA", "--max-dim", "50", "--output", str(out_dir)]
+    for argv in (
+        [*solve, flag, repr(value)],
+        [*solve, "--config", str(cfg_file)],
+        [*suite, flag, repr(value)],
+        [*suite, "--config", str(cfg_file)],
+    ):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1, argv
+        assert out == ""
+        assert err.startswith("error:") and (flag in err or repr(name) in err)
+    assert not out_dir.exists()
+
+
+def test_commands_build_only_the_selected_instances(monkeypatch, capsys):
+    built = []
+    original = cglab.problems.build
+
+    def counting_build(name, dim):
+        built.append((name, dim))
+        return original(name, dim)
+
+    monkeypatch.setattr(cglab.problems, "build", counting_build)
+    code, out, _ = run_cli(["check-gradients", "--problems", "TRIDIA"], capsys)
+    assert code == 0 and len(out.splitlines()) == 4
+    assert built == [("TRIDIA", n) for n in (50, 100, 500, 1000)]
+    built.clear()
+    code, _, _ = run_cli(["solve", "--problem", "TRIDIA", "--dim", "50"], capsys)
+    assert code == 0 and built == [("TRIDIA", 50)]
 
 
 SUITE_ARTIFACTS = (
@@ -595,7 +640,7 @@ def test_check_gradients_detects_wrong_gradient(capsys, monkeypatch):
     liar = ProblemInstance(
         name="LIAR", dim=4, start=np.zeros(4), value_fn=liar_value, grad_fn=liar_grad
     )
-    monkeypatch.setattr(cli, "catalog", lambda: [liar])
+    monkeypatch.setattr(cli, "filter_catalog", lambda pattern: [liar])
     code, out, err = run_cli(["check-gradients"], capsys)
     assert code == 2
     assert out.splitlines()[0].startswith("FAIL LIAR")

@@ -14,18 +14,18 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cglab.directions import MethodId, direction
+from cglab.directions import _HZ_ETA, MethodId, direction
 
 EPS = float(np.finfo(float).eps)
 
 
-def step(method, g, g_prev, d_prev, tau=0.002, hz_eta=0.01):
+def step(method, g, g_prev, d_prev, tau=0.002):
     """``direction()`` fed what ``minimize`` holds for (g, g_prev, d_prev)."""
     gg = float(np.dot(g, g))
     if g_prev is None:
-        return direction(method, g, gg, None, None, None, tau, hz_eta)
+        return direction(method, g, gg, None, None, None, tau)
     gg_prev = float(np.dot(g_prev, g_prev))
-    return direction(method, g, gg, d_prev, g - g_prev, gg_prev, tau, hz_eta)
+    return direction(method, g, gg, d_prev, g - g_prev, gg_prev, tau)
 
 
 def assert_restarted(res, g):
@@ -382,7 +382,7 @@ def test_direction_matches_reference_bit_for_bit(seed, case, tau, scale_pow):
 
     for method in MethodId:
         d, dg, beta, restarted = reference_direction(
-            method.value, g, g_prev, d_prev, tau, 0.01
+            method.value, g, g_prev, d_prev, tau, _HZ_ETA
         )
         res = step(method, g, g_prev, d_prev, tau=tau)
         assert res.d.tobytes() == d.tobytes(), method

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cglab.linesearch import (
+    _BB_GUARD,
+    _STEP_FLOOR,
     NotDescent,
     StepFloorReached,
     armijo_backtrack,
@@ -146,20 +148,21 @@ def test_non_finite_trial_points_are_skipped_unevaluated():
 
 
 def test_initial_step_rules():
-    guard = CFG.bb_guard
-    assert initial_step(None, None, guard) == 1.0
+    assert initial_step(None, None) == 1.0
     s = np.array([1.0, 0.0])
     y = np.array([2.0, 0.0])
-    assert initial_step(s, y, guard) == 0.5
+    assert initial_step(s, y) == 0.5
     # curvature at or below the guard falls back to 1
-    assert initial_step(s, np.array([1e-9, 0.0]), guard) == 1.0
-    assert initial_step(s, -y, guard) == 1.0
+    assert initial_step(s, np.array([1e-9, 0.0])) == 1.0
+    assert initial_step(s, np.array([_BB_GUARD, 0.0])) == 1.0
+    assert initial_step(s, np.array([2.0 * _BB_GUARD, 0.0])) == 1.0 / (2.0 * _BB_GUARD)
+    assert initial_step(s, -y) == 1.0
     with pytest.raises(DimensionMismatch):
-        initial_step(s, None, guard)
+        initial_step(s, None)
     with pytest.raises(DimensionMismatch):
-        initial_step(None, y, guard)
+        initial_step(None, y)
     with pytest.raises(DimensionMismatch):
-        initial_step(s, np.array([1.0, 2.0, 3.0]), guard)
+        initial_step(s, np.array([1.0, 2.0, 3.0]))
 
 
 @pytest.mark.parametrize(
@@ -174,7 +177,7 @@ def test_initial_step_falls_back_when_quotient_not_finite_positive(s, y):
     # armijo_backtrack refuses such an alpha_bar, so the BB step must not
     # hand it on
     with np.errstate(over="ignore", invalid="ignore"):  # as minimize runs it
-        assert initial_step(np.array(s), np.array(y), CFG.bb_guard) == 1.0
+        assert initial_step(np.array(s), np.array(y)) == 1.0
 
 
 def brute_force_armijo(p, x, f, g, d, alpha_bar, cfg, max_i=300):
@@ -185,7 +188,7 @@ def brute_force_armijo(p, x, f, g, d, alpha_bar, cfg, max_i=300):
     best = None
     for i in range(max_i):
         alpha = alpha_bar * cfg.rho**i
-        if alpha < cfg.step_floor:
+        if alpha < _STEP_FLOOR:
             break
         trial = x + alpha * d
         if not np.isfinite(trial).all():

@@ -441,6 +441,29 @@ def test_filter_catalog():
     assert len(filter_catalog(min_dim=np.int64(1000))) == 19
 
 
+def test_filter_catalog_builds_only_matches(monkeypatch):
+    built = []
+    original = cglab.problems.build
+
+    def counting_build(name, dim):
+        built.append((name, dim))
+        return original(name, dim)
+
+    # looked up as the module global, so a patched build (the traced
+    # benchmark wraps it) sees every instance
+    monkeypatch.setattr(cglab.problems, "build", counting_build)
+    tridia = [("TRIDIA", n) for n in (50, 100, 500, 1000)]
+    assert [(p.name, p.dim) for p in filter_catalog("TRIDIA")] == tridia
+    assert built == tridia
+    built.clear()
+    assert [(p.name, p.dim) for p in filter_catalog("*", 500, 500)] == built
+    assert len(built) == 14
+    built.clear()
+    assert filter_catalog("TRIDIA", 60, 90) == [] and built == []
+    assert [(p.name, p.dim) for p in catalog()] == built
+    assert len(built) == 69
+
+
 def test_start_points_are_immutable():
     p = build("TRIDIA", 50)
     with pytest.raises(ValueError):
@@ -1242,6 +1265,12 @@ def test_quadratic_instance():
     for bad in ([[1.0, 2.0], [0.0, 1.0]], [[1.0, 1.0 + 1e-15], [1.0, 1.0]]):
         with pytest.raises(ValueError, match="must be symmetric"):
             quadratic_instance(bad)
+    # a non-finite entry is named as such, before the symmetry test, to
+    # which a NaN is unequal to itself and a symmetric inf is no defect
+    for v in (np.nan, np.inf, -np.inf):
+        for bad in ([[1.0, v], [v, 1.0]], [[v, 0.0], [0.0, 1.0]]):
+            with pytest.raises(NonFiniteInput, match="^Q: non-finite entries"):
+                quadratic_instance(bad, name="Q")
 
 
 def test_problem_instance_validation():

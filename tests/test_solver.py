@@ -7,6 +7,7 @@ checked against hand traces, frozen eigenvalues, and the bookkeeping
 identities the counters must satisfy.
 """
 
+import dataclasses
 import math
 import warnings
 from fractions import Fraction
@@ -16,8 +17,8 @@ import pytest
 import scipy.optimize
 from hypothesis import given, strategies as st
 
-from cglab.directions import MethodId
-from cglab.linesearch import NotDescent, StepFloorReached
+from cglab.directions import _HZ_ETA, MethodId
+from cglab.linesearch import _BB_GUARD, _STEP_FLOOR, NotDescent, StepFloorReached
 from cglab.problems import (
     DimensionMismatch,
     NonFiniteInput,
@@ -44,13 +45,26 @@ def test_config_defaults_match_protocol():
     assert cfg.c1 == 1.0e-4
     assert cfg.eps_scale == 1.0e-6
     assert cfg.max_iters == 4000
-    assert cfg.step_floor == 2.0**-52 / 10.0
-    assert cfg.bb_guard == 1.0e-8
-    assert cfg.hz_eta == 0.01
     assert cfg.record_trace is False
+    # the safeguards are constants of the modules that read them
+    assert _STEP_FLOOR == 2.0**-52 / 10.0
+    assert _BB_GUARD == 1.0e-8
+    assert _HZ_ETA == 0.01
 
 
-FLOAT_FIELDS = ("tau", "rho", "c1", "eps_scale", "step_floor", "bb_guard", "hz_eta")
+def test_config_holds_only_the_paper_parameters():
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == [
+        "method",
+        "tau",
+        "rho",
+        "c1",
+        "eps_scale",
+        "max_iters",
+        "record_trace",
+    ]
+
+
+FLOAT_FIELDS = ("tau", "rho", "c1", "eps_scale")
 
 
 def test_config_validation():
@@ -69,9 +83,6 @@ def test_config_validation():
         {"max_iters": np.nan},
         {"max_iters": np.inf},
         {"max_iters": 2.5},
-        {"step_floor": 0.0},
-        {"bb_guard": 0.0},
-        {"hz_eta": 0.0},
         {"method": "XX"},
         *({name: v} for name in FLOAT_FIELDS for v in (np.nan, np.inf)),
     ):
@@ -548,7 +559,7 @@ def _ref_armijo(problem, x, f, dg, d, alpha_bar, cfg):
     alpha = float(alpha_bar)
     backtracks = 0
     while True:
-        if alpha < cfg.step_floor:
+        if alpha < _STEP_FLOOR:
             raise StepFloorReached("floor")
         trial = x + alpha * d
         try:
@@ -590,9 +601,9 @@ def reference_minimize(p, cfg):
         if k >= cfg.max_iters:
             return result(Status.ITERATION_LIMIT, k, f, gnorm)
         d, dg, beta, restarted = _ref_direction(
-            cfg.method, g, gg, d_prev, y_prev, gg_prev, cfg.tau, cfg.hz_eta
+            cfg.method, g, gg, d_prev, y_prev, gg_prev, cfg.tau, _HZ_ETA
         )
-        alpha_bar = _ref_initial_step(s_prev, y_prev, cfg.bb_guard)
+        alpha_bar = _ref_initial_step(s_prev, y_prev, _BB_GUARD)
         try:
             alpha, f_new, x_new, backtracks = _ref_armijo(
                 cp, x, f, dg, d, alpha_bar, cfg

@@ -81,14 +81,15 @@ class ElementForm:
     boundary term (TRIDIA's ``(x_1 - 1)^2``).  They are distinct and may
     also be column entries.  A point is a batch of one: ``elem`` gets the
     columns ``x[..., c]`` and the shared values ``x[..., i, None]``, and
-    ``outer`` gets ``x[..., i]``, so for one point a shared value reaches
-    ``elem`` as a ``(1,)`` array and ``outer`` as a 0-d array.  ``outer``
-    may also get a numpy scalar where every point of a batch has the same
-    value.  :attr:`value` is the objective the form defines, a batch-aware
-    ``value_fn`` with one expression for a point and a batch; the terms are
-    summed along their last axis with ``np.add.reduce``, which is
-    ``np.sum``'s own reduction and sums each row of a C-ordered block as it
-    sums that row alone.
+    ``outer`` gets ``x[..., i][()]``, so for one point a shared value
+    reaches ``elem`` as a ``(1,)`` array and ``outer`` as the numpy scalar
+    ``x[i]``.  :func:`fd_gradient` hands ``outer`` the ``(..., n)`` sums of
+    each point's perturbed rows with that point's shared values as a
+    ``(..., 1)`` array.  :attr:`value` is the objective the form defines, a
+    batch-aware ``value_fn`` with one expression for a point and a batch;
+    the terms are summed along their last axis with ``np.add.reduce``,
+    which is ``np.sum``'s own reduction and sums each row of a C-ordered
+    block as it sums that row alone.
     """
 
     elem: Callable[..., np.ndarray]
@@ -115,14 +116,19 @@ class ElementForm:
         # one call gathers elem's arguments, the columns and then the shared
         # values, which keep a unit last axis
         args = _getter(*[(..., c) for c in cols], *[(..., i, None) for i in shared])
-        shared_values = _getter(*[(..., i) for i in shared])
+        keys = [(..., i) for i in shared]
         object.__setattr__(self, "_cols", cols)
         object.__setattr__(self, "_args", args)
         elem, outer = self.elem, self.outer
 
         def value(x):
             s = np.add.reduce(elem(*args(x)), -1)
-            return s if outer is None else outer(s, *shared_values(x))
+            if outer is None:
+                return s
+            # for one point x[..., i] is 0-d and [()] makes it a numpy
+            # scalar, whose arithmetic and _scalar_pow are several times
+            # cheaper than a 0-d array's; a batch's (...) array passes as is
+            return outer(s, *[x[k][()] for k in keys])
 
         object.__setattr__(self, "value", value)
 
@@ -133,15 +139,17 @@ class ElementForm:
         ``moves`` holds ``(offset, plus, minus)`` per column: ``plus`` is
         the term array with that column read from ``up`` and everything
         else, the shared values too, from ``x`` (``minus`` likewise from
-        ``down``).  ``1 + 2 r`` element calls of ``terms`` entries per sum
+        ``down``).  ``x``, ``up`` and ``down`` are one point or a
+        ``(..., n)`` batch, and the term arrays carry its leading axes.
+        ``1 + 2 r`` element calls of ``terms`` entries per sum and point
         each.  A shared coordinate's moved points are whole points instead,
         evaluated by ``_block_values`` (see :func:`fd_gradient`).
         """
         elem, args = self.elem, self._args(x)
         moves = []
         for j, (o, c) in enumerate(zip(self.offsets, self._cols)):
-            plus = elem(*args[:j], up[c], *args[j + 1 :])
-            minus = elem(*args[:j], down[c], *args[j + 1 :])
+            plus = elem(*args[:j], up[..., c], *args[j + 1 :])
+            minus = elem(*args[:j], down[..., c], *args[j + 1 :])
             moves.append((o, plus, minus))
         return elem(*args), moves
 
@@ -315,15 +323,26 @@ class CountingProblem:
 
 _CBRT_EPS = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
-# Entries per block on fd_gradient's block path (no element form).  Each
-# block pays a fixed Python and numpy-call cost: at 8192 entries an
-# n = 1000 call ran 250 blocks of 4 coordinates.  Timed over the catalog's
-# audit points (Xeon, 2 MB L2 per core), 65,536 entries (512 KB) ran 1.1x
-# faster than 32,768; 131,072 was no faster and raised a process's peak RSS
-# from 37.1 to 37.9 MB (35.7 MB at 8192), and 262,144, a block the size of
-# L2, ran 1.4x slower at 40.0 MB.  An element form's differences (the term
-# path) are summed leaf by leaf instead and do not use it.
+# Entries per block on fd_gradient's block path (no element form), over all
+# the points of a batch.  Each block pays a fixed Python and numpy-call
+# cost: at 8192 entries an n = 1000 call ran 250 blocks of 4 coordinates.
+# Timed over the catalog's audit points (Xeon, 2 MB L2 per core), 65,536
+# entries (512 KB) ran 1.1x faster than 32,768; 131,072 was no faster and
+# raised a process's peak RSS from 37.1 to 37.9 MB (35.7 MB at 8192), and
+# 262,144, a block the size of L2, ran 1.4x slower at 40.0 MB.  The term
+# path's leaf blocks have their own budget.
 _FD_CHUNK = 65536
+
+# Entries per leaf block on the term path (an element form), over the rows
+# of terms of a batch: a batch whose leaf blocks would exceed it walks the
+# tree in groups of rows, spread evenly.  One row's leaf block is at most
+# 2 m + 1 rows of 128 terms, m the coordinates a leaf reads: about 33,000
+# entries at stride 1 and 131,000 for WOODS and POWELLSG.  In 60 s
+# grad-audit runs (2 cores, Python 3.11, numpy 2.4), 2, 3 and 4 times
+# _FD_CHUNK ran at the same speed within noise, and the peak RSS of 39.0 MB
+# at one point per call rose to 39.9, 40.3 and 42.2 MB; with no bound it
+# rose by a quarter.
+_LEAF_BUDGET = 2 * _FD_CHUNK
 
 # numpy's pairwise summation (Higham 1993), which np.add.reduce applies to
 # each float64 row: a row of at most _PAIRWISE_LEAF entries is a leaf that
@@ -343,6 +362,9 @@ def _pairwise_split(w: int) -> int:
 def fd_gradient(p: ProblemInstance, x: Vector, h: float = _CBRT_EPS) -> Vector:
     """Central-difference gradient oracle; never touches counters.
 
+    ``x`` is one point or a batch of points, a ``(..., n)`` array, and the
+    result has its shape: each row has the bits of the one-point call on
+    that row.  ``check-gradients`` audits an instance's points in one call.
     The per-coordinate step is ``h * (1 + |x_i|)``; the default base step is
     cbrt(machine eps), the usual balance of truncation vs. cancellation for
     central differences.  ``h`` must be a positive finite number, not a
@@ -350,37 +372,39 @@ def fd_gradient(p: ProblemInstance, x: Vector, h: float = _CBRT_EPS) -> Vector:
     ``x + h_i e_i`` and ``x - h_i e_i``.
 
     Whole perturbed points are evaluated in one place, ``_block_values``:
-    in ``(2k, n)`` blocks of about ``_FD_CHUNK`` entries, the rows of
-    ``x + h_i e_i`` for k coordinates followed by those of ``x - h_i e_i``.
-    The block buffer is filled with ``x`` once per call; each block writes
-    in only its 2k moved entries and, after the objective, writes ``x``
-    back over them.  The objective gets the block as a read-only array, and
-    the batch contract makes it row-exact.  Without an element form every
-    coordinate takes this path.  POWER and VARDIM do, since a weighted sum
-    over all of x enters them through a row dot, whose order of additions
-    is BLAS's and not a tree.
+    in ``(..., 2k, n)`` blocks of about ``_FD_CHUNK`` entries, per point
+    the rows of ``x + h_i e_i`` for k coordinates followed by those of
+    ``x - h_i e_i``.  The block buffer is filled with ``x`` once per call;
+    each block writes in only its moved entries and, after the objective,
+    writes ``x`` back over them.  The objective gets the block as a
+    read-only array, and the batch contract makes it row-exact.  Without
+    an element form every coordinate takes this path.  POWER and VARDIM do,
+    since a weighted sum over all of x enters them through a row dot, whose
+    order of additions is BLAS's and not a tree.
 
     With ``p.elements`` only the shared coordinates are whole points, and
     ``_block_values`` evaluates them through the form's ``value``: a shared
     coordinate may move every term and ``outer``'s value too.  For every
     other coordinate no point is evaluated.  The terms of ``x`` are
     computed once, and so are, per column, all terms with that column moved,
-    one element call each: O(n (r + s)) element work for r columns and s
-    shared coordinates.  A coordinate's row is then the terms of ``x`` with
-    its few moved terms written in, and its value has to be that row's sum
-    in ``np.add.reduce``'s bits.  numpy sums a row as a tree (see
-    ``_PAIRWISE_LEAF``), so the row's sum differs from the sum of ``x``'s
-    terms only along the paths from the leaves its moved terms fall in.
-    The walk down that tree re-sums, at each leaf, only the rows of the
+    one element call each: O(n (r + s)) element work per point for r
+    columns and s shared coordinates.  A coordinate's row is then the terms
+    of ``x`` with its few moved terms written in, and its value has to be
+    that row's sum in ``np.add.reduce``'s bits.  numpy sums a row as a tree
+    (see ``_PAIRWISE_LEAF``), so the row's sum differs from the sum of
+    ``x``'s terms only along the paths from the leaves its moved terms fall
+    in.  The walk down that tree re-sums, at each leaf, only the rows of the
     coordinates that move a term in it, as one ``np.add.reduce`` over a
-    ``(2m, <= 128)`` block, and at each inner node adds left and right sums
-    for those coordinates only, taking the base sum of a half that a
+    block of ``<= 128`` columns, and at each inner node adds left and right
+    sums for those coordinates only, taking the base sum of a half that a
     coordinate does not move.  That is O(n 128 + n log n) work and O(n)
-    memory per call.  A form of c sums walks the tree once per sum, and
-    ``outer`` gets every row's sums with the shared values of ``x``.
+    memory per point.  Every row of terms, each sum of a form of c sums for
+    each point, walks the tree together, in groups of rows whose leaf
+    blocks fit ``_LEAF_BUDGET``; ``outer`` gets every row's sums with its
+    point's shared values.
     """
     _check_scalar("h", h)
-    x = _check_point(p.name, (p.dim,), x)
+    x = _check_point(p.name, (*np.shape(x)[:-1], p.dim), x)
     steps = h * (1.0 + np.abs(x))
     up, down = x + steps, x - steps
     if p.elements is None:
@@ -395,115 +419,144 @@ def fd_gradient(p: ProblemInstance, x: Vector, h: float = _CBRT_EPS) -> Vector:
 
 def _block_values(name: str, value, x: Vector, up: Vector, down: Vector, moved: Vector):
     """``value`` at ``x + steps e_i`` and ``x - steps e_i`` for each i in the
-    index array ``moved``, in blocks of about ``_FD_CHUNK`` entries."""
-    n, count = x.size, len(moved)
-    f_up, f_down = np.empty(count), np.empty(count)
-    k = max(1, min(count, _FD_CHUNK // (2 * n)))
-    # every row of buf holds x between blocks: a block writes its moved
-    # entries in, evaluates, and writes x back over exactly those entries
-    buf = np.empty((2 * k, n))
-    buf[:] = x
+    non-empty index array ``moved`` and each point of ``x``, as two
+    ``(..., len(moved))`` arrays, in blocks of about ``_FD_CHUNK`` entries."""
+    *lead, n = x.shape
+    count = len(moved)
+    f_up, f_down = np.empty((*lead, count)), np.empty((*lead, count))
+    # the fewest blocks of at most _FD_CHUNK entries (or of one coordinate),
+    # with the coordinates spread evenly; a last block of fewer than k
+    # leaves rows that hold x
+    blocks = -(-count // max(1, _FD_CHUNK // max(1, 2 * x.size)))
+    k = -(-count // blocks)
+    # every row of buf holds its point between blocks: a block writes its
+    # moved entries in, evaluates, and writes x back over exactly those
+    # entries.  Point-major, so the block is C-ordered whatever its shape.
+    buf = np.empty((*lead, 2 * k, n))
+    buf[:] = x[..., None, :]
     flat = buf.reshape(-1)
     # value reads a view it cannot write, so that it cannot leave a stale
     # entry behind for the next block
     frozen = buf.view()
     frozen.flags.writeable = False
+    # where row j < k of each point's block starts in flat; coordinate
+    # moved[lo + j] moves in rows j and k + j.  Indexing flat with one index
+    # array, and the moved values gathered once, keep a block's scatters as
+    # cheap for a batch as for one point.
+    rows = np.arange(0, buf.size, 2 * k * n).reshape(*lead, 1) + np.arange(0, k * n, n)
+    ups, downs, xs = up[..., moved], down[..., moved], x[..., moved]
     for lo in range(0, count, k):
         at = moved[lo : lo + k]
         m = len(at)
-        # coordinate moved[lo + j] moves in rows j and m + j
-        above = np.arange(0, m * n, n) + at
-        below = above + m * n
-        flat[above] = up[at]
-        flat[below] = down[at]
-        f = np.asarray(value(frozen[: 2 * m]), dtype=float)
-        if f.shape != (2 * m,):
+        above = rows[..., :m] + at
+        below = above + k * n
+        flat[above] = ups[..., lo : lo + m]
+        flat[below] = downs[..., lo : lo + m]
+        f = np.asarray(value(frozen), dtype=float)
+        if f.shape != (*lead, 2 * k):
             raise DimensionMismatch(
                 f"{name}: the objective gave shape {f.shape} for a batch of shape "
-                f"{(2 * m, n)}; it must map (..., n) to (...)"
+                f"{buf.shape}; it must map (..., n) to (...)"
             )
-        f_up[lo : lo + m], f_down[lo : lo + m] = f[:m], f[m:]
-        flat[above] = x[at]
-        flat[below] = x[at]
+        f_up[..., lo : lo + m], f_down[..., lo : lo + m] = f[..., :m], f[..., k : k + m]
+        flat[above] = flat[below] = xs[..., lo : lo + m]
     return f_up, f_down
 
 
 def _term_values(p: ProblemInstance, x: Vector, up: Vector, down: Vector):
-    """The objective at ``x + steps e_i`` and ``x - steps e_i`` for every i,
-    from the element form's terms, in the bits of ``value_fn``."""
+    """The objective at ``x + steps e_i`` and ``x - steps e_i`` for every i
+    and every point of ``x``, from the element form's terms, in the bits of
+    ``value_fn``."""
     form = p.elements
     base, moves = form.moved_terms(x, up, down)
-    w, stride, shape = form.terms, form.stride, base.shape
+    lead, w, shape = x.shape[:-1], form.terms, base.shape
     other = {t.shape for _, *ends in moves for t in ends} - {shape}
-    if shape[-1:] != (w,) or base.ndim > 2 or other:
+    c = base.ndim - len(lead) - 1  # 1 for a form of c sums, else 0
+    if c not in (0, 1) or shape[c:] != (*lead, w) or other:
+        expected = ", ".join(map(str, (*lead, w)))
         raise DimensionMismatch(
             f"{p.name}: elem gave shape {shape} at x and {sorted(other)} moved, "
-            f"expected ({w},) or (c, {w}) throughout"
+            f"expected ({expected},) or (c, {expected}) throughout"
         )
-    if base.ndim == 2 and form.outer is None:
+    if c and form.outer is None:
         raise DimensionMismatch(f"{p.name}: elem gave {shape[0]} sums and no outer")
-    span = (min(form.offsets), max(form.offsets), stride)
+    # one row of terms per sum and point
+    rows = base.reshape(-1, w)
+    moves = [(o, plus.reshape(-1, w), minus.reshape(-1, w)) for o, plus, minus in moves]
+    span = (min(form.offsets), max(form.offsets), form.stride)
     width = min(w, _PAIRWISE_LEAF)
-    buf = np.empty(2 * (span[1] - span[0] + stride * (width - 1) + 1) * width)
-    # s[0, ..., i] and s[1, ..., i] hold the sums of coordinate i's row moved
-    # up and down (c of them for a form of c sums, each from a tree walk of
-    # its own), laid out as outer takes them
-    s = np.empty((2, *shape[:-1], p.dim))
-    for k in np.ndindex(shape[:-1]):
-        kth = [(o, plus[k], minus[k]) for o, plus, minus in moves]
-        total, a, sums = _moved_sums(base[k], kth, span, 0, w, buf)
-        walked = s[(slice(None), *k)]
-        walked[:] = total
-        walked[:, a : a + sums.shape[1]] = sums
-    f_up, f_down = s
+    per_row = (2 * (span[1] - span[0] + span[2] * (width - 1) + 1) + 1) * width
+    # as many groups as the budget asks for, with the rows spread evenly
+    groups = -(-len(rows) // max(1, _LEAF_BUDGET // per_row))
+    group = max(1, -(-len(rows) // max(1, groups)))
+    buf = np.empty(group * per_row)
+    # s[0, r, i] and s[1, r, i] hold the sum of term row r with coordinate
+    # i moved up and down, laid out as outer takes them
+    s = np.empty((2, len(rows), p.dim))
+    for lo in range(0, len(rows), group):
+        g = slice(lo, lo + group)
+        kth = [(o, plus[g], minus[g]) for o, plus, minus in moves]
+        total, a, sums = _moved_sums(rows[g], kth, span, 0, w, buf)
+        walked = s[:, g]
+        walked[:] = total[:, None]
+        walked[..., a : a + sums.shape[-1]] = sums
+    f_up, f_down = s.reshape(2, *shape[:-1], p.dim)
     if form.outer is not None:
-        values = [x[i] for i in form.shared]
+        values = [x[..., i, None] for i in form.shared]
         f_up, f_down = form.outer(f_up, *values), form.outer(f_down, *values)
-    shared = np.array(form.shared, dtype=np.intp)
-    f_up[shared], f_down[shared] = _block_values(p.name, form.value, x, up, down, shared)
+    if form.shared:
+        shared = np.array(form.shared, dtype=np.intp)
+        f_up[..., shared], f_down[..., shared] = _block_values(
+            p.name, form.value, x, up, down, shared
+        )
     return f_up, f_down
 
 
 def _moved_sums(base, moves, span, lo, hi, buf):
-    """Sums over terms lo..hi-1, as numpy's pairwise tree forms them.
+    """Sums over terms lo..hi-1 of each row of ``base``, as numpy's pairwise
+    tree forms them.
 
-    ``span = (first, last, stride)``: terms lo..hi-1 read coordinates
-    ``a = first + stride lo`` to ``last + stride (hi - 1)``, m of them.
-    Returns the sum of ``base[lo:hi]``, ``a``, and the ``(2, m)`` sums of
-    those coordinates' rows, each moved up (row 0) and down (row 1) by
-    ``moves`` (see :meth:`ElementForm.moved_terms`).  ``buf`` holds the
-    largest leaf block.
+    ``base`` holds g rows of terms.  ``span = (first, last, stride)``:
+    terms lo..hi-1 read coordinates ``a = first + stride lo`` to
+    ``last + stride (hi - 1)``, m of them.  Returns the ``(g,)`` sums of
+    ``base[:, lo:hi]``, ``a``, and the ``(2, g, m)`` sums of those
+    coordinates' rows, each moved up (``[0]``) and down (``[1]``) by
+    ``moves``, whose term arrays have ``base``'s rows (see
+    :meth:`ElementForm.moved_terms`).  ``buf`` holds the largest leaf block.
     """
     first, last, stride = span
     a = first + stride * lo
     m = last + stride * (hi - 1) + 1 - a
-    size = hi - lo
+    size, g = hi - lo, len(base)
     if size > _PAIRWISE_LEAF:
         mid = lo + _pairwise_split(size)
         left_base, _, left = _moved_sums(base, moves, span, lo, mid, buf)
         right_base, right_a, right = _moved_sums(base, moves, span, mid, hi, buf)
         # numpy adds the left half's sum to the right half's; a row that
         # moves no term of a half has that half's base sum there
-        sums = np.full((2, m), left_base)
-        sums[:, : left.shape[1]] = left
-        padded = np.full((2, m), right_base)
-        padded[:, right_a - a :] = right
+        sums = np.empty((2, g, m))
+        sums[:] = left_base[:, None]
+        sums[..., : left.shape[-1]] = left
+        padded = np.empty((2, g, m))
+        padded[:] = right_base[:, None]
+        padded[..., right_a - a :] = right
         sums += padded
         return left_base + right_base, a, sums
-    # a leaf: coordinate i = o + stride j moves term j of column o, in rows
-    # i - a and m + i - a, which are stride size + 1 apart when flat
-    block = buf[: 2 * m * size].reshape(2 * m, size)
-    block[:] = base[lo:hi]
-    flat = block.reshape(-1)
+    # a leaf: a C-ordered block of g m rows moved up, g m moved down and the
+    # g rows of base.  Coordinate i = o + stride j moves term j of column o,
+    # in row i - a of its point's m, which are stride size + 1 apart when flat
+    block = buf[: (2 * m + 1) * g * size].reshape(-1, size)
+    block[: 2 * g * m].reshape(2, g, m, size)[:] = base[:, None, lo:hi]
+    block[2 * g * m :] = base[:, lo:hi]
+    up, down = block[: 2 * g * m].reshape(2, g, m * size)
     step = stride * size + 1
     for o, plus, minus in moves:
         start = (o - first) * size
         at = slice(start, start + (size - 1) * step + 1, step)
-        below = slice(at.start + m * size, at.stop + m * size, step)
-        flat[at] = plus[lo:hi]
-        flat[below] = minus[lo:hi]
-    sums = np.add.reduce(block, axis=-1).reshape(2, m)
-    return np.add.reduce(base[lo:hi]), a, sums
+        up[:, at] = plus[:, lo:hi]
+        down[:, at] = minus[:, lo:hi]
+    sums = np.add.reduce(block, axis=-1)
+    return sums[2 * g * m :], a, sums[: 2 * g * m].reshape(2, g, m)
 
 
 # ---------------------------------------------------------------------------
@@ -882,7 +935,7 @@ def _vardim(n: int):
 
     def value(x):
         d = x - 1.0
-        s = np.matmul(d[..., None, :], w)[..., 0]
+        s = np.matmul(d[..., None, :], w)[..., 0][()]  # a numpy scalar for one point
         # squared in place, d**2's bits: a second temporary the size of a
         # (2, 100000) block made glibc fault its pages in on every call
         d2 = np.square(d, out=d)
@@ -966,7 +1019,7 @@ def _power(n: int):
 
     def value(x):
         q = x**2
-        s = np.matmul(q[..., None, :], w)[..., 0]
+        s = np.matmul(q[..., None, :], w)[..., 0][()]  # a numpy scalar for one point
         return _scalar_pow(s, 2)
 
     def grad(x):

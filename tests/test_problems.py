@@ -668,6 +668,40 @@ def test_scalar_pow_rounds_like_numpy_scalars():
                 assert np.float64(zero_d).tobytes() == expected.tobytes(), (k, v)
 
 
+def test_one_point_shared_values_and_row_dots_are_numpy_scalars(monkeypatch):
+    # For one point, outer gets each shared value as the numpy scalar x[i],
+    # and POWER and VARDIM power their row dot as a numpy scalar, so that
+    # their arithmetic and _scalar_pow take the scalar path, several times
+    # cheaper than a 0-d array's; a batch's stay arrays.
+    powers = []
+
+    def spy(t, k):
+        powers.append(type(t))
+        return _scalar_pow(t, k)
+
+    monkeypatch.setattr(cglab.problems, "_scalar_pow", spy)
+    for name in ("POWER", "VARDIM"):
+        p = build(name, 50)
+        powers.clear()
+        p.value_fn(p.start)
+        assert powers and set(powers) == {np.float64}, name
+        p.value_fn(np.vstack([p.start] * 2))
+        assert set(powers) == {np.float64, np.ndarray}, name
+    for name in ("DIXON3DQ", "EXTROSNB", "NONDIA", "TRIDIA"):
+        p = build(name, 50)
+        seen = []
+
+        def outer(s, *values, outer=p.elements.outer):
+            seen.append([type(v) for v in values])
+            return outer(s, *values)
+
+        form = dataclasses.replace(p.elements, outer=outer)
+        assert form.value(p.start).tobytes() == np.float64(p.value_fn(p.start)).tobytes()
+        assert seen == [[np.float64] * len(form.shared)], name
+        form.value(np.vstack([p.start] * 2))
+        assert seen[-1] == [np.ndarray] * len(form.shared), name
+
+
 CATALOG_KEYS = [(p.name, p.dim) for p in catalog()]
 
 
@@ -699,6 +733,89 @@ def test_fd_gradient_matches_coordinate_loop(name, dim):
     rng = np.random.default_rng([13, dim, *name.encode()])
     for x in (p.start, p.start + rng.uniform(-1.0, 1.0, dim)):
         assert fd_gradient(p, x).tobytes() == coordinate_loop_fd(p, x).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Batch oracle: fd_gradient on a (..., n) stack of points gives, row for row,
+# the bits of the one-point call on that row.
+# ---------------------------------------------------------------------------
+
+
+def audit_points(p, seed=0):
+    """The 6 points check-gradients audits ``p`` at, stacked as it stacks them."""
+    rng = np.random.default_rng([seed, p.dim, *p.name.encode()])
+    return np.vstack([p.start, p.start + rng.uniform(-1.0, 1.0, size=(5, p.dim))])
+
+
+def assert_fd_batch_matches_points(p, batch):
+    got = fd_gradient(p, batch)
+    assert got.shape == batch.shape
+    rows = [fd_gradient(p, x) for x in batch.reshape(-1, p.dim)]
+    assert got.tobytes() == np.array(rows).tobytes(), (p.key, batch.shape)
+
+
+@pytest.mark.parametrize("name,dim", CATALOG_KEYS)
+def test_fd_gradient_batch_matches_point_calls(name, dim):
+    p = build(name, dim)
+    assert_fd_batch_matches_points(p, audit_points(p))
+
+
+@pytest.mark.parametrize(
+    "name,dim", [("ARWHEAD", 100), ("PENALTY1", 50), ("POWER", 50), ("SROSENBR", 50), ("TRIDIA", 50)]
+)
+def test_fd_gradient_batch_keeps_leading_axes(name, dim):
+    # the block path, a shared coordinate in elem or in outer, two sums, and
+    # stride 2, on a (2, 3, n) batch, which must also equal its (6, n) rows
+    p = build(name, dim)
+    rng = np.random.default_rng([83, dim, *name.encode()])
+    batch = p.start + rng.uniform(-1.0, 1.0, (2, 3, dim))
+    assert_fd_batch_matches_points(p, batch)
+    rows = fd_gradient(p, batch.reshape(6, dim))
+    assert fd_gradient(p, batch).tobytes() == rows.tobytes()
+    # a batch of one point has its bits too, and an empty batch gives none
+    assert fd_gradient(p, batch[0, :1]).tobytes() == rows[:1].tobytes()
+    assert fd_gradient(p, batch[:0]).shape == (0, 3, dim)
+
+
+def test_fd_gradient_batch_of_plain_instances():
+    # quadratic_instance's stacked matmul and a user instance without a
+    # form, on the block path
+    rng = np.random.default_rng(89)
+    m = rng.standard_normal((7, 7))
+    w = rng.uniform(0.5, 2.0, 5)
+    plain = ProblemInstance(
+        "PLAIN", 5, np.ones(5), lambda x: np.add.reduce(w * x**4 - x, axis=-1),
+        lambda x: 4.0 * w * x**3 - 1.0,
+    )
+    for p in (quadratic_instance(m + m.T), plain):
+        assert_fd_batch_matches_points(p, audit_points(p))
+        assert_fd_batch_matches_points(p, rng.uniform(-2.0, 2.0, (2, 3, p.dim)))
+
+
+def test_fd_gradient_batch_walks_leaf_groups(monkeypatch):
+    # a form of two sums over a tree three levels deep, with shared
+    # coordinates, at 5 points: 10 rows of terms.  One row's largest leaf
+    # block has 2 m + 1 rows of 128 terms, m = 3 + 2 * 127 + 1 coordinates.
+    p, _ = _boundary_form(1000, 2, sums=2)
+    points = np.random.default_rng(103).uniform(-3.0, 3.0, (5, p.dim))
+    expected = np.array([fd_gradient(p, x) for x in points])
+    per_row = (2 * (3 + 2 * 127 + 1) + 1) * 128
+    real = cglab.problems._moved_sums
+    walks = []
+
+    def spy(base, moves, span, lo, hi, buf):
+        if (lo, hi) == (0, p.elements.terms):
+            walks.append(len(base))
+        return real(base, moves, span, lo, hi, buf)
+
+    monkeypatch.setattr(cglab.problems, "_moved_sums", spy)
+    # budgets for less than a row, 4 rows and all 10: the rows are spread
+    # evenly over the fewest groups the budget allows
+    for budget, groups in ((1, [1] * 10), (4 * per_row, [4, 4, 2]), (10 * per_row, [10])):
+        monkeypatch.setattr(cglab.problems, "_LEAF_BUDGET", budget)
+        walks.clear()
+        assert fd_gradient(p, points).tobytes() == expected.tobytes(), budget
+        assert walks == groups, budget
 
 
 # ---------------------------------------------------------------------------
@@ -1042,6 +1159,26 @@ def test_numpy_sums_rows_as_a_pairwise_tree():
         assert tree_sum(block).tobytes() == np.add.reduce(block, axis=-1).tobytes(), w
 
 
+def test_numpy_reduces_stacked_rows_like_one_row():
+    # The one place the numpy invariant behind fd_gradient's batches is
+    # stated: np.add.reduce over the last axis of a C-ordered (L, r, w)
+    # block sums each row as it sums that row alone, so the leaf blocks of a
+    # batch and the objectives' sums over (B, 2k, n) blocks keep each row's
+    # bits.  A numpy that sums otherwise fails here, by name.
+    rng = np.random.default_rng(97)
+    for w in range(1, 301):
+        # magnitudes from 1e-12 to 1e12, so that another order of additions
+        # changes the bits, and rows of -0.0, whose sum is -0.0
+        block = rng.standard_normal((3, 5, w)) * 10.0 ** rng.integers(-12, 13, (3, 5, w))
+        block[0, 0] = -0.0
+        block[1, 2, ::2] = -0.0
+        frozen = block.view()
+        frozen.flags.writeable = False
+        rows = np.array([np.add.reduce(row) for row in block.reshape(-1, w)])
+        for batch in (block, frozen):
+            assert np.add.reduce(batch, axis=-1).tobytes() == rows.tobytes(), w
+
+
 def _boundary_form(terms, stride, sums=1):
     """A form with mixed-magnitude terms, columns that skip coordinates,
     shared coordinates at both ends and one that opens the tree's right half;
@@ -1198,6 +1335,29 @@ def test_numpy_dots_stacked_rows_like_np_dot():
             rows = [0.5 * r @ a @ r for r in batch.reshape(-1, n)]
             expected = np.array(rows).reshape(batch.shape[:-1])
             assert got.tobytes() == expected.tobytes(), (n, batch.shape)
+
+
+def test_numpy_dots_stacked_blocks_like_np_dot():
+    # The blocks fd_gradient hands POWER, VARDIM and quadratic_instance for a
+    # batch of 6 points are (6, 2k, n), two leading axes: matmul runs np.dot's
+    # own kernel for each of their items too, as for one point's (2k, n)
+    rng = np.random.default_rng(101)
+    for n in (1, 2, 7, 50, 75, 100, 129, 200, 500, 1000):
+        k = max(1, min(n, _FD_CHUNK // (2 * 6 * n)))
+        w = rng.standard_normal(n) * 10.0 ** rng.integers(-12, 13, n)
+        x = rng.standard_normal((6, 2 * k, n)) * 10.0 ** rng.integers(-12, 13, (6, 2 * k, n))
+        frozen = x.view()
+        frozen.flags.writeable = False
+        got = np.matmul(frozen[..., None, :], w)[..., 0]
+        expected = np.array([np.dot(w, r) for r in x.reshape(-1, n)]).reshape(6, 2 * k)
+        assert got.tobytes() == expected.tobytes(), n
+        if n > 500:
+            continue
+        m = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-6, 7, (n, n))
+        a = m + m.T
+        got = (((0.5 * frozen)[..., None, :] @ a) @ frozen[..., :, None])[..., 0, 0]
+        expected = [0.5 * r @ a @ r for r in x.reshape(-1, n)]
+        assert got.tobytes() == np.array(expected).reshape(6, 2 * k).tobytes(), n
 
 
 def test_fd_gradient_hands_value_fn_a_read_only_block():

@@ -23,7 +23,6 @@ __all__ = [
     "METRICS",
     "ProfileCurve",
     "SuiteRun",
-    "default_t_grid",
     "performance_profile",
     "run_suite",
     "win_fractions",
@@ -160,29 +159,21 @@ def _ratios(m: CostMatrix) -> np.ndarray:
     return ratios
 
 
-def default_t_grid() -> np.ndarray:
-    """Logarithmic grid over [1, 32] used when no grid is supplied."""
-    return 2.0 ** np.linspace(0.0, 5.0, 41)
+# the profile's fixed grid, logarithmic over [1, 32]
+_T_GRID = 2.0 ** np.linspace(0.0, 5.0, 41)
 
 
-def performance_profile(
-    m: CostMatrix, t_grid: np.ndarray | None = None
-) -> list[ProfileCurve]:
+def performance_profile(m: CostMatrix) -> list[ProfileCurve]:
     """Profile curves rho_s(t) = |{p : r_{p,s} <= t}| / |P|.
 
-    Curves are evaluated at every breakpoint (finite ratio) plus the
-    supplied grid, so step positions are exact; ties at a problem's minimum
-    count for every tying solver.
+    Curves are evaluated at every breakpoint (finite ratio) plus the fixed
+    grid ``_T_GRID``, so step positions are exact; ties at a problem's
+    minimum count for every tying solver.  The last point is at the largest
+    finite ratio or beyond, so its fraction is the solver's solve fraction.
     """
     ratios = _ratios(m)
-    if t_grid is None:
-        t_grid = default_t_grid()
-    t_grid = np.asarray(t_grid, dtype=float)
-    if not (t_grid >= 1.0).all():  # NaN fails too
-        raise ValueError("t grid values must be >= 1")
-
     finite = ratios[np.isfinite(ratios)]
-    ts = np.unique(np.concatenate([finite, t_grid, [1.0]]))
+    ts = np.unique(np.concatenate([finite, _T_GRID]))
     n_problems = ratios.shape[0]
 
     curves = []

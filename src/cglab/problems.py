@@ -90,6 +90,11 @@ class ElementForm:
     the terms are summed along their last axis with ``np.add.reduce``,
     which is ``np.sum``'s own reduction and sums each row of a C-ordered
     block as it sums that row alone.
+
+    ``terms`` and ``stride`` are counts >= 1, and each offset and shared
+    index a count >= 0 (see ``_check_scalar``); ``offsets`` holds at least
+    one offset.  Each is checked when the form is built, a ``ValueError``
+    naming the field.
     """
 
     elem: Callable[..., np.ndarray]
@@ -99,26 +104,25 @@ class ElementForm:
     outer: Callable[..., np.ndarray] | None = None
     shared: tuple[int, ...] = ()
     value: Callable[[Vector], np.ndarray] = field(init=False, repr=False)
-    _cols: tuple = field(init=False, repr=False)
-    _args: Callable = field(init=False, repr=False)
 
     def __post_init__(self):
         offsets, shared = self.offsets, self.shared
-        if self.terms < 1 or self.stride < 1 or min(offsets, default=-1) < 0:
-            raise ValueError("terms and stride must be >= 1 and offsets >= 0")
+        _check_scalar("terms", self.terms, 1)
+        _check_scalar("stride", self.stride, 1)
+        if not offsets:
+            raise ValueError("offsets must hold at least one column offset")
+        for name, indices in (("offsets", offsets), ("shared", shared)):
+            for j, i in enumerate(indices):
+                _check_scalar(f"{name}[{j}]", i, 0)
         if len(set(offsets)) != len(offsets):
             raise ValueError(f"column offsets must be distinct, got {offsets}")
-        if min(shared, default=0) < 0 or len(set(shared)) != len(shared):
-            raise ValueError(
-                f"shared indices must be distinct and >= 0, got {shared}"
-            )
-        cols = tuple(slice(o, o + self.stride * self.terms, self.stride) for o in offsets)
+        if len(set(shared)) != len(shared):
+            raise ValueError(f"shared indices must be distinct, got {shared}")
+        cols = [slice(o, o + self.stride * self.terms, self.stride) for o in offsets]
         # one call gathers elem's arguments, the columns and then the shared
         # values, which keep a unit last axis
         args = _getter(*[(..., c) for c in cols], *[(..., i, None) for i in shared])
         keys = [(..., i) for i in shared]
-        object.__setattr__(self, "_cols", cols)
-        object.__setattr__(self, "_args", args)
         elem, outer = self.elem, self.outer
 
         def value(x):
@@ -131,27 +135,6 @@ class ElementForm:
             return outer(s, *[x[k][()] for k in keys])
 
         object.__setattr__(self, "value", value)
-
-    def moved_terms(self, x: Vector, up: Vector, down: Vector):
-        """The terms of ``x``, and the terms with one column moved.
-
-        Returns ``(t, moves)``.  ``t`` is the term array of ``x``.
-        ``moves`` holds ``(offset, plus, minus)`` per column: ``plus`` is
-        the term array with that column read from ``up`` and everything
-        else, the shared values too, from ``x`` (``minus`` likewise from
-        ``down``).  ``x``, ``up`` and ``down`` are one point or a
-        ``(..., n)`` batch, and the term arrays carry its leading axes.
-        ``1 + 2 r`` element calls of ``terms`` entries per sum and point
-        each.  A shared coordinate's moved points are whole points instead,
-        evaluated by ``_block_values`` (see :func:`fd_gradient`).
-        """
-        elem, args = self.elem, self._args(x)
-        moves = []
-        for j, (o, c) in enumerate(zip(self.offsets, self._cols)):
-            plus = elem(*args[:j], up[..., c], *args[j + 1 :])
-            minus = elem(*args[:j], down[..., c], *args[j + 1 :])
-            moves.append((o, plus, minus))
-        return elem(*args), moves
 
 
 @dataclass(frozen=True, eq=False)
@@ -323,26 +306,24 @@ class CountingProblem:
 
 _CBRT_EPS = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
-# Entries per block on fd_gradient's block path (no element form), over all
-# the points of a batch.  Each block pays a fixed Python and numpy-call
-# cost: at 8192 entries an n = 1000 call ran 250 blocks of 4 coordinates.
-# Timed over the catalog's audit points (Xeon, 2 MB L2 per core), 65,536
-# entries (512 KB) ran 1.1x faster than 32,768; 131,072 was no faster and
-# raised a process's peak RSS from 37.1 to 37.9 MB (35.7 MB at 8192), and
-# 262,144, a block the size of L2, ran 1.4x slower at 40.0 MB.  The term
-# path's leaf blocks have their own budget.
-_FD_CHUNK = 65536
+# Entries fd_gradient keeps alive at once, over all the points of a batch;
+# _spread sizes its blocks and groups by it.  A block path block of 2k rows
+# of n counts each entry twice, for the temporary of its size that POWER's
+# x**2 and VARDIM's x - 1 make: 65,536 entries (512 KB) timed 1.1x faster
+# than 32,768, and no slower than 131,072 at a lower peak RSS (Xeon, 2 MB L2
+# per core).  A term path group fits its rows' leaf blocks: 2, 3 and 4 times
+# 65,536 ran at one speed within noise, at a peak RSS of 39.9, 40.3 and
+# 42.2 MB (2 cores, Python 3.11, numpy 2.4).
+_FD_BUDGET = 131072
 
-# Entries per leaf block on the term path (an element form), over the rows
-# of terms of a batch: a batch whose leaf blocks would exceed it walks the
-# tree in groups of rows, spread evenly.  One row's leaf block is at most
-# 2 m + 1 rows of 128 terms, m the coordinates a leaf reads: about 33,000
-# entries at stride 1 and 131,000 for WOODS and POWELLSG.  In 60 s
-# grad-audit runs (2 cores, Python 3.11, numpy 2.4), 2, 3 and 4 times
-# _FD_CHUNK ran at the same speed within noise, and the peak RSS of 39.0 MB
-# at one point per call rose to 39.9, 40.3 and 42.2 MB; with no bound it
-# rose by a quarter.
-_LEAF_BUDGET = 2 * _FD_CHUNK
+
+def _spread(count: int, entries_each: int) -> int:
+    """How many of ``count`` items go in a group: the fewest groups whose
+    entries fit ``_FD_BUDGET`` (or of one item each), with the items spread
+    evenly, so that only a last group can be smaller."""
+    groups = -(-count // max(1, _FD_BUDGET // max(1, entries_each)))
+    return max(1, -(-count // max(1, groups)))
+
 
 # numpy's pairwise summation (Higham 1993), which np.add.reduce applies to
 # each float64 row: a row of at most _PAIRWISE_LEAF entries is a leaf that
@@ -359,21 +340,20 @@ def _pairwise_split(w: int) -> int:
     return half - half % 8
 
 
-def fd_gradient(p: ProblemInstance, x: Vector, h: float = _CBRT_EPS) -> Vector:
+def fd_gradient(p: ProblemInstance, x: Vector) -> Vector:
     """Central-difference gradient oracle; never touches counters.
 
     ``x`` is one point or a batch of points, a ``(..., n)`` array, and the
     result has its shape: each row has the bits of the one-point call on
     that row.  ``check-gradients`` audits an instance's points in one call.
-    The per-coordinate step is ``h * (1 + |x_i|)``; the default base step is
-    cbrt(machine eps), the usual balance of truncation vs. cancellation for
-    central differences.  ``h`` must be a positive finite number, not a
-    bool.  Each component has the bits of two 1-D ``value_fn`` calls, at
+    The step in coordinate i is fixed, ``h_i = cbrt(eps) (1 + |x_i|)``, the
+    usual balance of truncation vs. cancellation for central differences.
+    Each component has the bits of two 1-D ``value_fn`` calls, at
     ``x + h_i e_i`` and ``x - h_i e_i``.
 
     Whole perturbed points are evaluated in one place, ``_block_values``:
-    in ``(..., 2k, n)`` blocks of about ``_FD_CHUNK`` entries, per point
-    the rows of ``x + h_i e_i`` for k coordinates followed by those of
+    in ``(..., 2k, n)`` blocks within ``_FD_BUDGET``, per point the rows of
+    ``x + h_i e_i`` for k coordinates followed by those of
     ``x - h_i e_i``.  The block buffer is filled with ``x`` once per call;
     each block writes in only its moved entries and, after the objective,
     writes ``x`` back over them.  The objective gets the block as a
@@ -400,12 +380,11 @@ def fd_gradient(p: ProblemInstance, x: Vector, h: float = _CBRT_EPS) -> Vector:
     coordinate does not move.  That is O(n 128 + n log n) work and O(n)
     memory per point.  Every row of terms, each sum of a form of c sums for
     each point, walks the tree together, in groups of rows whose leaf
-    blocks fit ``_LEAF_BUDGET``; ``outer`` gets every row's sums with its
+    blocks fit ``_FD_BUDGET``; ``outer`` gets every row's sums with its
     point's shared values.
     """
-    _check_scalar("h", h)
     x = _check_point(p.name, (*np.shape(x)[:-1], p.dim), x)
-    steps = h * (1.0 + np.abs(x))
+    steps = _CBRT_EPS * (1.0 + np.abs(x))
     up, down = x + steps, x - steps
     if p.elements is None:
         f_up, f_down = _block_values(p.name, p.value_fn, x, up, down, np.arange(p.dim))
@@ -420,15 +399,13 @@ def fd_gradient(p: ProblemInstance, x: Vector, h: float = _CBRT_EPS) -> Vector:
 def _block_values(name: str, value, x: Vector, up: Vector, down: Vector, moved: Vector):
     """``value`` at ``x + steps e_i`` and ``x - steps e_i`` for each i in the
     non-empty index array ``moved`` and each point of ``x``, as two
-    ``(..., len(moved))`` arrays, in blocks of about ``_FD_CHUNK`` entries."""
+    ``(..., len(moved))`` arrays, in blocks within ``_FD_BUDGET``."""
     *lead, n = x.shape
     count = len(moved)
     f_up, f_down = np.empty((*lead, count)), np.empty((*lead, count))
-    # the fewest blocks of at most _FD_CHUNK entries (or of one coordinate),
-    # with the coordinates spread evenly; a last block of fewer than k
-    # leaves rows that hold x
-    blocks = -(-count // max(1, _FD_CHUNK // max(1, 2 * x.size)))
-    k = -(-count // blocks)
+    # k coordinates per block, each 2 rows of n per point and counted
+    # twice; a last block of fewer than k leaves rows that hold x
+    k = _spread(count, 4 * x.size)
     # every row of buf holds its point between blocks: a block writes its
     # moved entries in, evaluates, and writes x back over exactly those
     # entries.  Point-major, so the block is C-ordered whatever its shape.
@@ -468,8 +445,19 @@ def _term_values(p: ProblemInstance, x: Vector, up: Vector, down: Vector):
     and every point of ``x``, from the element form's terms, in the bits of
     ``value_fn``."""
     form = p.elements
-    base, moves = form.moved_terms(x, up, down)
-    lead, w, shape = x.shape[:-1], form.terms, base.shape
+    elem, w = form.elem, form.terms
+    # the terms of x, and per column offset o the terms with that column
+    # read from up (plus) or down (minus) and all else, the shared values
+    # too, from x: 1 + 2 r element calls of w entries per sum and point
+    cols = [slice(o, o + form.stride * w, form.stride) for o in form.offsets]
+    args = [x[..., c] for c in cols] + [x[..., i, None] for i in form.shared]
+    base = elem(*args)
+    moves = []
+    for j, (o, c) in enumerate(zip(form.offsets, cols)):
+        plus = elem(*args[:j], up[..., c], *args[j + 1 :])
+        minus = elem(*args[:j], down[..., c], *args[j + 1 :])
+        moves.append((o, plus, minus))
+    lead, shape = x.shape[:-1], base.shape
     other = {t.shape for _, *ends in moves for t in ends} - {shape}
     c = base.ndim - len(lead) - 1  # 1 for a form of c sums, else 0
     if c not in (0, 1) or shape[c:] != (*lead, w) or other:
@@ -486,9 +474,7 @@ def _term_values(p: ProblemInstance, x: Vector, up: Vector, down: Vector):
     span = (min(form.offsets), max(form.offsets), form.stride)
     width = min(w, _PAIRWISE_LEAF)
     per_row = (2 * (span[1] - span[0] + span[2] * (width - 1) + 1) + 1) * width
-    # as many groups as the budget asks for, with the rows spread evenly
-    groups = -(-len(rows) // max(1, _LEAF_BUDGET // per_row))
-    group = max(1, -(-len(rows) // max(1, groups)))
+    group = _spread(len(rows), per_row)
     buf = np.empty(group * per_row)
     # s[0, r, i] and s[1, r, i] hold the sum of term row r with coordinate
     # i moved up and down, laid out as outer takes them
@@ -522,7 +508,7 @@ def _moved_sums(base, moves, span, lo, hi, buf):
     ``base[:, lo:hi]``, ``a``, and the ``(2, g, m)`` sums of those
     coordinates' rows, each moved up (``[0]``) and down (``[1]``) by
     ``moves``, whose term arrays have ``base``'s rows (see
-    :meth:`ElementForm.moved_terms`).  ``buf`` holds the largest leaf block.
+    ``_term_values``).  ``buf`` holds the largest leaf block.
     """
     first, last, stride = span
     a = first + stride * lo

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import cglab.cli as cli
-from cglab.bench import default_t_grid, performance_profile, run_suite, win_fractions
+from cglab.bench import _T_GRID, performance_profile, run_suite, win_fractions
 from cglab.directions import MethodId
 from cglab.linesearch import _STEP_FLOOR, armijo_backtrack
 from cglab.problems import CountingProblem, catalog, desk_suite, quadratic_instance
@@ -231,7 +231,6 @@ def _reference_profile(costs, grid):
 
 def test_criterion_7_profile_reference(report):
     rng = np.random.default_rng(7)
-    grid = default_t_grid()
     from cglab.bench import CostMatrix
 
     compared = 0
@@ -246,8 +245,8 @@ def test_criterion_7_profile_reference(report):
             costs=costs,
             metric="f_evals",
         )
-        ts, expected = _reference_profile(costs, grid)
-        for si, curve in enumerate(performance_profile(m, t_grid=grid)):
+        ts, expected = _reference_profile(costs, _T_GRID)
+        for si, curve in enumerate(performance_profile(m)):
             assert [t for t, _ in curve.points] == ts, f"case {case}"
             assert list(curve.points) == expected[si], f"case {case}"
             compared += 1

@@ -12,10 +12,10 @@ from hypothesis import given, strategies as st
 
 import cglab.bench
 from cglab.bench import (
+    _T_GRID,
     CostMatrix,
     EmptyMatrix,
     METRICS,
-    default_t_grid,
     performance_profile,
     run_suite,
     win_fractions,
@@ -78,7 +78,7 @@ def ref_breakpoints(costs, grid):
 
 def test_profile_hand_example():
     m = matrix([[1.0, 2.0], [4.0, 2.0]], solvers=["A", "B"])
-    curves = {c.solver: c for c in performance_profile(m, t_grid=np.array([1.0, 2.0, 3.0]))}
+    curves = {c.solver: c for c in performance_profile(m)}
     assert curves["A"].at(1.0) == 0.5
     assert curves["B"].at(1.0) == 0.5
     assert curves["A"].at(2.0) == 1.0
@@ -124,15 +124,6 @@ def test_empty_and_degenerate_matrices():
         run_suite([build("TRIDIA", 50)], [])
 
 
-def test_profile_rejects_bad_grid():
-    m = matrix([[1.0, 2.0]])
-    with pytest.raises(ValueError):
-        performance_profile(m, t_grid=np.array([0.5, 2.0]))
-    # a NaN grid value would add a (nan, 0.0) point to every curve
-    with pytest.raises(ValueError, match="t grid"):
-        performance_profile(m, t_grid=np.array([1.0, np.nan, 2.0]))
-
-
 def test_cost_matrix_validation():
     with pytest.raises(ValueError):
         matrix([[0.0, 1.0]])  # finite costs must be positive
@@ -155,10 +146,9 @@ def test_cost_matrix_validation():
 
 
 def test_default_grid():
-    grid = default_t_grid()
-    assert grid[0] == 1.0
-    assert grid[-1] == 32.0
-    assert all(b > a for a, b in zip(grid, grid[1:]))
+    assert _T_GRID[0] == 1.0
+    assert _T_GRID[-1] == 32.0
+    assert all(b > a for a, b in zip(_T_GRID, _T_GRID[1:]))
 
 
 @st.composite
@@ -178,9 +168,8 @@ def cost_matrices(draw):
 @given(cost_matrices())
 def test_profile_matches_brute_force(costs):
     m = matrix(costs)
-    grid = default_t_grid()
-    curves = performance_profile(m, t_grid=grid)
-    ts = ref_breakpoints(costs, grid)
+    curves = performance_profile(m)
+    ts = ref_breakpoints(costs, _T_GRID)
     expected = ref_profile(costs, ts)
     for si, curve in enumerate(curves):
         assert [t for t, _ in curve.points] == ts
@@ -195,7 +184,7 @@ def test_profile_is_valid_cdf(costs):
         assert all(0.0 <= f <= 1.0 for f in fracs)
         assert all(b >= a for a, b in zip(fracs, fracs[1:]))
     solved = np.isfinite(costs).sum(axis=0) / costs.shape[0]
-    for si, curve in enumerate(performance_profile(m, t_grid=np.array([1e12]))):
+    for si, curve in enumerate(performance_profile(m)):
         assert curve.points[-1][1] == solved[si]
 
 
@@ -314,7 +303,7 @@ def test_csv_outputs(tmp_path):
     assert cost_path.read_text().splitlines()[1] == "P0,10,0.125,0.5"
 
     profile_path = tmp_path / "profile.csv"
-    curves = performance_profile(m, t_grid=np.array([1.0, 2.0]))
+    curves = performance_profile(m)
     write_profile_csv(curves, profile_path)
     lines = profile_path.read_text().splitlines()
     assert lines[0] == "solver,t,fraction"

@@ -8,6 +8,7 @@ and the finite-difference oracle guards every hand-derived gradient.
 """
 
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 
 import cglab.problems
 from cglab.problems import (
-    _FD_CHUNK,
+    _FD_BUDGET,
     _PAIRWISE_LEAF,
     _pairwise_split,
     _scalar_pow,
@@ -569,20 +570,8 @@ def test_counting_problem_charges_overflowing_trials():
 
 def test_fd_gradient_validation():
     p = build("TRIDIA", 10)
-    # True would run with a step of 1 + |x_i|, and a string or None would
-    # reach numpy as a TypeError
-    bools = (True, False, np.True_, np.array(True))
-    for h in (0.0, -1.0, np.nan, np.inf, -np.inf, *bools, "a", None):
-        with pytest.raises(ValueError, match="h must be"):
-            fd_gradient(p, p.start, h=h)
-    # an array compares entry by entry: it is refused by name, even with one
-    # entry, not by numpy's "truth value ... is ambiguous", which names no h
-    for h in (np.array([1e-6, 1e-6]), np.array([1e-6])):
-        with pytest.raises(ValueError, match="^h must be a number"):
-            fd_gradient(p, p.start, h=h)
-    for h in (1e-6, 2.0):  # a 0-d array of floats is a number
-        zero_d = fd_gradient(p, p.start, h=np.array(h))
-        assert zero_d.tobytes() == fd_gradient(p, p.start, h=h).tobytes()
+    # the step is fixed: the oracle takes an instance and a point, nothing more
+    assert list(inspect.signature(fd_gradient).parameters) == ["p", "x"]
     cp = CountingProblem(p)
     fd_gradient(p, p.start)
     assert cp.f_evals == 0  # the oracle never touches counters
@@ -606,9 +595,9 @@ def test_fd_gradient_validation():
 CBRT_EPS = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
 
-def coordinate_fd(p, x, i, h=CBRT_EPS):
+def coordinate_fd(p, x, i):
     """The central difference in coordinate i from two 1-D value_fn calls."""
-    hi = h * (1.0 + abs(x[i]))
+    hi = CBRT_EPS * (1.0 + abs(x[i]))
     xp = x.copy()
     xm = x.copy()
     xp[i] += hi
@@ -616,17 +605,18 @@ def coordinate_fd(p, x, i, h=CBRT_EPS):
     return (p.value_fn(xp) - p.value_fn(xm)) / (2.0 * hi)
 
 
-def coordinate_loop_fd(p, x, h=CBRT_EPS):
+def coordinate_loop_fd(p, x):
     """Central differences one perturbed point per value_fn call."""
     x = np.asarray(x, dtype=float)
-    return np.array([coordinate_fd(p, x, i, h) for i in range(p.dim)], dtype=float)
+    return np.array([coordinate_fd(p, x, i) for i in range(p.dim)], dtype=float)
 
 
 def assert_batch_matches_rows(p, rng):
     n = p.dim
     # the last stack has one row more than the largest block fd_gradient's
-    # block path builds: k coordinates up and down, k <= n
-    biggest = 2 * min(n, max(1, _FD_CHUNK // (2 * n)))
+    # block path builds: k coordinates up and down, k <= n, each entry
+    # counted twice against the budget
+    biggest = 2 * min(n, max(1, _FD_BUDGET // (4 * n)))
     for k in (1, 2, biggest + 1):
         around_start = p.start + rng.uniform(-2.0, 2.0, (k, n))
         spread = rng.uniform(-3.0, 3.0, (k, n))
@@ -809,13 +799,33 @@ def test_fd_gradient_batch_walks_leaf_groups(monkeypatch):
         return real(base, moves, span, lo, hi, buf)
 
     monkeypatch.setattr(cglab.problems, "_moved_sums", spy)
-    # budgets for less than a row, 4 rows and all 10: the rows are spread
-    # evenly over the fewest groups the budget allows
-    for budget, groups in ((1, [1] * 10), (4 * per_row, [4, 4, 2]), (10 * per_row, [10])):
-        monkeypatch.setattr(cglab.problems, "_LEAF_BUDGET", budget)
+    # the block path under the same budgets: POWER-1000 at 6 points, each
+    # coordinate 2 rows of 1000 per point counted twice, 24,000 entries
+    power = build("POWER", 1000)
+    audit = np.random.default_rng(107).uniform(-1.0, 1.0, (6, power.dim))
+    power_expected = np.array([fd_gradient(power, x) for x in audit])
+    blocks = []
+
+    def value(x):
+        blocks.append(x.shape)
+        return power.value_fn(x)
+
+    counted = dataclasses.replace(power, value_fn=value)
+    # budgets for less than a row or a coordinate, 4 rows and all 10 rows:
+    # rows and coordinates are spread evenly over the fewest groups the
+    # budget allows, 11 and 27 coordinates per block
+    for budget, groups, ks in (
+        (1, [1] * 10, [1] * 1000),
+        (4 * per_row, [4, 4, 2], [11] * 91),
+        (10 * per_row, [10], [27] * 38),
+    ):
+        monkeypatch.setattr(cglab.problems, "_FD_BUDGET", budget)
         walks.clear()
         assert fd_gradient(p, points).tobytes() == expected.tobytes(), budget
         assert walks == groups, budget
+        blocks.clear()
+        assert fd_gradient(counted, audit).tobytes() == power_expected.tobytes(), budget
+        assert blocks == [(6, 2 * k, 1000) for k in ks], budget
 
 
 # ---------------------------------------------------------------------------
@@ -832,6 +842,13 @@ BLOCK_FAMILIES = {"POWER", "VARDIM"}
 # boundary term outside the sum
 SHARED_FAMILIES = {"ARWHEAD", "BDQRTIC", "DIXON3DQ", "EXTROSNB", "LIARWHD",
                    "NONDIA", "TRIDIA"}
+
+
+def start_terms(p):
+    """The element terms of ``p`` at its start point, a row per sum."""
+    form, x = p.elements, p.start
+    cols = [x[o : o + form.stride * form.terms : form.stride] for o in form.offsets]
+    return form.elem(*cols, *[x[i, None] for i in form.shared])
 
 
 def test_element_form_families():
@@ -1020,7 +1037,7 @@ def test_term_path_skips_value_fn(name, dim):
 def test_term_path_element_work_is_linear(name, dim):
     p = build(name, dim)
     form = p.elements
-    sums = form.moved_terms(p.start, p.start, p.start)[0].size // form.terms
+    sums = start_terms(p).size // form.terms
     evaluated = []
 
     def elem(*cols):
@@ -1039,12 +1056,12 @@ def test_term_path_element_work_is_linear(name, dim):
     assert sum(evaluated) == calls * form.terms
 
 
-@pytest.mark.parametrize("chunk", [8, 24, 60, _FD_CHUNK])
-def test_term_path_with_partial_columns(monkeypatch, chunk):
+@pytest.mark.parametrize("budget", [8, 24, 60, _FD_BUDGET])
+def test_term_path_with_partial_columns(monkeypatch, budget):
     # columns that skip coordinates (1, 8 and 10 are read by no term),
-    # against the coordinate loop; _FD_CHUNK sizes the block path's blocks
-    # only, and the term path must not depend on it
-    monkeypatch.setattr(cglab.problems, "_FD_CHUNK", chunk)
+    # against the coordinate loop; the term path's bits must not depend on
+    # _FD_BUDGET, which sizes its groups of rows
+    monkeypatch.setattr(cglab.problems, "_FD_BUDGET", budget)
     w = np.arange(1.0, 5.0)
 
     def elem(a, b):
@@ -1061,12 +1078,13 @@ def test_term_path_with_partial_columns(monkeypatch, chunk):
         assert g[[1, 8, 10]].tolist() == [0.0, 0.0, 0.0]
 
 
-@pytest.mark.parametrize("chunk", [8, 16, 24, 60, _FD_CHUNK])
-def test_term_path_with_shared_coordinates(monkeypatch, chunk):
+@pytest.mark.parametrize("budget", [8, 16, 24, 60, _FD_BUDGET])
+def test_term_path_with_shared_coordinates(monkeypatch, budget):
     # x_3 is read by every term and is also the first entry of a column, as
-    # x_1 is in LIARWHD and NONDIA; x_10 is read by outer alone.  The term
-    # path must not depend on _FD_CHUNK, which sizes the block path's blocks.
-    monkeypatch.setattr(cglab.problems, "_FD_CHUNK", chunk)
+    # x_1 is in LIARWHD and NONDIA; x_10 is read by outer alone.  The bits
+    # must not depend on _FD_BUDGET, which sizes the shared coordinates'
+    # blocks and the groups of rows.
+    monkeypatch.setattr(cglab.problems, "_FD_BUDGET", budget)
     w = np.arange(1.0, 5.0)
 
     def elem(a, b, x3, _x10):
@@ -1113,9 +1131,10 @@ def test_fd_blocks_restore_the_base(monkeypatch, path):
     )
     if path == "block":
         p = dataclasses.replace(p, elements=None)
-    # k = _FD_CHUNK // (2 w) coordinates per block, w = 4 terms or 11 entries
-    width = 4 if path == "term" else 11
-    monkeypatch.setattr(cglab.problems, "_FD_CHUNK", 3 * 2 * width)
+    # k = _FD_BUDGET // (4 n) coordinates per block, n = 11: 3 on the block
+    # path, and 1 for the term path's two shared coordinates
+    k = 1 if path == "term" else 3
+    monkeypatch.setattr(cglab.problems, "_FD_BUDGET", 4 * 11 * k)
     rng = np.random.default_rng(43)
     points = [rng.uniform(-3.0, 3.0, 11) for _ in range(2)]
     # back to back, so that a call sees nothing a previous call left behind
@@ -1237,7 +1256,7 @@ def test_two_sum_term_path_at_leaf_boundaries(terms, stride):
     # rows carry both sums to outer
     p, skipped = _boundary_form(terms, stride, sums=2)
     x = np.random.default_rng([67, terms, stride]).uniform(-3.0, 3.0, p.dim)
-    assert p.elements.moved_terms(x, x, x)[0].shape == (2, terms)
+    assert start_terms(p).shape == (2, terms)
     g = fd_gradient(p, x)
     assert g.tobytes() == coordinate_loop_fd(p, x).tobytes()
     assert skipped and not g[skipped].any()
@@ -1343,7 +1362,7 @@ def test_numpy_dots_stacked_blocks_like_np_dot():
     # own kernel for each of their items too, as for one point's (2k, n)
     rng = np.random.default_rng(101)
     for n in (1, 2, 7, 50, 75, 100, 129, 200, 500, 1000):
-        k = max(1, min(n, _FD_CHUNK // (2 * 6 * n)))
+        k = max(1, min(n, _FD_BUDGET // (4 * 6 * n)))
         w = rng.standard_normal(n) * 10.0 ** rng.integers(-12, 13, n)
         x = rng.standard_normal((6, 2 * k, n)) * 10.0 ** rng.integers(-12, 13, (6, 2 * k, n))
         frozen = x.view()
@@ -1384,16 +1403,30 @@ def test_fd_gradient_hands_value_fn_a_read_only_block():
 
 def test_element_form_validation():
     for bad in (
-        {"terms": 0},
-        {"stride": 0},
         {"offsets": (0, 0)},
-        {"offsets": (-1, 0)},
         {"offsets": ()},
         {"shared": (2, 2)},
-        {"shared": (-1,)},
     ):
         with pytest.raises(ValueError):
             ElementForm(**{"elem": np.square, "terms": 3, **bad})
+    # each count is checked when the form is built, by name: a float or a
+    # string would fail at the first slice, a float shared index at the
+    # first gather, and True would run as a stride of 1
+    for bad, name in (
+        ({"terms": 0}, "terms"),
+        ({"terms": 2.5}, "terms"),
+        ({"terms": "3"}, "terms"),
+        ({"stride": 0}, "stride"),
+        ({"stride": True}, "stride"),
+        ({"offsets": (-1, 0)}, r"offsets\[0\]"),
+        ({"offsets": (0, 0.5)}, r"offsets\[1\]"),
+        ({"shared": (-1,)}, r"shared\[0\]"),
+        ({"shared": (1.0,)}, r"shared\[0\]"),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= "):
+            ElementForm(**{"elem": np.square, "terms": 3, **bad})
+    # numpy integers are counts
+    ElementForm(np.square, np.int64(3), offsets=(np.int64(0),), stride=np.int32(1))
     # columns 0, 2, 4 and 1, 3, 5 need a point of at least 6 entries
     form = ElementForm(np.multiply, 3, offsets=(0, 1), stride=2)
     with pytest.raises(DimensionMismatch, match="reach index 5"):

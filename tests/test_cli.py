@@ -4,7 +4,11 @@ All commands run in-process through cli.main so exit codes, stdout, and
 artifacts can be asserted directly.
 """
 
+import dataclasses
+import errno
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -686,6 +690,125 @@ def test_run_gradient_check_function():
     assert failures == []
     assert len(lines) == 1
     assert "POWER dim=50" in lines[0]
+
+
+needs_fork = pytest.mark.skipif(
+    not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")),
+    reason="the audit forks only where os.fork and os.sched_getaffinity exist",
+)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Three CPUs for the audit to split over; the pids it forks."""
+    real_fork = os.fork
+    pids = []
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def in_process_audit(monkeypatch, instances, seed):
+    with monkeypatch.context() as m:
+        m.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        return cli.run_gradient_check(instances, seed=seed)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_audit_shares_are_balanced_by_dim():
+    instances = catalog()
+    shares = cli._shares(instances, 3)
+    assert sorted(i for share in shares for i in share) == list(range(len(instances)))
+    assert all(share == sorted(share) for share in shares)
+    loads = [sum(instances[i].dim for i in share) for share in shares]
+    # largest first into the least-loaded share: no share exceeds another by
+    # more than the largest instance
+    assert max(loads) - min(loads) <= max(p.dim for p in instances)
+
+
+@needs_fork
+@pytest.mark.parametrize("seed", [0, 7])
+def test_split_audit_matches_in_process_audit(seed, forks, monkeypatch):
+    instances = catalog()
+    # the catalog's 29,055 coordinates make 3 shares of at least _FORK_SHARE
+    assert sum(p.dim for p in instances) // cli._FORK_SHARE >= 3
+    split = cli.run_gradient_check(instances, seed=seed)
+    assert len(forks) == 2
+    assert split == in_process_audit(monkeypatch, instances, seed)
+    assert_no_child_left()
+
+
+@needs_fork
+def test_split_audit_keeps_failures_in_place(forks, monkeypatch):
+    instances = catalog()
+    shares = cli._shares(instances, 3)
+    spoiled = sorted([shares[1][0], shares[2][-1], shares[0][1]])
+    for i in spoiled:
+        p = instances[i]
+        instances[i] = dataclasses.replace(p, grad_fn=lambda x, g=p.grad_fn: g(x) + 0.01)
+    lines, failures = cli.run_gradient_check(instances, seed=3)
+    assert len(forks) == 2
+    assert failures == [instances[i].key for i in spoiled]
+    assert [i for i, line in enumerate(lines) if line.startswith("FAIL")] == spoiled
+    assert (lines, failures) == in_process_audit(monkeypatch, instances, 3)
+    assert_no_child_left()
+
+
+@needs_fork
+@pytest.mark.parametrize("share", [1, 2, 0])  # forked shares, then the caller's
+def test_split_audit_raises_a_share_error_in_the_caller(share, forks):
+    instances = catalog()
+    i = cli._shares(instances, 3)[share][1]
+    p = instances[i]
+    instances[i] = dataclasses.replace(p, grad_fn=lambda x: np.zeros(1))
+    with pytest.raises(DimensionMismatch, match=rf"^{p.name}: gradient has shape \(1,\)$"):
+        cli.run_gradient_check(instances, seed=5)
+    assert len(forks) == 2
+    assert_no_child_left()
+
+
+def fork_fails():
+    raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+
+@pytest.mark.parametrize("why", ["small", "one cpu", "no fork", "thread", "fork fails"])
+def test_gradient_audit_stays_in_process(why, monkeypatch):
+    instances = [p for p in catalog() if p.dim <= 100]
+    assert sum(p.dim for p in instances) < cli._FORK_SHARE
+    if why != "small":  # so that only ``why`` keeps the audit in-process
+        monkeypatch.setattr(cli, "_FORK_SHARE", 1)
+    cpus = {0} if why == "one cpu" else {0, 1, 2}
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    if why == "no fork":
+        monkeypatch.delattr(os, "fork", raising=False)
+    elif why == "fork fails":  # each share is audited in the caller instead
+        monkeypatch.setattr(os, "fork", fork_fails, raising=False)
+    else:
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"), raising=False)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(30,))
+    if why == "thread":
+        thread.start()
+    try:
+        lines, failures = cli.run_gradient_check(instances)
+    finally:
+        release.set()
+        if why == "thread":
+            thread.join(30)
+            assert not thread.is_alive()
+    assert (lines, failures) == in_process_audit(monkeypatch, instances, 0)
+    assert len(lines) == len(instances) and failures == []
 
 
 @pytest.mark.parametrize(

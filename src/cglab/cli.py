@@ -454,48 +454,45 @@ def run_gradient_check(
     neither may be a bool.  A non-finite error fails its instance; a
     gradient whose shape is not ``(dim,)`` raises :class:`DimensionMismatch`.
 
-    The instances are split into shares balanced by ``dim`` (largest first
-    into the least-loaded share), one share per available CPU but no more
-    than one per instance or per ``_FORK_SHARE`` coordinates in total.  The
-    calling process audits the first share and a forked child each other
-    one; the report's bytes are those of one in-process audit.  The audit
-    stays in-process when there is one share, when the platform has no
-    ``os.fork`` or ``os.sched_getaffinity``, and when the process runs more
-    than one Python thread.  A child that fails has its share audited again
-    in-process, so the caller sees that share's exception, and every child
-    is reaped before this returns or raises.
+    The instances are split into ``count`` shares, one per available CPU
+    but no more than one per instance or per ``_FORK_SHARE`` coordinates in
+    total; share j is the stride ``instances[j::count]``.  The calling
+    process audits share 0 and a forked child each other one; the report's
+    bytes are those of one in-process audit.  The audit stays in-process
+    when there is one share, when the platform has no ``os.fork`` or
+    ``os.sched_getaffinity``, and when the process runs more than one Python
+    thread.  A share that could not fork, or whose child fails, is audited
+    in the caller, so the caller sees that share's exception, and every
+    child is reaped before this returns or raises.
     """
     _check_scalar("seed", seed, 0)
     _check_scalar("tol", tol)
-    own, *shares = _shares(instances, _process_count(instances))
+    count = _process_count(instances)
+    lines = [""] * len(instances)
     children = []  # (share, pid, pipe read end) of each child not yet reaped
     try:
-        for share in shares:
-            child = _fork_audit([instances[i] for i in share], seed, tol)
+        for j in range(1, count):
+            child = _fork_audit(instances[j::count], seed, tol)
             if child is None:  # no process to fork: audit the share here
-                own = sorted(own + share)
+                lines[j::count] = _audit(instances[j::count], seed, tol)
             else:
-                children.append((share, *child))
-        done = [(own, _audit([instances[i] for i in own], seed, tol))]
+                children.append((j, *child))
+        lines[::count] = _audit(instances[::count], seed, tol)
         while children:
-            share, pid, reader = children[0]
+            j, pid, reader = children[0]
             with reader:
                 data = reader.read()
             status = os.waitpid(pid, 0)[1]
             del children[0]
-            if status == 0:
-                done.append((share, pickle.loads(data)))
-            else:  # audit the share again here, to raise the child's error
-                done.append((share, _audit([instances[i] for i in share], seed, tol)))
+            if status:  # audit the share again here, to raise the child's error
+                lines[j::count] = _audit(instances[j::count], seed, tol)
+            else:
+                lines[j::count] = pickle.loads(data)
     finally:
         for _, pid, reader in children:
             reader.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    lines = [""] * len(instances)
-    for share, share_lines in done:
-        for i, line in zip(share, share_lines):
-            lines[i] = line
     failures = [p.key for p, line in zip(instances, lines) if line.startswith("FAIL")]
     return lines, failures
 
@@ -509,21 +506,6 @@ def _process_count(instances: list[ProblemInstance]) -> int:
         return 1
     coordinates = sum(p.dim for p in instances)
     return max(1, min(len(os.sched_getaffinity(0)), len(instances), coordinates // _FORK_SHARE))
-
-
-def _shares(instances: list[ProblemInstance], count: int) -> list[list[int]]:
-    """``count`` lists of indices into ``instances``, balanced by ``dim``.
-
-    Largest instance first, each into the share with the fewest coordinates
-    so far (the first such on a tie); each share is in input order.
-    """
-    shares: list[list[int]] = [[] for _ in range(count)]
-    loads = [0] * count
-    for i in sorted(range(len(instances)), key=lambda i: -instances[i].dim):
-        j = loads.index(min(loads))
-        shares[j].append(i)
-        loads[j] += instances[i].dim
-    return [sorted(share) for share in shares]
 
 
 def _fork_audit(instances: list[ProblemInstance], seed: int, tol: float):

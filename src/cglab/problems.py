@@ -196,13 +196,12 @@ class ProblemInstance:
 
 
 def _getter(*keys):
-    """``x -> tuple(x[k] for k in keys)``, in one ``itemgetter`` call."""
+    """``x -> tuple(x[k] for k in keys)`` for one or more ``keys``, in one
+    ``itemgetter`` call."""
     if len(keys) > 1:
         return itemgetter(*keys)
-    if keys:
-        get = itemgetter(keys[0])
-        return lambda x: (get(x),)
-    return lambda x: ()
+    get = itemgetter(keys[0])
+    return lambda x: (get(x),)
 
 
 def _check_scalar(name: str, value, low=0.0, high=math.inf, *, closed=False):

@@ -258,7 +258,7 @@ def theory_report(
     if not trace:
         raise ValueError("trace is empty; run with record_trace=True")
 
-    min_descent = min(-r.dg / r.gnorm**2 for r in trace)
+    min_descent = min(_scaled_ratio(-r.dg, 1.0, 0, r.gnorm) for r in trace)
     max_dirnorm = max(r.dnorm / r.gnorm for r in trace)
 
     sums = []

@@ -726,25 +726,16 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_audit_shares_are_balanced_by_dim():
-    instances = catalog()
-    shares = cli._shares(instances, 3)
-    assert sorted(i for share in shares for i in share) == list(range(len(instances)))
-    assert all(share == sorted(share) for share in shares)
-    loads = [sum(instances[i].dim for i in share) for share in shares]
-    # largest first into the least-loaded share: no share exceeds another by
-    # more than the largest instance
-    assert max(loads) - min(loads) <= max(p.dim for p in instances)
-
-
 @needs_fork
 @pytest.mark.parametrize("seed", [0, 7])
-def test_split_audit_matches_in_process_audit(seed, forks, monkeypatch):
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_split_audit_matches_in_process_audit(cpus, seed, forks, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     instances = catalog()
     # the catalog's 29,055 coordinates make 3 shares of at least _FORK_SHARE
     assert sum(p.dim for p in instances) // cli._FORK_SHARE >= 3
     split = cli.run_gradient_check(instances, seed=seed)
-    assert len(forks) == 2
+    assert len(forks) == cpus - 1
     assert split == in_process_audit(monkeypatch, instances, seed)
     assert_no_child_left()
 
@@ -752,8 +743,9 @@ def test_split_audit_matches_in_process_audit(seed, forks, monkeypatch):
 @needs_fork
 def test_split_audit_keeps_failures_in_place(forks, monkeypatch):
     instances = catalog()
-    shares = cli._shares(instances, 3)
-    spoiled = sorted([shares[1][0], shares[2][-1], shares[0][1]])
+    # share j of 3 holds instances j, j + 3, ...: the first of share 1, the
+    # last of share 2 and the second of share 0
+    spoiled = sorted([1, range(len(instances))[2::3][-1], 3])
     for i in spoiled:
         p = instances[i]
         instances[i] = dataclasses.replace(p, grad_fn=lambda x, g=p.grad_fn: g(x) + 0.01)
@@ -769,7 +761,7 @@ def test_split_audit_keeps_failures_in_place(forks, monkeypatch):
 @pytest.mark.parametrize("share", [1, 2, 0])  # forked shares, then the caller's
 def test_split_audit_raises_a_share_error_in_the_caller(share, forks):
     instances = catalog()
-    i = cli._shares(instances, 3)[share][1]
+    i = share + 3  # the second instance of share j of 3 is j + 3
     p = instances[i]
     instances[i] = dataclasses.replace(p, grad_fn=lambda x: np.zeros(1))
     with pytest.raises(DimensionMismatch, match=rf"^{p.name}: gradient has shape \(1,\)$"):

@@ -408,6 +408,14 @@ def test_theory_report_on_a_trace_past_the_float_range():
         expected.append(float(exact))
     assert rep.zoutendijk_partial_sums == pytest.approx(expected, rel=1e-14)
     assert all(math.isfinite(v) for v in rep.zoutendijk_partial_sums)
+    # hand-built records: ||g||^2 overflows, then underflows to zero, while
+    # -d'g / ||g||^2 is finite (1e-100, then about 1e10); dg = -1e-320 is
+    # subnormal and carries only 11 significant bits
+    for gnorm, dg, rel in [(1e200, -1e300, 1e-15), (1e-165, -1e-320, 1e-3)]:
+        record = dataclasses.replace(r.trace[0], gnorm=gnorm, dnorm=gnorm, dg=dg)
+        exact = float(-Fraction(dg) / Fraction(gnorm) ** 2)
+        got = theory_report([record], SolverConfig()).min_descent_ratio
+        assert got == pytest.approx(exact, rel=rel)
 
 
 def test_theory_report_keeps_the_plain_expressions_in_range():

@@ -140,25 +140,6 @@ def run_suite(
     return matrices, runs
 
 
-def _ratios(m: CostMatrix) -> np.ndarray:
-    """Per-problem cost ratios r[p, s] = cost / best over solvers.
-
-    Failed cells and all-failed rows give inf ratios; all-failed rows still
-    count in every curve's denominator.
-    """
-    costs = m.costs
-    if costs.size == 0:
-        raise EmptyMatrix("empty cost matrix")
-    if not np.isfinite(costs).any():
-        raise EmptyMatrix("no solver succeeded on any problem")
-    ratios = np.full_like(costs, np.inf)
-    for pi in range(costs.shape[0]):
-        best = costs[pi].min()
-        if np.isfinite(best):
-            ratios[pi] = costs[pi] / best
-    return ratios
-
-
 # the profile's fixed grid, logarithmic over [1, 32]
 _T_GRID = 2.0 ** np.linspace(0.0, 5.0, 41)
 
@@ -166,12 +147,21 @@ _T_GRID = 2.0 ** np.linspace(0.0, 5.0, 41)
 def performance_profile(m: CostMatrix) -> list[ProfileCurve]:
     """Profile curves rho_s(t) = |{p : r_{p,s} <= t}| / |P|.
 
-    Curves are evaluated at every breakpoint (finite ratio) plus the fixed
-    grid ``_T_GRID``, so step positions are exact; ties at a problem's
-    minimum count for every tying solver.  The last point is at the largest
-    finite ratio or beyond, so its fraction is the solver's solve fraction.
+    The ratio r_{p,s} is cost over the best cost on problem p.  Failed cells
+    and all-failed rows have inf ratios (an all-failed row divides by 1.0),
+    and all-failed rows still count in every curve's denominator.  Curves
+    are evaluated at every breakpoint (finite ratio) plus the fixed grid
+    ``_T_GRID``, so step positions are exact; ties at a problem's minimum
+    count for every tying solver.  The last point is at the largest finite
+    ratio or beyond, so its fraction is the solver's solve fraction.
     """
-    ratios = _ratios(m)
+    costs = m.costs
+    if costs.size == 0:
+        raise EmptyMatrix("empty cost matrix")
+    if not np.isfinite(costs).any():
+        raise EmptyMatrix("no solver succeeded on any problem")
+    best = costs.min(axis=1, keepdims=True)
+    ratios = costs / np.where(np.isfinite(best), best, 1.0)
     finite = ratios[np.isfinite(ratios)]
     ts = np.unique(np.concatenate([finite, _T_GRID]))
     n_problems = ratios.shape[0]
@@ -190,13 +180,8 @@ def performance_profile(m: CostMatrix) -> list[ProfileCurve]:
 
 
 def win_fractions(m: CostMatrix) -> dict[str, float]:
-    """rho_s(1) per solver: the fraction of problems it (co-)wins."""
-    ratios = _ratios(m)
-    n_problems = ratios.shape[0]
-    return {
-        solver: float((ratios[:, si] <= 1.0).sum()) / n_problems
-        for si, solver in enumerate(m.solvers)
-    }
+    """rho_s(1) per solver, its (co-)win fraction: t = 1 is the first point."""
+    return {c.solver: c.at(1.0) for c in performance_profile(m)}
 
 
 def _format_cost(value: float, metric: str) -> str:

@@ -23,9 +23,10 @@ All methods share the two-term recursion ``d_k = -g_k + beta_k d_{k-1}``
     -1 / (||d|| min(eta, ||g_{k-1}||)) with eta = 0.01, the value
     Hager and Zhang fix (SIAM J. Optim. 16, 2005).
 
-FR and HZ do not guarantee descent under a backtracking-only search, so
-:func:`direction` restarts them with the steepest-descent direction whenever
-the updated direction fails d'g < 0.
+Each rule sets only beta (and MFR its theta); :func:`direction` forms d and
+its d'g once, in one tail shared by all four.  FR and HZ do not guarantee
+descent under a backtracking-only search, so that tail restarts them, and
+only them, with the steepest-descent direction whenever d'g < 0 fails.
 """
 
 from __future__ import annotations
@@ -76,30 +77,26 @@ def direction(
     by zero raises.  ``d_prev``, ``y`` and ``gg_prev`` are None on the
     first iteration, which returns exactly ``-g`` for every method.  Every
     method falls back to ``-g`` (``restarted=True``, beta reported as 0)
-    when its update divides by zero (zero previous direction or gradient,
-    or HZ's |d'y| < 1e-30); FR and HZ also do when the two-term update is
-    not a descent direction.  The d'g of ``-g`` is ``-gg``.
+    when its beta or theta divides by zero (zero previous direction or
+    gradient, or HZ's |d'y| < 1e-30); otherwise one shared tail forms
+    ``beta d_prev - g`` (``- theta g`` for MFR) and its d'g, and restarts
+    FR and HZ only when d'g < 0 fails.  The d'g of ``-g`` is ``-gg``.
     """
     if d_prev is None:
         return DirectionResult(-g, -gg, 0.0, False)
 
-    # Each update is formed as beta d_prev - c g in place: it has the bits of
-    # -c g + beta d_prev (a + (-b) is a - b, and addition commutes) and makes
-    # one temporary fewer.
+    # Each branch sets beta, and MFR its gradient term theta g; the tail forms
+    # beta d_prev - c g in place: the bits of -c g + beta d_prev (a + (-b) is
+    # a - b, and addition commutes) with one temporary fewer.
     try:
+        cg = g
         if method == MethodId.NEW:
             beta = tau * math.sqrt(gg) / math.sqrt(float(d_prev.dot(d_prev)))
-            d = beta * d_prev
-            d -= g
-            return DirectionResult(d, float(d.dot(g)), beta, False)
-        if method == MethodId.MFR:
+        elif method == MethodId.FR:
             beta = gg / gg_prev
-            theta = float(d_prev.dot(y)) / gg_prev
-            d = beta * d_prev
-            d -= theta * g
-            return DirectionResult(d, float(d.dot(g)), beta, False)
-        if method == MethodId.FR:
+        elif method == MethodId.MFR:
             beta = gg / gg_prev
+            cg = (float(d_prev.dot(y)) / gg_prev) * g
         elif method == MethodId.HZ:
             dy = float(d_prev.dot(y))
             if abs(dy) < _CURVATURE_TINY:
@@ -117,8 +114,8 @@ def direction(
         return DirectionResult(-g, -gg, 0.0, True)
 
     d = beta * d_prev
-    d -= g
+    d -= cg
     dg = float(d.dot(g))
-    if not dg < 0.0:  # NaN fails too
+    if not dg < 0.0 and method in (MethodId.FR, MethodId.HZ):  # NaN fails too
         return DirectionResult(-g, -gg, 0.0, True)
     return DirectionResult(d, dg, beta, False)

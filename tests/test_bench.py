@@ -174,6 +174,16 @@ def test_profile_matches_brute_force(costs):
     for si, curve in enumerate(curves):
         assert [t for t, _ in curve.points] == ts
         assert list(curve.points) == expected[si]
+    # a win is a cell equal to its row's finite minimum (ties win for all);
+    # the fraction's bits are what wins.json holds
+    wins = win_fractions(m)
+    for si, solver in enumerate(m.solvers):
+        won = sum(
+            1
+            for row in costs.tolist()
+            if min(row) != float("inf") and row[si] == min(row)
+        )
+        assert wins[solver].hex() == (won / costs.shape[0]).hex()
 
 
 @given(cost_matrices())

@@ -178,6 +178,18 @@ def test_new_update_cone_bounds(seed, tau):
     assert res.restarted is False
 
 
+def test_restart_test_is_limited_to_fr_and_hz():
+    # NEW at tau = 1 with d_prev = g gives beta = 1 and d = g - g = 0, so
+    # d'g = 0 is not negative; only FR and HZ restart on that, so NEW
+    # returns its update as it is
+    g = np.array([3.0, -4.0])
+    res = step(MethodId.NEW, g, np.array([1.0, 2.0]), g.copy(), tau=1.0)
+    assert np.array_equal(res.d, np.zeros(2))
+    assert res.dg == 0.0
+    assert res.beta == 1.0
+    assert res.restarted is False
+
+
 @given(seed=st.integers(0, 100_000))
 def test_mfr_exact_descent_identity(seed):
     # states drawn at a common scale, as they occur along real trajectories

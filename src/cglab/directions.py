@@ -24,9 +24,9 @@ All methods share the two-term recursion ``d_k = -g_k + beta_k d_{k-1}``
     Hager and Zhang fix (SIAM J. Optim. 16, 2005).
 
 Each rule sets only beta (and MFR its theta); :func:`direction` forms d and
-its d'g once, in one tail shared by all four.  FR and HZ do not guarantee
-descent under a backtracking-only search, so that tail restarts them, and
-only them, with the steepest-descent direction whenever d'g < 0 fails.
+its d'g once, in one tail shared by all four.  FR and HZ (``_RESTARTED``)
+do not guarantee descent under a backtracking-only search, so that tail
+restarts them, and only them, with -g whenever d'g < 0 fails.
 """
 
 from __future__ import annotations
@@ -50,6 +50,9 @@ class MethodId(str, Enum):
     FR = "FR"
     MFR = "MFR"
     HZ = "HZ"
+
+
+_RESTARTED = (MethodId.FR, MethodId.HZ)  # NEW and MFR descend by construction
 
 
 class DirectionResult(NamedTuple):
@@ -116,6 +119,6 @@ def direction(
     d = beta * d_prev
     d -= cg
     dg = float(d.dot(g))
-    if not dg < 0.0 and method in (MethodId.FR, MethodId.HZ):  # NaN fails too
+    if not dg < 0.0 and method in _RESTARTED:  # NaN fails too
         return DirectionResult(-g, -gg, 0.0, True)
     return DirectionResult(d, dg, beta, False)

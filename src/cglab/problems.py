@@ -563,8 +563,6 @@ def _scalar_pow(t, k: int):
     """``t ** k`` elementwise, each element rounded as a numpy scalar pow."""
     if type(t) is np.float64:  # one point's value: ** is 10x faster on it
         return t**k
-    if t.shape == (1,):  # ARWHEAD's and BDQRTIC's x_n for one point
-        return (t[0] ** k)[None]
     return np.float_power(t, k)
 
 

@@ -310,7 +310,10 @@ def test_suite_artifacts(tmp_path, capsys):
     assert all("trace" not in r for r in runs)
     wins = json.loads((out_dir / "wins.json").read_text())
     assert set(wins) == {"NEW", "FR"}
-    assert all(0.0 <= v <= 1.0 for v in wins.values())
+    # each solver's win fraction is its profile_fevals.csv value at t = 1
+    rows = (out_dir / "profile_fevals.csv").read_text().splitlines()[1:]
+    at1 = {s: float(f) for s, t, f in (r.split(",") for r in rows) if float(t) == 1.0}
+    assert wins == at1
 
 
 def _digest_rows(out):

@@ -690,23 +690,6 @@ def test_one_point_shared_values_and_row_dots_are_numpy_scalars(monkeypatch):
         assert seen == [[np.float64] * len(form.shared)], name
         form.value(np.vstack([p.start] * 2))
         assert seen[-1] == [np.ndarray] * len(form.shared), name
-    # ARWHEAD's and BDQRTIC's x_n reaches elem as a (1,) array for one point,
-    # which _scalar_pow powers as one numpy scalar, not by np.float_power
-    float_powers = []
-    float_power = np.float_power
-
-    def float_power_spy(t, k):
-        float_powers.append(np.shape(t))
-        return float_power(t, k)
-
-    monkeypatch.setattr(np, "float_power", float_power_spy)
-    for name in ("ARWHEAD", "BDQRTIC"):
-        p = build(name, 100)
-        float_powers.clear()
-        p.value_fn(p.start)
-        assert float_powers == [], name
-        p.value_fn(np.vstack([p.start] * 2))
-        assert float_powers == [(2, 1)], name
 
 
 CATALOG_KEYS = [(p.name, p.dim) for p in catalog()]

@@ -3,8 +3,9 @@
 A suite run fills one cost matrix per metric (function evaluations,
 iterations, wall time); non-converged runs become infinite-cost cells.  The
 profile of a solver is the CDF of its per-problem cost ratios relative to
-the best solver on each problem, so the value at t = 1 is its win fraction
-and the limit at large t is its solve fraction.
+the best solver on each problem, so its value at t = 1 is its win fraction
+(``win_fractions`` reads it off the curves) and the limit at large t is its
+solve fraction.  ``write_lines`` writes every artifact file.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ __all__ = [
     "run_suite",
     "win_fractions",
     "write_cost_csv",
+    "write_lines",
     "write_profile_csv",
 ]
 
@@ -156,9 +158,7 @@ def performance_profile(m: CostMatrix) -> list[ProfileCurve]:
     ratio or beyond, so its fraction is the solver's solve fraction.
     """
     costs = m.costs
-    if costs.size == 0:
-        raise EmptyMatrix("empty cost matrix")
-    if not np.isfinite(costs).any():
+    if not np.isfinite(costs).any():  # an empty matrix too
         raise EmptyMatrix("no solver succeeded on any problem")
     best = costs.min(axis=1, keepdims=True)
     ratios = costs / np.where(np.isfinite(best), best, 1.0)
@@ -179,9 +179,15 @@ def performance_profile(m: CostMatrix) -> list[ProfileCurve]:
     return curves
 
 
-def win_fractions(m: CostMatrix) -> dict[str, float]:
-    """rho_s(1) per solver, its (co-)win fraction: t = 1 is the first point."""
-    return {c.solver: c.at(1.0) for c in performance_profile(m)}
+def win_fractions(curves: list[ProfileCurve]) -> dict[str, float]:
+    """Each curve's rho_s(1), its solver's (co-)win fraction: t = 1 is the first point."""
+    return {c.solver: c.at(1.0) for c in curves}
+
+
+def write_lines(path, lines: list[str]) -> None:
+    """The lines joined by "\\n", plus a final "\\n"; a JSON file is one line."""
+    with open(path, "w", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _format_cost(value: float, metric: str) -> str:
@@ -198,8 +204,7 @@ def write_cost_csv(m: CostMatrix, path) -> None:
     for pi, (name, dim) in enumerate(m.problems):
         cells = [_format_cost(m.costs[pi, si], m.metric) for si in range(len(m.solvers))]
         lines.append(f"{name},{dim}," + ",".join(cells))
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def write_profile_csv(curves: list[ProfileCurve], path) -> None:
@@ -208,5 +213,4 @@ def write_profile_csv(curves: list[ProfileCurve], path) -> None:
     for curve in curves:
         for t, frac in curve.points:
             lines.append(f"{curve.solver},{t!r},{frac!r}")
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)

@@ -31,10 +31,12 @@ from pathlib import Path
 import numpy as np
 
 from .bench import (
+    EmptyMatrix,
     performance_profile,
     run_suite,
     win_fractions,
     write_cost_csv,
+    write_lines,
     write_profile_csv,
 )
 from .directions import MethodId
@@ -302,12 +304,6 @@ def _output_dir(args) -> Path:
     return path
 
 
-def _write_json(path: Path, payload) -> None:
-    with open(path, "w", newline="") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def cmd_solve(args) -> int:
     cfg = _solver_config(args, None if args.method is None else MethodId(args.method))
     if args.trace:
@@ -329,10 +325,10 @@ def cmd_solve(args) -> int:
 def _run_grid(args, title, flag, labels, configs, time_repeats, write_artifacts) -> int:
     """The body of ``suite`` and ``sweep-tau``: one labelled column per config.
 
-    ``write_artifacts(out_dir, matrices, runs, rows)`` writes the command's
-    files; ``rows`` holds (label, solved runs, f_evals summed over them, win
-    rate) per column and is also the digest printed on stdout.  A grid where
-    no run converged has no profile, so it is refused.
+    ``write_artifacts(out_dir, matrices, curves, runs, rows)`` writes the files;
+    ``curves`` is the f_evals profile, and ``rows`` holds (label, solved runs,
+    f_evals summed over them, win rate) per column, the digest on stdout.  A
+    grid where no run converged has no profile, so it is refused.
     """
     if not configs:
         raise _CliError(f"no values given in {flag}")
@@ -357,16 +353,17 @@ def _run_grid(args, title, flag, labels, configs, time_repeats, write_artifacts)
         time_repeats=time_repeats,
         labels=labels,
     )
-    fevals = matrices["f_evals"].costs
-    if not np.isfinite(fevals).any():
+    try:
+        curves = performance_profile(matrices["f_evals"])
+    except EmptyMatrix:
         raise _CliError(f"no run converged ({len(runs)} attempted); no artifacts written")
-    wins = win_fractions(matrices["f_evals"])
+    wins = win_fractions(curves)
     rows = []
-    for label, col in zip(labels, fevals.T):
+    for label, col in zip(labels, matrices["f_evals"].costs.T):
         solved = col[np.isfinite(col)]
         rows.append((label, solved.size, int(solved.sum()), wins[label]))
     try:
-        write_artifacts(out_dir, matrices, runs, rows)
+        write_artifacts(out_dir, matrices, curves, runs, rows)
     except OSError as e:
         print(f"error: cannot write artifacts: {e}", file=sys.stderr)
         return 1
@@ -377,25 +374,24 @@ def _run_grid(args, title, flag, labels, configs, time_repeats, write_artifacts)
     return 0
 
 
-def _write_suite_artifacts(out_dir, matrices, runs, rows) -> None:
+def _write_suite_artifacts(out_dir, matrices, curves, runs, rows) -> None:
     for metric, stem in (("f_evals", "fevals"), ("iters", "iters"), ("time", "time")):
         write_cost_csv(matrices[metric], out_dir / f"cost_{stem}.csv")
-        write_profile_csv(
-            performance_profile(matrices[metric]), out_dir / f"profile_{stem}.csv"
-        )
-    _write_json(out_dir / "wins.json", {label: win for label, _, _, win in rows})
-    _write_json(
-        out_dir / "runs.json",
-        [
-            {
-                "solver": r.solver,
-                "problem": r.problem,
-                "dim": r.dim,
-                **r.result.to_dict(with_trace=False),
-            }
-            for r in runs
-        ],
-    )
+        if metric != "f_evals":  # the grid built the f_evals curves for the wins
+            curves = performance_profile(matrices[metric])
+        write_profile_csv(curves, out_dir / f"profile_{stem}.csv")
+    wins = {label: win for label, _, _, win in rows}
+    records = [
+        {
+            "solver": r.solver,
+            "problem": r.problem,
+            "dim": r.dim,
+            **r.result.to_dict(with_trace=False),
+        }
+        for r in runs
+    ]
+    for name, payload in (("wins.json", wins), ("runs.json", records)):
+        write_lines(out_dir / name, [json.dumps(payload, indent=2, sort_keys=True)])
 
 
 def cmd_suite(args) -> int:
@@ -429,12 +425,11 @@ def cmd_sweep_tau(args) -> int:
     except ValueError as e:
         raise _CliError(f"bad --taus value: {e}")
 
-    def write_sweep(out_dir, matrices, runs, rows):
+    def write_sweep(out_dir, matrices, curves, runs, rows):
         lines = ["tau,solved,total_fevals,wins_vs_self"]
         for t, (_, solved, total, win) in zip(taus, rows):
             lines.append(f"{t!r},{solved},{total},{win!r}")
-        with open(out_dir / "sweep.csv", "w", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_lines(out_dir / "sweep.csv", lines)
         write_cost_csv(matrices["f_evals"], out_dir / "cost_fevals.csv")
 
     labels = [f"tau={t!r}" for t in taus]

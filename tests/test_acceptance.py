@@ -14,6 +14,7 @@ the verdicts always appear) and then asserts.  Criteria:
 9. accepted Armijo step equals the brute-force grid maximum
 """
 
+import json
 import time
 
 import numpy as np
@@ -187,10 +188,10 @@ def test_criterion_6_desk_convergence(desk_suite_matrices, report):
         and bool(t_checked)
         and dominates
     )
+    wins = win_fractions(performance_profile(matrices["f_evals"]))
     hz_note = (
         f"NEW-vs-HZ (report only): solved {solved['NEW']} vs {solved['HZ']}, "
-        f"f_evals wins {win_fractions(matrices['f_evals'])['NEW']:.2f} vs "
-        f"{win_fractions(matrices['f_evals'])['HZ']:.2f}"
+        f"f_evals wins {wins['NEW']:.2f} vs {wins['HZ']:.2f}"
     )
     report(
         6,
@@ -267,13 +268,21 @@ def test_criterion_8_suite_determinism(tmp_path, report):
         (out_dirs[0] / name).read_bytes() == (out_dirs[1] / name).read_bytes()
         for name in ("cost_fevals.csv", "cost_iters.csv")
     )
+    # the JSON artifacts' bytes: one json.dumps line, then a newline
+    formatted = all(
+        (out / name).read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        for out in out_dirs
+        for name in ("wins.json", "runs.json")
+        for payload in [json.loads((out / name).read_text())]
+    )
     # runs are serial: a parallelism above 1 is refused, not run
     refused = cli.main([*argv, str(tmp_path / "c"), "--parallelism", "8"]) == 1
     report(
         8,
-        same and refused and not (tmp_path / "c").exists(),
+        same and formatted and refused and not (tmp_path / "c").exists(),
         "cost_fevals.csv and cost_iters.csv byte-identical across two serial "
-        "runs; --parallelism 8 refused with exit 1",
+        "runs; wins.json and runs.json are json.dumps(indent=2, sort_keys=True) "
+        "plus a newline; --parallelism 8 refused with exit 1",
     )
 
 

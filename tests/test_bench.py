@@ -84,7 +84,7 @@ def test_profile_hand_example():
     assert curves["A"].at(2.0) == 1.0
     assert curves["B"].at(2.0) == 1.0
     assert curves["A"].at(1.5) == 0.5
-    assert win_fractions(m) == {"A": 0.5, "B": 0.5}
+    assert win_fractions(performance_profile(m)) == {"A": 0.5, "B": 0.5}
 
 
 def test_profile_single_solver():
@@ -98,7 +98,7 @@ def test_profile_failed_solver_stays_at_zero():
     curves = {c.solver: c for c in performance_profile(m)}
     assert all(f == 0.0 for _, f in curves["BAD"].points)
     assert all(f == 1.0 for _, f in curves["OK"].points)
-    assert win_fractions(m) == {"OK": 1.0, "BAD": 0.0}
+    assert win_fractions(performance_profile(m)) == {"OK": 1.0, "BAD": 0.0}
 
 
 def test_all_failed_row_counts_in_denominator():
@@ -110,14 +110,15 @@ def test_all_failed_row_counts_in_denominator():
 
 def test_ties_count_for_all():
     m = matrix([[5.0, 5.0], [1.0, 3.0]], solvers=["A", "B"])
-    wins = win_fractions(m)
+    wins = win_fractions(performance_profile(m))
     assert wins == {"A": 1.0, "B": 0.5}
     assert sum(wins.values()) > 1.0
 
 
 def test_empty_and_degenerate_matrices():
-    with pytest.raises(EmptyMatrix):
-        performance_profile(matrix(np.full((2, 2), np.inf)))
+    for costs in (np.full((2, 2), np.inf), np.zeros((0, 2)), np.zeros((2, 0))):
+        with pytest.raises(EmptyMatrix):
+            performance_profile(matrix(costs))
     with pytest.raises(EmptyMatrix):
         run_suite([], [SolverConfig()])
     with pytest.raises(EmptyMatrix):
@@ -134,10 +135,8 @@ def test_cost_matrix_validation():
     for bad in (np.nan, -np.inf):
         with pytest.raises(ValueError, match="costs must be positive"):
             matrix([[1.0, bad], [3.0, 4.0]], solvers=["A", "B"])
-    assert win_fractions(matrix([[1.0, np.inf], [3.0, 4.0]], solvers=["A", "B"])) == {
-        "A": 1.0,
-        "B": 0.0,
-    }
+    m = matrix([[1.0, np.inf], [3.0, 4.0]], solvers=["A", "B"])
+    assert win_fractions(performance_profile(m)) == {"A": 1.0, "B": 0.0}
     with pytest.raises(ValueError):
         CostMatrix(
             solvers=("A",), problems=(("P", 1), ("Q", 1)), costs=np.ones((1, 1)),
@@ -176,7 +175,7 @@ def test_profile_matches_brute_force(costs):
         assert list(curve.points) == expected[si]
     # a win is a cell equal to its row's finite minimum (ties win for all);
     # the fraction's bits are what wins.json holds
-    wins = win_fractions(m)
+    wins = win_fractions(curves)
     for si, solver in enumerate(m.solvers):
         won = sum(
             1
@@ -205,7 +204,7 @@ def test_win_fractions_sum_at_least_one(costs):
     for pi in range(costs.shape[0]):
         if not np.isfinite(costs[pi]).any():
             costs[pi, 0] = 3.0
-    wins = win_fractions(matrix(costs))
+    wins = win_fractions(performance_profile(matrix(costs)))
     assert sum(wins.values()) >= 1.0 - 1e-12
 
 

@@ -496,6 +496,30 @@ def test_sweep_tau(tmp_path, capsys):
         assert win == f"{float(cells[3]):.2f}"
 
 
+def test_grid_builds_each_profile_once(tmp_path, capsys, monkeypatch):
+    # bench's own name too, so a profile built inside win_fractions counts
+    calls = []
+    real = cglab.bench.performance_profile
+
+    def counting(m):
+        calls.append(m.metric)
+        return real(m)
+
+    monkeypatch.setattr(cglab.bench, "performance_profile", counting)
+    monkeypatch.setattr(cli, "performance_profile", counting)
+    suite = ["suite", "--methods", "NEW,FR", "--problems", "TRIDIA", "--max-dim", "50"]
+    code, _, _ = run_cli(
+        [*suite, "--time-repeats", "1", "--output", str(tmp_path / "suite")], capsys
+    )
+    assert code == 0
+    assert calls == ["f_evals", "iters", "time"]
+    calls.clear()
+    sweep = ["sweep-tau", "--taus", "0.002,0.5", "--problems", "TRIDIA", "--max-dim", "50"]
+    code, _, _ = run_cli([*sweep, "--output", str(tmp_path / "sweep")], capsys)
+    assert code == 0
+    assert calls == ["f_evals"]
+
+
 def test_sweep_tau_validation(tmp_path, capsys):
     code, _, err = run_cli(
         ["sweep-tau", "--taus", "0.1,0.1", "--output", str(tmp_path)], capsys

@@ -1,11 +1,13 @@
 """Solver-by-problem grids and Dolan-More performance profiles.
 
 A suite run fills one cost matrix per metric (function evaluations,
-iterations, wall time); non-converged runs become infinite-cost cells.  The
-profile of a solver is the CDF of its per-problem cost ratios relative to
-the best solver on each problem, so its value at t = 1 is its win fraction
-(``win_fractions`` reads it off the curves) and the limit at large t is its
-solve fraction.  ``write_lines`` writes every artifact file.
+iterations, wall time); non-converged runs become infinite-cost cells, and
+a run that converges at its start costs 0 iterations.  The profile of a
+solver is the CDF of its per-problem cost ratios relative to the best
+solver on each problem (a cost equal to the best has ratio 1), so its
+value at t = 1 is its win fraction (``win_fractions`` reads it off the
+curves) and the limit at large t is its solve fraction.  ``write_lines``
+writes every artifact file.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ class EmptyMatrix(ValueError):
 
 @dataclass(frozen=True)
 class CostMatrix:
-    """Per-(problem, solver) costs for one metric; inf marks a failed run."""
+    """Per-(problem, solver) costs >= 0 for one metric; inf marks a failed run."""
 
     solvers: tuple[str, ...]
     problems: tuple[tuple[str, int], ...]
@@ -55,8 +57,8 @@ class CostMatrix:
         expected = (len(self.problems), len(self.solvers))
         if costs.shape != expected:
             raise ValueError(f"costs shape {costs.shape}, expected {expected}")
-        if not (costs > 0.0).all():  # NaN and -inf fail too
-            raise ValueError("costs must be positive, or inf for a failed run")
+        if not (costs >= 0.0).all():  # NaN and -inf fail too
+            raise ValueError("costs must be positive, 0, or inf for a failed run")
         costs.setflags(write=False)
         object.__setattr__(self, "costs", costs)
         object.__setattr__(self, "solvers", tuple(self.solvers))
@@ -149,19 +151,24 @@ _T_GRID = 2.0 ** np.linspace(0.0, 5.0, 41)
 def performance_profile(m: CostMatrix) -> list[ProfileCurve]:
     """Profile curves rho_s(t) = |{p : r_{p,s} <= t}| / |P|.
 
-    The ratio r_{p,s} is cost over the best cost on problem p.  Failed cells
-    and all-failed rows have inf ratios (an all-failed row divides by 1.0),
-    and all-failed rows still count in every curve's denominator.  Curves
-    are evaluated at every breakpoint (finite ratio) plus the fixed grid
-    ``_T_GRID``, so step positions are exact; ties at a problem's minimum
-    count for every tying solver.  The last point is at the largest finite
-    ratio or beyond, so its fraction is the solver's solve fraction.
+    The ratio r_{p,s} is cost over the best cost on problem p, and 1 for a
+    finite cost equal to that best, so a row of zero costs is a tie that
+    every solver wins.  Failed cells, all-failed rows and positive costs in
+    a row whose best is 0 have inf ratios, and all-failed rows still count
+    in every curve's denominator.  Curves are evaluated at every breakpoint
+    (finite ratio) plus the fixed grid ``_T_GRID``, so step positions are
+    exact; ties at a problem's minimum count for every tying solver.  The
+    last point is at the largest finite ratio or beyond, so its fraction is
+    the solver's solve fraction.
     """
     costs = m.costs
     if not np.isfinite(costs).any():  # an empty matrix too
         raise EmptyMatrix("no solver succeeded on any problem")
     best = costs.min(axis=1, keepdims=True)
-    ratios = costs / np.where(np.isfinite(best), best, 1.0)
+    won = (costs == best) & np.isfinite(best)
+    # a cell at its row's finite best is 1.0, as x / x is; a best of 0 divides nothing
+    above = (costs > best) & (best > 0.0)
+    ratios = np.divide(costs, best, out=np.where(won, 1.0, np.inf), where=above)
     finite = ratios[np.isfinite(ratios)]
     ts = np.unique(np.concatenate([finite, _T_GRID]))
     n_problems = ratios.shape[0]

@@ -6,13 +6,11 @@ sweep, digest on stdout), ``check-gradients`` (analytic vs
 finite-difference audit), and ``list-problems``.
 
 Exit codes: 0 success, 1 bad arguments or unusable output directory, 2 a
-run or check failed.  Config precedence is defaults < ``--config`` JSON
-file < command-line flags, and a file's ``method`` key sets the method of
-``solve``; ``suite --methods`` and ``sweep-tau --taus`` replace a file's
-``method`` and ``tau`` with each column's value.  ``--print-config`` shows
-the effective solver config, one per grid column, without running
-anything.  Config-file values go through the same type conversion as the
-matching flag's text.  Abbreviated flags are refused.
+run or check failed.  Solver settings are the defaults overridden by the
+flags given; ``suite --methods`` and ``sweep-tau --taus`` set each grid
+column's method or tau.  ``--print-config`` shows the effective solver
+config, one per grid column, without running anything.  Artifacts go to
+``--output``, or ``./results`` without it.  Abbreviated flags are refused.
 """
 
 from __future__ import annotations
@@ -53,13 +51,10 @@ from .solver import SolverConfig, Status, minimize
 
 __all__ = [
     "DEFAULT_TAU_GRID",
-    "OUTPUT_DIR_ENV",
     "entry",
     "main",
     "run_gradient_check",
 ]
-
-OUTPUT_DIR_ENV = "CGLAB_OUTPUT_DIR"
 
 # Sweep grid for the NEW update's tau; 0 degenerates to steepest descent and
 # anchors the sweep.
@@ -94,8 +89,8 @@ DEFAULT_TAU_GRID = (
 # and a small audit stays in-process.
 _FORK_SHARE = 8192
 
-# Solver settings with a flag and a config-file key, typed by their
-# defaults.  The method comes from --method/--methods, tracing from --trace.
+# Solver settings with a flag, typed by their defaults.  The method comes
+# from --method/--methods, tracing from --trace.
 _SOLVER_FIELDS = {
     f.name: type(f.default)
     for f in dataclasses.fields(SolverConfig)
@@ -119,7 +114,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_solver_options(p: argparse.ArgumentParser, swept: str = "") -> None:
     """Flags for every solver setting but ``swept``, which the command sets."""
-    p.add_argument("--config", metavar="FILE", help="JSON file with solver settings")
     for name, kind in _SOLVER_FIELDS.items():
         if name != swept:
             p.add_argument("--" + name.replace("_", "-"), type=kind, dest=name)
@@ -132,9 +126,7 @@ def _add_solver_options(p: argparse.ArgumentParser, swept: str = "") -> None:
 
 def _add_output_options(p: argparse.ArgumentParser) -> None:
     p.add_argument(
-        "--output",
-        default=None,
-        help=f"artifact directory (default ${OUTPUT_DIR_ENV} or ./results)",
+        "--output", default="results", help="artifact directory (default ./results)"
     )
 
 
@@ -180,7 +172,9 @@ def _build_parser() -> _Parser:
     p_solve = sub.add_parser("solve", help="run one solver on one problem")
     p_solve.add_argument("--problem", required=True, help="catalog name (glob allowed)")
     p_solve.add_argument("--dim", type=_checked("dim", int, 1))
-    p_solve.add_argument("--method", choices=[m.value for m in MethodId])
+    p_solve.add_argument(
+        "--method", choices=[m.value for m in MethodId], default=MethodId.NEW.value
+    )
     p_solve.add_argument(
         "--trace", action="store_true", help="include the iteration trace in the JSON"
     )
@@ -227,60 +221,15 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_config_file(path: str) -> dict:
+def _solver_config(args, method: MethodId) -> SolverConfig:
+    """The defaults overridden by the flags given, for ``method``."""
+    settings = {
+        name: getattr(args, name)
+        for name in _SOLVER_FIELDS
+        if getattr(args, name, None) is not None
+    }
     try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as e:
-        raise _CliError(f"cannot read config file {path}: {e}")
-    except json.JSONDecodeError as e:
-        raise _CliError(f"config file {path} is not valid JSON: {e}")
-    if not isinstance(data, dict):
-        raise _CliError(f"config file {path} must hold a JSON object")
-    unknown = set(data) - set(_SOLVER_FIELDS) - {"method"}
-    if unknown:
-        raise _CliError(f"unknown config keys: {sorted(unknown)}")
-    settings = {}
-    if "method" in data:
-        try:
-            settings["method"] = MethodId(data["method"])
-        except ValueError:
-            choices = [m.value for m in MethodId]
-            raise _CliError(
-                f"config key 'method' must be one of {choices}, got {data['method']!r}"
-            )
-    for name, kind in _SOLVER_FIELDS.items():
-        if name in data:
-            # the flag's own conversion: 2.5 is no int, null and true no number
-            try:
-                settings[name] = kind(str(data[name]))
-            except ValueError:
-                raise _CliError(
-                    f"config key {name!r} must be {kind.__name__}, got {data[name]!r}"
-                )
-    return settings
-
-
-def _solver_config(args, method: MethodId | None, swept: str = "") -> SolverConfig:
-    """defaults < config file < flags, then validate.
-
-    ``method`` is the command's own choice; ``None`` leaves it to the config
-    file, then to the default.  ``swept`` names the setting a grid command
-    replaces in every column; the config file's value for it never runs,
-    so it is dropped before ``SolverConfig`` checks its range.
-    """
-    settings: dict = {}
-    if getattr(args, "config", None):
-        settings.update(_load_config_file(args.config))
-        settings.pop(swept, None)
-    for name in _SOLVER_FIELDS:
-        value = getattr(args, name, None)
-        if value is not None:
-            settings[name] = value
-    if method is not None:
-        settings["method"] = method
-    try:
-        return SolverConfig(**settings)
+        return SolverConfig(method=method, **settings)
     except ValueError as e:
         raise _CliError(str(e))
 
@@ -292,8 +241,7 @@ def _print_config(cfg: SolverConfig) -> None:
 
 
 def _output_dir(args) -> Path:
-    chosen = args.output or os.environ.get(OUTPUT_DIR_ENV) or "results"
-    path = Path(chosen)
+    path = Path(args.output)
     try:
         path.mkdir(parents=True, exist_ok=True)
         probe = path / ".write-probe"
@@ -305,7 +253,7 @@ def _output_dir(args) -> Path:
 
 
 def cmd_solve(args) -> int:
-    cfg = _solver_config(args, None if args.method is None else MethodId(args.method))
+    cfg = _solver_config(args, MethodId(args.method))
     if args.trace:
         cfg = dataclasses.replace(cfg, record_trace=True)
     if args.print_config:
@@ -399,7 +347,7 @@ def cmd_suite(args) -> int:
         methods = [MethodId(t.strip()) for t in args.methods.split(",") if t.strip()]
     except ValueError as e:
         raise _CliError(f"bad --methods value: {e}")
-    base = _solver_config(args, None)
+    base = _solver_config(args, MethodId.NEW)
     configs = [dataclasses.replace(base, method=m) for m in methods]
     labels = [m.value for m in methods]
     return _run_grid(
@@ -415,7 +363,7 @@ def cmd_suite(args) -> int:
 
 def cmd_sweep_tau(args) -> int:
     # the sweep writes no wall times, so each cell runs once
-    base = _solver_config(args, MethodId.NEW, swept="tau")
+    base = _solver_config(args, MethodId.NEW)
     try:
         if args.taus is None:
             taus = list(DEFAULT_TAU_GRID)

@@ -6,6 +6,8 @@ small cases, and hypothesis covers the CDF/scale-invariance/dominance
 properties with randomized matrices containing failed cells.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -23,7 +25,7 @@ from cglab.bench import (
     write_profile_csv,
 )
 from cglab.directions import MethodId
-from cglab.problems import build
+from cglab.problems import build, quadratic_instance
 from cglab.solver import SolverConfig, Status
 
 
@@ -126,8 +128,12 @@ def test_empty_and_degenerate_matrices():
 
 
 def test_cost_matrix_validation():
-    with pytest.raises(ValueError):
-        matrix([[0.0, 1.0]])  # finite costs must be positive
+    # a zero cost is a run that needed none: it wins, and a positive cost
+    # beside it has an infinite ratio, with no divide-by-zero warning
+    m = matrix([[0.0, 1.0]], solvers=["A", "B"], metric="iters")
+    a, b = performance_profile(m)
+    assert win_fractions([a, b]) == {"A": 1.0, "B": 0.0}
+    assert b.points[-1][1] == 0.0  # B's ratio is beyond every t
     with pytest.raises(ValueError):
         matrix([[-1.0, 1.0]])
     # only +inf marks a failed run; a NaN cell would drop its whole row as
@@ -246,6 +252,19 @@ def test_run_suite_cell_values():
     assert matrices["iters"].costs[0, 0] == run.result.iters
     assert matrices["time"].costs[0, 0] > 0.0
     assert set(matrices) == set(METRICS)
+
+
+def test_run_suite_zero_iteration_run(tmp_path):
+    # a run that converges at its start costs 0 iterations; the grid keeps
+    # it, and a row of such runs is a tie that every solver wins
+    p = dataclasses.replace(quadratic_instance(np.eye(3)), start=np.zeros(3))
+    configs = [SolverConfig(), SolverConfig(method=MethodId.FR)]
+    matrices, runs = run_suite([p], configs, time_repeats=1)
+    assert [r.result.status for r in runs] == [Status.CONVERGED] * 2
+    assert matrices["iters"].costs.tolist() == [[0.0, 0.0]]
+    assert win_fractions(performance_profile(matrices["iters"])) == {"NEW": 1.0, "FR": 1.0}
+    write_cost_csv(matrices["iters"], tmp_path / "cost_iters.csv")
+    assert (tmp_path / "cost_iters.csv").read_text().splitlines()[1].endswith(",0,0")
 
 
 def test_run_suite_failed_cell_in_all_metrics():

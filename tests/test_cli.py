@@ -126,91 +126,6 @@ def test_print_config_defaults(capsys):
     }
 
 
-def test_config_precedence(tmp_path, capsys):
-    cfg_file = tmp_path / "cfg.json"
-    cfg_file.write_text(json.dumps({"tau": 0.01, "rho": 0.25}))
-    code, out, _ = run_cli(
-        [
-            "solve",
-            "--problem",
-            "TRIDIA",
-            "--config",
-            str(cfg_file),
-            "--tau",
-            "0.05",
-            "--print-config",
-        ],
-        capsys,
-    )
-    assert code == 0
-    cfg = json.loads(out)
-    assert cfg["tau"] == 0.05  # flag beats file
-    assert cfg["rho"] == 0.25  # file beats default
-    assert cfg["c1"] == 1.0e-4  # default survives
-
-
-def test_config_file_sets_method(tmp_path, capsys):
-    cfg_file = tmp_path / "cfg.json"
-    cfg_file.write_text(json.dumps({"method": "FR"}))
-    argv = ["solve", "--problem", "TRIDIA", "--config", str(cfg_file), "--print-config"]
-    code, out, _ = run_cli(argv, capsys)
-    assert code == 0
-    assert json.loads(out)["method"] == "FR"  # file beats default
-    code, out, _ = run_cli([*argv, "--method", "HZ"], capsys)
-    assert code == 0
-    assert json.loads(out)["method"] == "HZ"  # flag beats file
-
-
-def test_config_file_errors(tmp_path, capsys):
-    bad_key = tmp_path / "bad_key.json"
-    bad_key.write_text(json.dumps({"tau": 0.01, "momentum": 0.9}))
-    code, _, err = run_cli(
-        ["solve", "--problem", "TRIDIA", "--config", str(bad_key)], capsys
-    )
-    assert code == 1
-    assert "momentum" in err
-
-    not_json = tmp_path / "broken.json"
-    not_json.write_text("{tau: ")
-    code, _, err = run_cli(
-        ["solve", "--problem", "TRIDIA", "--config", str(not_json)], capsys
-    )
-    assert code == 1
-    assert "not valid JSON" in err
-
-    code, _, err = run_cli(
-        ["solve", "--problem", "TRIDIA", "--config", str(tmp_path / "missing.json")],
-        capsys,
-    )
-    assert code == 1
-
-    not_object = tmp_path / "list.json"
-    not_object.write_text("[1, 2]")
-    code, _, err = run_cli(
-        ["solve", "--problem", "TRIDIA", "--config", str(not_object)], capsys
-    )
-    assert code == 1
-    assert "JSON object" in err
-
-    # values go through the flags' type conversion: no traceback, no int
-    # truncation, and the solver config still rejects non-finite numbers
-    bad_value = tmp_path / "bad_value.json"
-    for bad in (
-        {"tau": "x"},
-        {"max_iters": None},
-        {"max_iters": 2.5},
-        {"c1": True},
-        {"eps_scale": float("nan")},
-        {"method": "SD"},
-    ):
-        bad_value.write_text(json.dumps(bad))
-        argv = ["solve", "--problem", "TRIDIA", "--config", str(bad_value)]
-        code, out, err = run_cli([*argv, "--print-config"], capsys)
-        assert code == 1, bad
-        assert out == ""
-        assert err.startswith("error:") and next(iter(bad)) in err
-
-
 def test_invalid_config_value_exit_one(capsys):
     bad_flags = (("--tau", "1.5"), ("--eps-scale", "nan"), ("--c1", "nan"))
     for flag, value in bad_flags:
@@ -225,30 +140,56 @@ def test_invalid_config_value_exit_one(capsys):
     "name, value", [("step_floor", 1e-17), ("bb_guard", 1e-8), ("hz_eta", 0.1)]
 )
 def test_safeguard_constants_are_no_settings(name, value, tmp_path, monkeypatch, capsys):
-    # the step floor, BB guard and HZ eta are module constants: neither a
-    # flag nor a config key sets them, and naming one starts no run
+    # the step floor, BB guard and HZ eta are module constants: no flag sets
+    # them, and naming one starts no run
     def no_run(*args, **kwargs):
         raise AssertionError("a run started")
 
     monkeypatch.setattr(cli, "minimize", no_run)
     monkeypatch.setattr(cli, "run_suite", no_run)
-    cfg_file = tmp_path / "cfg.json"
-    cfg_file.write_text(json.dumps({name: value}))
     flag = "--" + name.replace("_", "-")
     out_dir = tmp_path / "out"
     solve = ["solve", "--problem", "TRIDIA", "--dim", "50"]
     suite = ["suite", "--problems", "TRIDIA", "--max-dim", "50", "--output", str(out_dir)]
-    for argv in (
-        [*solve, flag, repr(value)],
-        [*solve, "--config", str(cfg_file)],
-        [*suite, flag, repr(value)],
-        [*suite, "--config", str(cfg_file)],
-    ):
+    for argv in ([*solve, flag, repr(value)], [*suite, flag, repr(value)]):
         code, out, err = run_cli(argv, capsys)
         assert code == 1, argv
         assert out == ""
-        assert err.startswith("error:") and (flag in err or repr(name) in err)
+        assert err.startswith("error:") and flag in err
     assert not out_dir.exists()
+
+
+def test_flags_are_the_only_way_in(tmp_path, monkeypatch, capsys):
+    # no command reads a --config file, and $CGLAB_OUTPUT_DIR does not move
+    # the artifact directory away from ./results
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "x.json").write_text(json.dumps({"tau": 0.01}))
+    grid = ["--problems", "TRIDIA", "--max-dim", "50"]
+    with monkeypatch.context() as patched:
+        patched.setattr(cli, "minimize", no_run)
+        patched.setattr(cli, "run_suite", no_run)
+        for argv in (
+            ["solve", "--problem", "TRIDIA", "--dim", "50"],
+            ["suite", *grid],
+            ["sweep-tau", *grid],
+        ):
+            code, out, err = run_cli([*argv, "--config", "x.json"], capsys)
+            assert code == 1, argv
+            assert out == ""
+            assert err.startswith("error:") and "--config" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["x.json"]  # no results/
+
+    env_dir = tmp_path / "from-env"
+    monkeypatch.setenv("CGLAB_OUTPUT_DIR", str(env_dir))
+    argv = ["suite", *grid, "--methods", "NEW", "--time-repeats", "1"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert "artifacts in results/" in out
+    assert (tmp_path / "results" / "wins.json").is_file()
+    assert not env_dir.exists()
 
 
 def test_commands_build_only_the_selected_instances(monkeypatch, capsys):
@@ -422,36 +363,6 @@ def test_grid_without_converged_run_exit_one(tmp_path, capsys):
         assert list(out_dir.iterdir()) == []
 
 
-def test_output_dir_env_var(tmp_path, capsys, monkeypatch):
-    out_dir = tmp_path / "from-env"
-    monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(out_dir))
-    code, _, _ = run_cli(
-        [
-            "suite",
-            "--problems",
-            "TRIDIA",
-            "--max-dim",
-            "50",
-            "--methods",
-            "NEW",
-            "--time-repeats",
-            "1",
-        ],
-        capsys,
-    )
-    assert code == 0
-    assert (out_dir / "cost_fevals.csv").is_file()
-
-
-def test_output_flag_beats_env_var(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path / "ignored"))
-    out_dir = tmp_path / "explicit"
-    code, _, _ = run_cli(suite_args(out_dir, ["--methods", "NEW"]), capsys)
-    assert code == 0
-    assert (out_dir / "wins.json").is_file()
-    assert not (tmp_path / "ignored").exists()
-
-
 def test_unwritable_output_exit_one(tmp_path, capsys):
     blocker = tmp_path / "file-not-dir"
     blocker.write_text("occupied")
@@ -536,18 +447,15 @@ def test_sweep_tau_validation(tmp_path, capsys):
     assert code == 1
 
 
-def test_sweep_tau_print_config_per_tau(tmp_path, capsys):
-    cfg_file = tmp_path / "cfg.json"
-    # the file's tau is out of range, but every column replaces it
-    cfg_file.write_text(json.dumps({"tau": 1.5, "rho": 0.25}))
+def test_sweep_tau_print_config_per_tau(capsys):
     code, out, _ = run_cli(
-        ["sweep-tau", "--taus", "0.1,0.3", "--config", str(cfg_file), "--print-config"],
-        capsys,
+        ["sweep-tau", "--taus", "0.1,0.3", "--rho", "0.25", "--print-config"], capsys
     )
     assert code == 0
     configs = json.loads("[" + out.strip().replace("}\n{", "},{") + "]")
-    assert [c["tau"] for c in configs] == [0.1, 0.3]  # the file's tau is replaced
+    assert [c["tau"] for c in configs] == [0.1, 0.3]
     assert all(c["method"] == "NEW" and c["rho"] == 0.25 for c in configs)
+    assert all(c["c1"] == 1.0e-4 and c["max_iters"] == 4000 for c in configs)
 
 
 def test_sweep_tau_has_no_single_tau_flag(tmp_path, capsys):
@@ -591,18 +499,13 @@ def test_sweep_runs_each_cell_once(tmp_path, capsys, monkeypatch):
         ("sweep-tau", "--taus", "nan"),
         ("suite", "--min-dim", "0"),
         ("suite", "--max-dim", "2.5"),
-        pytest.param(
-            "suite", "--config", '{"max_iters": 0}', id="suite---config-max_iters-0"
-        ),
+        ("suite", "--max-iters", "0"),
     ],
 )
 def test_grid_setting_out_of_range_exit_one(command, flag, value, tmp_path, capsys):
     out_dir = tmp_path / "out"
-    named = flag
-    if flag == "--config":  # value is the file's JSON, and the error names its key
-        config = tmp_path / "config.json"
-        config.write_text(value)
-        value, named = str(config), next(iter(json.loads(value)))
+    # a solver setting is refused by SolverConfig, which names its field
+    named = "max_iters" if flag == "--max-iters" else flag
     code, out, err = run_cli(
         [command, "--problems", "TRIDIA", "--output", str(out_dir), flag, value],
         capsys,

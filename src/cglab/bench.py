@@ -12,7 +12,6 @@ writes every artifact file.
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,11 +104,11 @@ def run_suite(
 
     Pairs run serially, problem by problem and, within a problem, config by
     config.  ``f_evals`` and ``iters`` cells come from a pair's single
-    counted run.  The ``time`` cell is the median wall time over
-    ``time_repeats`` runs of a converged pair: its counted run, then
-    ``time_repeats - 1`` repeats right after it.  ``labels`` names the
-    matrix columns and defaults to each config's method id; pass explicit
-    labels when configs share a method.
+    counted run.  The ``time`` cell is the median wall time, with no floor,
+    of a converged pair's counted run and ``time_repeats - 1`` repeats right
+    after it (for an even count, the mean of the middle two).  ``labels``
+    names the matrix columns and defaults to each config's method id; pass
+    explicit labels when configs share a method.
     """
     if not problems or not solver_configs:
         raise EmptyMatrix("need at least one problem and one solver")
@@ -134,7 +133,7 @@ def run_suite(
         times += [minimize(p, cfg).wall_time for _ in range(time_repeats - 1)]
         cells["f_evals"][i, j] = first.f_evals
         cells["iters"][i, j] = first.iters
-        cells["time"][i, j] = max(statistics.median(times), 1.0e-9)
+        cells["time"][i, j] = float(np.median(times))
 
     keys = tuple((p.name, p.dim) for p in problems)
     matrices = {

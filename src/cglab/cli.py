@@ -41,6 +41,7 @@ from .directions import MethodId
 from .problems import (
     _check_scalar,
     DimensionMismatch,
+    NonFiniteOutput,
     ProblemInstance,
     catalog,
     desk_suite,
@@ -394,7 +395,8 @@ def run_gradient_check(
     not depend on catalog order, all 6 in one :func:`fd_gradient` call.
     Returns (report lines, failing keys), both in the order of ``instances``.
     ``seed`` must be an integer >= 0 and ``tol`` a positive finite number;
-    neither may be a bool.  A non-finite error fails its instance; a
+    neither may be a bool.  A non-finite error fails its instance, and so
+    does a central difference that overflows, with ``rel_err=nan``; a
     gradient whose shape is not ``(dim,)`` raises :class:`DimensionMismatch`.
 
     The instances are split into ``count`` shares, one per available CPU
@@ -482,16 +484,22 @@ def _fork_audit(instances: list[ProblemInstance], seed: int, tol: float):
     return pid, open(r, "rb")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _audit(instances: list[ProblemInstance], seed: int, tol: float) -> list[str]:
-    """One report line per instance, in order, audited in this process."""
+    """One report line per instance, in order, audited in this process.
+    Overflow fails its instance, as it ends a run in ``minimize``."""
     lines = []
     for p in instances:
         rng = np.random.default_rng([seed, p.dim, *p.name.encode()])
         # the start itself, not start + 0.0, which would turn -0.0 into +0.0;
         # one (5, dim) draw is the stream of 5 draws of dim
         points = np.vstack([p.start, p.start + rng.uniform(-1.0, 1.0, size=(5, p.dim))])
+        try:
+            fds = fd_gradient(p, points)
+        except NonFiniteOutput:  # every error is NaN, so the line is rel_err=nan
+            fds = np.full_like(points, np.nan)
         errs = []
-        for x, fd in zip(points, fd_gradient(p, points)):
+        for x, fd in zip(points, fds):
             g = np.asarray(p.grad_fn(x), dtype=float)
             if g.shape != fd.shape:  # would broadcast against fd
                 raise DimensionMismatch(f"{p.name}: gradient has shape {g.shape}")

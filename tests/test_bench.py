@@ -26,7 +26,7 @@ from cglab.bench import (
 )
 from cglab.directions import MethodId
 from cglab.problems import build, quadratic_instance
-from cglab.solver import SolverConfig, Status
+from cglab.solver import RunResult, SolverConfig, Status
 
 
 def matrix(costs, solvers=None, metric="f_evals"):
@@ -265,6 +265,27 @@ def test_run_suite_zero_iteration_run(tmp_path):
     assert win_fractions(performance_profile(matrices["iters"])) == {"NEW": 1.0, "FR": 1.0}
     write_cost_csv(matrices["iters"], tmp_path / "cost_iters.csv")
     assert (tmp_path / "cost_iters.csv").read_text().splitlines()[1].endswith(",0,0")
+
+
+@pytest.mark.parametrize(
+    "walls, expected",
+    [([3.0, 1.0, 2.0], 2.0), ([1.0, 4.0], 2.5), ([0.0, 0.0, 0.0], 0.0)],
+)
+def test_run_suite_time_cell_is_plain_median(walls, expected, monkeypatch):
+    # the time cell is the median of the counted run and its repeats (the
+    # mean of the middle two for an even count), with no floor: all-zero
+    # wall times give 0.0, a tie at ratio 1 like any zero cost
+    stub = iter(walls * 2)
+
+    def fake_minimize(p, cfg):
+        return RunResult(Status.CONVERGED, 1, 2, 2, 0.0, 0.0, wall_time=next(stub))
+
+    monkeypatch.setattr(cglab.bench, "minimize", fake_minimize)
+    configs = [SolverConfig(), SolverConfig(method=MethodId.FR)]
+    matrices, _ = run_suite([build("TRIDIA", 50)], configs, time_repeats=len(walls))
+    assert matrices["time"].costs.tolist() == [[expected, expected]]
+    curves = performance_profile(matrices["time"])
+    assert [c.points[0] for c in curves] == [(1.0, 1.0), (1.0, 1.0)]
 
 
 def test_run_suite_failed_cell_in_all_metrics():

@@ -604,6 +604,20 @@ def test_run_gradient_check_fails_nan_gradient(where):
     assert lines == ["FAIL Q dim=3 rel_err=nan"]
 
 
+def test_run_gradient_check_fails_overflowing_differences():
+    # exp(700 x) is finite at the start but overflows at the seeded points
+    # off it, so the central differences there are inf - inf; the audit
+    # fails the instance with no numpy warning and no exception
+    expo = ProblemInstance(
+        name="EXPO",
+        dim=3,
+        start=np.ones(3),
+        value_fn=lambda x: np.add.reduce(np.exp(700.0 * x), axis=-1),
+        grad_fn=lambda x: 700.0 * np.exp(700.0 * x),
+    )
+    assert cli.run_gradient_check([expo]) == (["FAIL EXPO dim=3 rel_err=nan"], ["EXPO-3"])
+
+
 @pytest.mark.parametrize("shape", [(1,), (3, 1), (4,)])
 def test_run_gradient_check_rejects_wrong_gradient_shape(shape):
     # a (1,) gradient would broadcast against every component, a (3, 1) one

@@ -8,8 +8,14 @@ and the finite-difference oracle guards every hand-derived gradient.
 """
 
 import dataclasses
+import importlib
 import inspect
 import math
+import pkgutil
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1501,3 +1507,53 @@ def test_problem_instance_validation():
                 grad_fn=lambda x: np.zeros(2),
             )
     assert ProblemInstance("Q", np.int64(2), np.ones(2), None, None).key == "Q-2"
+
+
+# ---------------------------------------------------------------------------
+# Package layout: each public name has one import path, its module, and a
+# module loads only the layers beneath it.
+# ---------------------------------------------------------------------------
+
+# the directory this suite imports cglab from, for fresh interpreters
+SRC = Path(cglab.problems.__file__).resolve().parents[1]
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _run_fresh(code):
+    """Run ``code`` in a fresh ``python -I`` with SRC first on sys.path."""
+    prelude = "import sys; sys.path.insert(0, sys.argv[1])\n"
+    return subprocess.run(
+        [sys.executable, "-I", "-c", prelude + code, str(SRC)],
+        capture_output=True,
+        text=True,
+    )
+
+
+def _cglab_modules_after(statement):
+    listing = "print(*sorted(m for m in sys.modules if m.startswith('cglab')))"
+    proc = _run_fresh(f"{statement}\n{listing}")
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_layers_load_bottom_up():
+    # the package root is a docstring: it loads no layer and re-exports no
+    # name, so `import cglab.problems` leaves the directions, line search,
+    # solver, bench and CLI layers unloaded
+    assert _cglab_modules_after("import cglab") == ["cglab"]
+    assert _cglab_modules_after("import cglab.problems") == ["cglab", "cglab.problems"]
+
+
+@pytest.mark.parametrize("name", [m.name for m in pkgutil.iter_modules(cglab.__path__)])
+def test_module_all_names_resolve(name):
+    # `from cglab.<module> import *` fails on a stale __all__ entry
+    module = importlib.import_module(f"cglab.{name}")
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def test_readme_python_blocks_run():
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"), re.M | re.S)
+    assert blocks
+    for block in blocks:
+        proc = _run_fresh(block)
+        assert proc.returncode == 0, f"{block}\n{proc.stderr}"

@@ -37,7 +37,6 @@ from .bench import (
     write_lines,
     write_profile_csv,
 )
-from .directions import MethodId
 from .problems import (
     _check_scalar,
     DimensionMismatch,
@@ -48,7 +47,7 @@ from .problems import (
     fd_gradient,
     filter_catalog,
 )
-from .solver import SolverConfig, Status, minimize
+from .solver import MethodId, SolverConfig, Status, minimize
 
 __all__ = [
     "DEFAULT_TAU_GRID",

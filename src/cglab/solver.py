@@ -1,9 +1,42 @@
-"""The CG driver: direction, Armijo step, update, stopping rules.
+"""The paper's CG iteration: direction update, Armijo step, driver loop.
+
+All methods share the two-term recursion ``d_k = -g_k + beta_k d_{k-1}``
+(MFR additionally scales the gradient term).  The update rules:
+
+``NEW``
+    beta = tau * ||g_k|| / ||d_{k-1}||.  With tau in (0, 1) this keeps every
+    direction inside a cone around the steepest-descent direction:
+    d'g <= -(1 - tau) ||g||^2 and ||d|| <= (1 + tau) ||g||, with no
+    safeguards or restarts needed.
+
+``FR``
+    Fletcher-Reeves, beta = ||g_k||^2 / ||g_{k-1}||^2.
+
+``MFR``
+    FR with the gradient term rescaled by
+    theta = d_{k-1}'(g_k - g_{k-1}) / ||g_{k-1}||^2, which makes
+    d'g = -||g||^2 hold exactly.
+
+``HZ``
+    Hager-Zhang (CG_DESCENT):
+    beta = (y - 2 d ||y||^2 / d'y)' g / d'y, truncated from below at
+    -1 / (||d|| min(eta, ||g_{k-1}||)) with eta = 0.01, the value
+    Hager and Zhang fix (SIAM J. Optim. 16, 2005).
+
+Each rule sets only beta (and MFR its theta); :func:`direction` forms d and
+its d'g once, in one tail shared by all four.  FR and HZ (``_RESTARTED``)
+do not guarantee descent under a backtracking-only search, so that tail
+restarts them, and only them, with -g whenever d'g < 0 fails.
+
+:func:`armijo_backtrack` returns the first step in the geometric grid
+``alpha_bar * rho**i`` that passes the Armijo sufficient-decrease test, so
+the accepted step is the largest grid point that passes, which the Lemma 1
+check of :func:`theory_report` relies on.
 
 One :func:`minimize` call owns a fresh :class:`~cglab.problems.CountingProblem`,
 so the counters in the result are exactly the evaluations this run performed.
-The companion :func:`theory_report` checks a recorded trace against the
-descent-cone and steplength bounds the NEW update is designed to satisfy.
+:func:`theory_report` checks a recorded trace against the descent-cone and
+steplength bounds the NEW update is designed to satisfy.
 """
 
 from __future__ import annotations
@@ -12,23 +45,218 @@ import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .directions import MethodId, direction
-from .linesearch import NotDescent, StepFloorReached, armijo_backtrack, initial_step
-from .problems import CountingProblem, NonFiniteOutput, ProblemInstance, _check_scalar
+from .problems import (
+    CountingProblem,
+    DimensionMismatch,
+    NonFiniteInput,
+    NonFiniteOutput,
+    ProblemInstance,
+    Vector,
+    _check_scalar,
+)
 
 __all__ = [
+    "DirectionResult",
     "IterationRecord",
+    "LineSearchOutcome",
+    "MethodId",
+    "NotDescent",
     "RunResult",
     "SolverConfig",
     "Status",
+    "StepFloorReached",
     "TheoryReport",
+    "armijo_backtrack",
+    "direction",
+    "initial_step",
     "minimize",
     "theory_report",
 ]
+
+_CURVATURE_TINY = 1.0e-30
+_HZ_ETA = 0.01  # HZ's truncation eta
+# Absolute floor on a trial step: eps/10, so small that a healthy search
+# never reaches it; a trial below it aborts the search and the run.
+_STEP_FLOOR = 2.0**-52 / 10.0
+# Least curvature s'y for which the Barzilai-Borwein quotient is used.
+_BB_GUARD = 1.0e-8
+
+
+class MethodId(str, Enum):
+    """Direction-update rule identifiers, also used as CLI/CSV labels."""
+
+    NEW = "NEW"
+    FR = "FR"
+    MFR = "MFR"
+    HZ = "HZ"
+
+
+_RESTARTED = (MethodId.FR, MethodId.HZ)  # NEW and MFR descend by construction
+
+
+class DirectionResult(NamedTuple):
+    """Direction, its d'g, the effective beta and whether a restart fired."""
+
+    d: Vector
+    dg: float
+    beta: float
+    restarted: bool
+
+
+def direction(
+    method: MethodId,
+    g: Vector,
+    gg: float,
+    d_prev: Vector | None,
+    y: Vector | None,
+    gg_prev: float | None,
+    tau: float,
+) -> DirectionResult:
+    """Next search direction for ``method``; the one place restarts are decided.
+
+    ``gg`` is g'g, ``y`` is g - g_prev and ``gg_prev`` is g_prev'g_prev, all
+    held by the caller; the two products are Python floats, whose division
+    by zero raises.  ``d_prev``, ``y`` and ``gg_prev`` are None on the
+    first iteration, which returns exactly ``-g`` for every method.  Every
+    method falls back to ``-g`` (``restarted=True``, beta reported as 0)
+    when its beta or theta divides by zero (zero previous direction or
+    gradient, or HZ's |d'y| < 1e-30); otherwise one shared tail forms
+    ``beta d_prev - g`` (``- theta g`` for MFR) and its d'g, and restarts
+    FR and HZ only when d'g < 0 fails.  The d'g of ``-g`` is ``-gg``.
+    """
+    if d_prev is None:
+        MethodId(method)  # an unknown method is a ValueError here too
+        return DirectionResult(-g, -gg, 0.0, False)
+
+    # Each branch sets beta, and MFR its gradient term theta g; the tail forms
+    # beta d_prev - c g in place: the bits of -c g + beta d_prev (a + (-b) is
+    # a - b, and addition commutes) with one temporary fewer.
+    try:
+        cg = g
+        if method == MethodId.NEW:
+            beta = tau * math.sqrt(gg) / math.sqrt(float(d_prev.dot(d_prev)))
+        elif method == MethodId.FR:
+            beta = gg / gg_prev
+        elif method == MethodId.MFR:
+            beta = gg / gg_prev
+            cg = (float(d_prev.dot(y)) / gg_prev) * g
+        elif method == MethodId.HZ:
+            dy = float(d_prev.dot(y))
+            if abs(dy) < _CURVATURE_TINY:
+                raise ZeroDivisionError(f"d'y = {dy} too close to zero")
+            yy = float(y.dot(y))
+            raw = float((y - (2.0 * yy / dy) * d_prev).dot(g)) / dy
+            # a zero previous direction or gradient means no truncation
+            denom = math.sqrt(float(d_prev.dot(d_prev))) * min(
+                _HZ_ETA, math.sqrt(gg_prev)
+            )
+            beta = max(raw, -math.inf if denom == 0.0 else -1.0 / denom)
+        else:
+            raise ValueError(f"unknown method {method!r}")
+    except ZeroDivisionError:
+        return DirectionResult(-g, -gg, 0.0, True)
+
+    d = beta * d_prev
+    d -= cg
+    dg = float(d.dot(g))
+    if not dg < 0.0 and method in _RESTARTED:  # NaN fails too
+        return DirectionResult(-g, -gg, 0.0, True)
+    return DirectionResult(d, dg, beta, False)
+
+
+class NotDescent(ValueError):
+    """The supplied direction has d'g >= 0, so no Armijo step can exist."""
+
+
+class StepFloorReached(RuntimeError):
+    """Backtracking shrank the trial step below the hard floor."""
+
+
+class LineSearchOutcome(NamedTuple):
+    """Accepted step and trial point, the backtrack count, and the move
+    ``alpha * d`` that took ``x`` to ``x_new``."""
+
+    alpha: float
+    f_new: float
+    x_new: Vector
+    backtracks: int
+    step: Vector
+
+
+def initial_step(s: Vector | None, y: Vector | None) -> float:
+    """Barzilai-Borwein trial step ``s's / s'y`` from the previous move.
+
+    ``s`` and ``y`` are float arrays of one shape, as :func:`minimize` holds
+    them.  Falls back to 1.0 on the first iteration (both arguments None),
+    whenever the curvature ``s'y`` is at most ``_BB_GUARD`` (1e-8), where
+    the quotient would be huge or negative, and whenever the quotient is not
+    positive and finite (``s's`` overflowing, or ``s'y`` infinite).
+    """
+    if s is None and y is None:
+        return 1.0
+    if s is None or y is None:
+        raise DimensionMismatch("s and y must both be given or both be None")
+    if s.shape != y.shape:
+        raise DimensionMismatch(f"s has shape {s.shape}, y has shape {y.shape}")
+    sy = float(s.dot(y))
+    if sy <= _BB_GUARD:
+        return 1.0
+    bb = float(s.dot(s)) / sy
+    return bb if 0.0 < bb < math.inf else 1.0
+
+
+def armijo_backtrack(
+    problem: CountingProblem,
+    x: Vector,
+    f: float,
+    dg: float,
+    d: Vector,
+    alpha_bar: float,
+    cfg: SolverConfig,
+) -> LineSearchOutcome:
+    """Largest step in ``{alpha_bar * rho**i}`` with sufficient decrease.
+
+    ``dg`` is the slope d'g at ``x``, computed by the caller along with ``d``;
+    ``alpha_bar`` is a positive finite number (not a bool), else ``ValueError``;
+    ``cfg`` supplies rho and c1, range-checked when it was built, and a
+    trial step below ``_STEP_FLOOR`` (eps/10) raises
+    :class:`StepFloorReached`, so the loop always ends.  Every trial at a
+    finite point charges one objective evaluation to ``problem``.  Trial
+    points whose objective overflows, or that are themselves non-finite
+    (possible when ``alpha_bar * d`` overflows), are treated as plain Armijo
+    rejections and backtracked past; :class:`CountingProblem` refuses the
+    latter before charging anything.
+    numpy's error state is the caller's: :func:`~cglab.solver.minimize`
+    turns overflow and invalid warnings off, a direct caller decides itself.
+    """
+    if not math.isfinite(dg) or dg >= 0.0:
+        raise NotDescent(f"d'g = {dg}, need a strict descent direction")
+    _check_scalar("alpha_bar", alpha_bar)
+
+    evaluate = problem.evaluate
+    rho, c1 = cfg.rho, cfg.c1
+    alpha = float(alpha_bar)
+    backtracks = 0
+    while True:
+        if alpha < _STEP_FLOOR:
+            raise StepFloorReached(
+                f"trial step {alpha:.3e} fell below floor {_STEP_FLOOR:.3e}"
+            )
+        step = alpha * d
+        trial = x + step
+        try:
+            f_trial = evaluate(trial)
+        except (NonFiniteInput, NonFiniteOutput):
+            pass
+        else:
+            if f_trial <= f + c1 * alpha * dg:
+                return LineSearchOutcome(alpha, f_trial, trial, backtracks, step)
+        alpha *= rho
+        backtracks += 1
 
 
 class Status(str, Enum):
@@ -46,9 +274,8 @@ class SolverConfig:
 
     tau 0.002, rho 0.5, c1 1e-4, relative gradient tolerance 1e-6, at most
     4000 iterations.  These are the paper's parameters; the safeguards
-    around them (the step floor and BB curvature guard in
-    :mod:`~cglab.linesearch`, HZ's eta in :mod:`~cglab.directions`) are
-    constants of the module that reads them.
+    around them (the step floor, the BB curvature guard and HZ's eta) are
+    constants of this module.
 
     tau = 0 is accepted (the NEW update degenerates to steepest descent);
     the sweep grid uses it as its baseline point.

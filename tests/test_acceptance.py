@@ -22,10 +22,15 @@ import pytest
 
 import cglab.cli as cli
 from cglab.bench import _T_GRID, performance_profile, run_suite, win_fractions
-from cglab.directions import MethodId
-from cglab.linesearch import _STEP_FLOOR, armijo_backtrack
 from cglab.problems import CountingProblem, catalog, desk_suite, quadratic_instance
-from cglab.solver import SolverConfig, Status, minimize
+from cglab.solver import (
+    _STEP_FLOOR,
+    MethodId,
+    SolverConfig,
+    Status,
+    armijo_backtrack,
+    minimize,
+)
 
 TAU = 0.002
 RHO = 0.5

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import cglab.bench
+import cglab.solver
 from cglab.bench import (
     _T_GRID,
     CostMatrix,
@@ -24,9 +25,8 @@ from cglab.bench import (
     write_cost_csv,
     write_profile_csv,
 )
-from cglab.directions import MethodId
 from cglab.problems import build, quadratic_instance
-from cglab.solver import RunResult, SolverConfig, Status
+from cglab.solver import MethodId, RunResult, SolverConfig, Status
 
 
 def matrix(costs, solvers=None, metric="f_evals"):
@@ -252,6 +252,36 @@ def test_run_suite_cell_values():
     assert matrices["iters"].costs[0, 0] == run.result.iters
     assert matrices["time"].costs[0, 0] > 0.0
     assert set(matrices) == set(METRICS)
+
+
+def test_run_suite_calls_layers_by_module_name(monkeypatch):
+    # the benchmark's tracer times the layers by swapping these names in the
+    # modules whose callers look them up at call time; a local alias or a
+    # default-argument binding would leave its spans at 0 calls
+    counts = {}
+
+    def count_calls(module, name):
+        original = getattr(module, name)
+        counts[name] = 0
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for name in ("direction", "initial_step", "armijo_backtrack"):
+        count_calls(cglab.solver, name)
+    count_calls(cglab.bench, "minimize")
+    _, runs = run_suite([build("TRIDIA", 50)], [SolverConfig()], time_repeats=1)
+    iters = runs[0].result.iters
+    assert iters > 0
+    assert counts == {
+        "direction": iters,
+        "initial_step": iters,
+        "armijo_backtrack": iters,
+        "minimize": 1,
+    }
 
 
 def test_run_suite_zero_iteration_run(tmp_path):

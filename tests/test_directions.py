@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cglab.directions import _HZ_ETA, MethodId, direction
+from cglab.solver import _HZ_ETA, MethodId, direction
 
 EPS = float(np.finfo(float).eps)
 
@@ -289,6 +289,10 @@ def test_positive_homogeneity(seed, scale_pow):
 def test_unknown_method_rejected():
     with pytest.raises(ValueError):
         step("XX", np.ones(2), np.ones(2), np.ones(2))
+    # the first iteration is -g for every method, but not for a method that
+    # is none of them
+    with pytest.raises(ValueError):
+        step("XX", np.ones(2), None, None)
 
 
 @pytest.mark.parametrize("method", list(MethodId))

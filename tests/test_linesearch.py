@@ -9,21 +9,21 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cglab.linesearch import (
-    _BB_GUARD,
-    _STEP_FLOOR,
-    NotDescent,
-    StepFloorReached,
-    armijo_backtrack,
-    initial_step,
-)
 from cglab.problems import (
     CountingProblem,
     DimensionMismatch,
     ProblemInstance,
     quadratic_instance,
 )
-from cglab.solver import SolverConfig
+from cglab.solver import (
+    _BB_GUARD,
+    _STEP_FLOOR,
+    NotDescent,
+    SolverConfig,
+    StepFloorReached,
+    armijo_backtrack,
+    initial_step,
+)
 
 CFG = SolverConfig()
 

@@ -1538,10 +1538,14 @@ def _cglab_modules_after(statement):
 
 def test_layers_load_bottom_up():
     # the package root is a docstring: it loads no layer and re-exports no
-    # name, so `import cglab.problems` leaves the directions, line search,
-    # solver, bench and CLI layers unloaded
+    # name, so `import cglab.problems` leaves the solver, bench and CLI
+    # layers unloaded; the solver, which holds the whole iteration, loads
+    # only the problems layer, and the bench only the solver beneath it
     assert _cglab_modules_after("import cglab") == ["cglab"]
     assert _cglab_modules_after("import cglab.problems") == ["cglab", "cglab.problems"]
+    solver = ["cglab", "cglab.problems", "cglab.solver"]
+    assert _cglab_modules_after("import cglab.solver") == solver
+    assert _cglab_modules_after("import cglab.bench") == sorted(solver + ["cglab.bench"])
 
 
 @pytest.mark.parametrize("name", [m.name for m in pkgutil.iter_modules(cglab.__path__)])

@@ -17,8 +17,6 @@ import pytest
 import scipy.optimize
 from hypothesis import given, strategies as st
 
-from cglab.directions import _HZ_ETA, MethodId
-from cglab.linesearch import _BB_GUARD, _STEP_FLOOR, NotDescent, StepFloorReached
 from cglab.problems import (
     DimensionMismatch,
     NonFiniteInput,
@@ -29,8 +27,14 @@ from cglab.problems import (
     quadratic_instance,
 )
 from cglab.solver import (
+    _BB_GUARD,
+    _HZ_ETA,
+    _STEP_FLOOR,
+    MethodId,
+    NotDescent,
     SolverConfig,
     Status,
+    StepFloorReached,
     _scaled_ratio,
     minimize,
     theory_report,

@@ -82,11 +82,10 @@ DEFAULT_TAU_GRID = (
 )
 
 # Coordinates (sum of dim) of gradient audit per forked share.  On a 2-CPU
-# Xeon (Python 3.11, numpy 2.4) the audit costs about 4.3 us a coordinate
-# (the catalog's 29,055 in 120-137 ms), and a fork about 1.3 ms in the
-# parent and 4 ms from fork to reaped child with its report read; a share of
-# 8,192 coordinates (about 35 ms) pays for its fork about nine times over,
-# and a small audit stays in-process.
+# Xeon (Python 3.11, numpy 2.4) the audit costs about 3.2 us a coordinate
+# (the catalog's 29,055 in 84-112 ms), and forking and reaping an empty
+# child 2.2-3.5 ms; a share of 8,192 coordinates (about 26 ms) pays for its
+# fork about eight times over, and a small audit stays in-process.
 _FORK_SHARE = 8192
 
 # Solver settings with a flag, typed by their defaults.  The method comes
@@ -400,40 +399,40 @@ def run_gradient_check(
 
     The instances are split into ``count`` shares, one per available CPU
     but no more than one per instance or per ``_FORK_SHARE`` coordinates in
-    total; share j is the stride ``instances[j::count]``.  The calling
-    process audits share 0 and a forked child each other one; the report's
-    bytes are those of one in-process audit.  The audit stays in-process
-    when there is one share, when the platform has no ``os.fork`` or
-    ``os.sched_getaffinity``, and when the process runs more than one Python
-    thread.  A share that could not fork, or whose child fails, is audited
-    in the caller, so the caller sees that share's exception, and every
-    child is reaped before this returns or raises.
+    total; share j is the stride ``instances[j::count]``.  A forked child
+    audits each share but share 0; the report's bytes are those of one
+    in-process audit.  The audit stays in-process when there is one share,
+    when the platform has no ``os.fork`` or ``os.sched_getaffinity``, and
+    when the process runs more than one Python thread.  Once every child is
+    forked, the caller audits, in share order, each share no child
+    delivered: share 0, a share that could not fork and a share whose child
+    failed, so the caller sees that share's exception.  Every child is
+    reaped before this returns or raises.
     """
     _check_scalar("seed", seed, 0)
     _check_scalar("tol", tol)
     count = _process_count(instances)
     lines = [""] * len(instances)
-    children = []  # (share, pid, pipe read end) of each child not yet reaped
+    children = {}  # share -> (pid, pipe read end) of each child not yet reaped
     try:
         for j in range(1, count):
             child = _fork_audit(instances[j::count], seed, tol)
-            if child is None:  # no process to fork: audit the share here
-                lines[j::count] = _audit(instances[j::count], seed, tol)
-            else:
-                children.append((j, *child))
-        lines[::count] = _audit(instances[::count], seed, tol)
-        while children:
-            j, pid, reader = children[0]
-            with reader:
-                data = reader.read()
-            status = os.waitpid(pid, 0)[1]
-            del children[0]
-            if status:  # audit the share again here, to raise the child's error
+            if child is not None:
+                children[j] = child
+        for j in range(count):
+            status = 1  # no child delivers share 0 or a share that could not fork
+            if j in children:
+                pid, reader = children[j]
+                with reader:
+                    data = reader.read()
+                status = os.waitpid(pid, 0)[1]
+                del children[j]
+            if status:  # audit the share here, which raises a failed share's error
                 lines[j::count] = _audit(instances[j::count], seed, tol)
             else:
                 lines[j::count] = pickle.loads(data)
     finally:
-        for _, pid, reader in children:
+        for pid, reader in children.values():
             reader.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)

@@ -242,7 +242,6 @@ def test_cellwise_dominance_orders_curves(costs):
 
 def test_run_suite_cell_values():
     p = build("TRIDIA", 50)
-    result_probe = None
     matrices, runs = run_suite([p], [SolverConfig()], time_repeats=1)
     (run,) = runs
     assert run.solver == "NEW"

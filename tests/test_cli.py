@@ -747,6 +747,36 @@ def test_gradient_audit_stays_in_process(why, monkeypatch):
     assert len(lines) == len(instances) and failures == []
 
 
+@needs_fork
+def test_split_audit_forks_every_share_before_the_caller_audits(monkeypatch):
+    """The first fork fails and the second forks: the caller audits share 0
+    and the unforked share 1 only once share 2's child runs."""
+    real_fork, real_audit = os.fork, cli._audit
+    events = []  # the caller's; a child appends to its own copy
+
+    def fork():
+        events.append("fork")
+        if events.count("fork") == 1:
+            fork_fails()
+        pid = real_fork()
+        if pid:
+            events.append("child")
+        return pid
+
+    def audit(*args):
+        events.append("audit")
+        return real_audit(*args)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(cli, "_audit", audit)
+    instances = catalog()
+    split = cli.run_gradient_check(instances, seed=3)
+    assert events == ["fork", "fork", "child", "audit", "audit"]
+    assert split == in_process_audit(monkeypatch, instances, 3)
+    assert_no_child_left()
+
+
 @pytest.mark.parametrize(
     "kwargs, name",
     [

@@ -6,8 +6,9 @@ sweep, digest on stdout), ``check-gradients`` (analytic vs
 finite-difference audit), and ``list-problems``.
 
 Exit codes: 0 success, 1 bad arguments or unusable output directory, 2 a
-run or check failed.  Solver settings are the defaults overridden by the
-flags given; ``suite --methods`` and ``sweep-tau --taus`` set each grid
+run or check failed.  A flag that sets a library parameter is passed, under
+that parameter's name, only when given, so each such default has the library
+as its one owner; ``suite --methods`` and ``sweep-tau --taus`` set each grid
 column's method or tau.  ``--print-config`` shows the effective solver
 config, one per grid column, without running anything.  Artifacts go to
 ``--output``, or ``./results`` without it.  Abbreviated flags are refused.
@@ -132,7 +133,7 @@ def _add_output_options(p: argparse.ArgumentParser) -> None:
 def _add_problem_filter(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--problems",
-        default=None,
+        dest="pattern",
         metavar="GLOB",
         help="catalog name filter; default is the 20-problem desk suite",
     )
@@ -171,9 +172,7 @@ def _build_parser() -> _Parser:
     p_solve = sub.add_parser("solve", help="run one solver on one problem")
     p_solve.add_argument("--problem", required=True, help="catalog name (glob allowed)")
     p_solve.add_argument("--dim", type=_checked("dim", int, 1))
-    p_solve.add_argument(
-        "--method", choices=[m.value for m in MethodId], default=MethodId.NEW.value
-    )
+    p_solve.add_argument("--method", choices=[m.value for m in MethodId])
     p_solve.add_argument(
         "--trace", action="store_true", help="include the iteration trace in the JSON"
     )
@@ -191,20 +190,15 @@ def _build_parser() -> _Parser:
     p_suite.add_argument(
         "--time-repeats",
         type=_checked("time_repeats", int, 1),
-        default=3,
         dest="time_repeats",
         help="runs per converged pair for the wall-time median",
     )
-    p_suite.add_argument(
-        "--parallelism", type=_serial, default=1, help="must be 1: runs are serial"
-    )
+    p_suite.add_argument("--parallelism", type=_serial, help="must be 1: runs are serial")
 
     p_sweep = sub.add_parser("sweep-tau", help="sweep the NEW update's tau")
     _add_problem_filter(p_sweep)
     p_sweep.add_argument(
-        "--taus",
-        default=None,
-        help="comma-separated tau values (default: the standard 20-point grid)",
+        "--taus", help="comma-separated tau values (default: the standard 20-point grid)"
     )
     _add_solver_options(p_sweep, swept="tau")
     _add_output_options(p_sweep)
@@ -212,23 +206,24 @@ def _build_parser() -> _Parser:
     p_check = sub.add_parser(
         "check-gradients", help="compare analytic gradients with finite differences"
     )
-    p_check.add_argument("--problems", default="*", metavar="GLOB")
-    p_check.add_argument("--seed", type=_checked("seed", int, 0), default=0)
-    p_check.add_argument("--tol", type=_checked("tol", float), default=1.0e-6)
+    p_check.add_argument("--problems", dest="pattern", metavar="GLOB")
+    p_check.add_argument("--seed", type=_checked("seed", int, 0))
+    p_check.add_argument("--tol", type=_checked("tol", float))
 
     sub.add_parser("list-problems", help="print the catalog as NAME<TAB>DIM")
     return parser
 
 
-def _solver_config(args, method: MethodId) -> SolverConfig:
-    """The defaults overridden by the flags given, for ``method``."""
-    settings = {
-        name: getattr(args, name)
-        for name in _SOLVER_FIELDS
-        if getattr(args, name, None) is not None
-    }
+def _given(args, *names) -> dict:
+    """The flags among ``names`` that were given, keyed by parameter name; a
+    name the command has no flag for counts as not given."""
+    return {name: getattr(args, name) for name in names if getattr(args, name, None) is not None}
+
+
+def _solver_config(args, **fixed) -> SolverConfig:
+    """The defaults overridden by the flags given and by ``fixed``."""
     try:
-        return SolverConfig(method=method, **settings)
+        return SolverConfig(**_given(args, "method", *_SOLVER_FIELDS), **fixed)
     except ValueError as e:
         raise _CliError(str(e))
 
@@ -252,9 +247,7 @@ def _output_dir(args) -> Path:
 
 
 def cmd_solve(args) -> int:
-    cfg = _solver_config(args, MethodId(args.method))
-    if args.trace:
-        cfg = dataclasses.replace(cfg, record_trace=True)
+    cfg = _solver_config(args, record_trace=args.trace)
     if args.print_config:
         _print_config(cfg)
         return 0
@@ -269,8 +262,9 @@ def cmd_solve(args) -> int:
     return 0 if result.status is Status.CONVERGED else 2
 
 
-def _run_grid(args, title, flag, labels, configs, time_repeats, write_artifacts) -> int:
-    """The body of ``suite`` and ``sweep-tau``: one labelled column per config.
+def _run_grid(args, title, flag, labels, configs, write_artifacts, **run_options) -> int:
+    """The body of ``suite`` and ``sweep-tau``: one labelled column per config,
+    run by ``run_suite(..., **run_options)``.
 
     ``write_artifacts(out_dir, matrices, curves, runs, rows)`` writes the files;
     ``curves`` is the f_evals profile, and ``rows`` holds (label, solved runs,
@@ -285,21 +279,12 @@ def _run_grid(args, title, flag, labels, configs, time_repeats, write_artifacts)
         for cfg in configs:
             _print_config(cfg)
         return 0
-    if args.problems is None and args.min_dim is None and args.max_dim is None:
-        problems = desk_suite()
-    else:
-        problems = filter_catalog(
-            args.problems or "*", min_dim=args.min_dim, max_dim=args.max_dim
-        )
-        if not problems:
-            raise _CliError("no catalog problems match the filter")
+    selection = _given(args, "pattern", "min_dim", "max_dim")
+    problems = filter_catalog(**selection) if selection else desk_suite()
+    if not problems:
+        raise _CliError("no catalog problems match the filter")
     out_dir = _output_dir(args)
-    matrices, runs = run_suite(
-        problems,
-        configs,
-        time_repeats=time_repeats,
-        labels=labels,
-    )
+    matrices, runs = run_suite(problems, configs, labels=labels, **run_options)
     try:
         curves = performance_profile(matrices["f_evals"])
     except EmptyMatrix:
@@ -346,7 +331,7 @@ def cmd_suite(args) -> int:
         methods = [MethodId(t.strip()) for t in args.methods.split(",") if t.strip()]
     except ValueError as e:
         raise _CliError(f"bad --methods value: {e}")
-    base = _solver_config(args, MethodId.NEW)
+    base = _solver_config(args)
     configs = [dataclasses.replace(base, method=m) for m in methods]
     labels = [m.value for m in methods]
     return _run_grid(
@@ -355,14 +340,14 @@ def cmd_suite(args) -> int:
         "--methods",
         labels,
         configs,
-        args.time_repeats,
         _write_suite_artifacts,
+        **_given(args, "time_repeats"),
     )
 
 
 def cmd_sweep_tau(args) -> int:
     # the sweep writes no wall times, so each cell runs once
-    base = _solver_config(args, MethodId.NEW)
+    base = _solver_config(args, method=MethodId.NEW)
     try:
         if args.taus is None:
             taus = list(DEFAULT_TAU_GRID)
@@ -380,7 +365,7 @@ def cmd_sweep_tau(args) -> int:
         write_cost_csv(matrices["f_evals"], out_dir / "cost_fevals.csv")
 
     labels = [f"tau={t!r}" for t in taus]
-    return _run_grid(args, "tau sweep", "--taus", labels, configs, 1, write_sweep)
+    return _run_grid(args, "tau sweep", "--taus", labels, configs, write_sweep, time_repeats=1)
 
 
 def run_gradient_check(
@@ -512,10 +497,10 @@ def _audit(instances: list[ProblemInstance], seed: int, tol: float) -> list[str]
 
 
 def cmd_check_gradients(args) -> int:
-    instances = filter_catalog(args.problems)
+    instances = filter_catalog(**_given(args, "pattern"))
     if not instances:
         raise _CliError("no catalog problems match the filter")
-    lines, failures = run_gradient_check(instances, seed=args.seed, tol=args.tol)
+    lines, failures = run_gradient_check(instances, **_given(args, "seed", "tol"))
     print("\n".join(lines))
     if failures:
         print(f"FAILED: {', '.join(failures)}", file=sys.stderr)

@@ -348,6 +348,21 @@ def test_suite_empty_filter_exit_one(tmp_path, capsys):
     assert "no catalog problems" in err
 
 
+@pytest.mark.parametrize(
+    "argv", [["suite", "--methods", "NEW", "--time-repeats", "1"], ["sweep-tau", "--taus", "0.5"]]
+)
+def test_grid_empty_glob_matches_nothing(argv, tmp_path, capsys):
+    # an empty --problems is a given glob, not the whole catalog
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(
+        [*argv, "--problems", "", "--max-dim", "50", "--output", str(out_dir)], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: no catalog problems match the filter\n"
+    assert not out_dir.exists()
+
+
 def test_grid_without_converged_run_exit_one(tmp_path, capsys):
     # one iteration converges nowhere, so there is no profile to normalize
     no_progress = ["--problems", "TRIDIA", "--max-dim", "50", "--max-iters", "1"]
@@ -369,6 +384,12 @@ def test_unwritable_output_exit_one(tmp_path, capsys):
     code, _, err = run_cli(suite_args(blocker, ["--methods", "NEW"]), capsys)
     assert code == 1
     assert "not writable" in err
+    # the directory passes the write probe, but one artifact's path is taken
+    (tmp_path / "cost_fevals.csv").mkdir()
+    code, _, err = run_cli(suite_args(tmp_path, ["--methods", "NEW"]), capsys)
+    assert code == 1
+    assert err.startswith("error: cannot write artifacts: ")
+    assert "Traceback" not in err
 
 
 def test_sweep_tau(tmp_path, capsys):
@@ -456,6 +477,12 @@ def test_sweep_tau_print_config_per_tau(capsys):
     assert [c["tau"] for c in configs] == [0.1, 0.3]
     assert all(c["method"] == "NEW" and c["rho"] == 0.25 for c in configs)
     assert all(c["c1"] == 1.0e-4 and c["max_iters"] == 4000 for c in configs)
+    # without --taus, the standard grid in order
+    code, out, _ = run_cli(["sweep-tau", "--print-config"], capsys)
+    assert code == 0
+    configs = json.loads("[" + out.strip().replace("}\n{", "},{") + "]")
+    assert [c["tau"] for c in configs] == list(cli.DEFAULT_TAU_GRID)
+    assert len(configs) == 20 and all(c["method"] == "NEW" for c in configs)
 
 
 def test_sweep_tau_has_no_single_tau_flag(tmp_path, capsys):
@@ -574,7 +601,7 @@ def test_check_gradients_detects_wrong_gradient(capsys, monkeypatch):
     liar = ProblemInstance(
         name="LIAR", dim=4, start=np.zeros(4), value_fn=liar_value, grad_fn=liar_grad
     )
-    monkeypatch.setattr(cli, "filter_catalog", lambda pattern: [liar])
+    monkeypatch.setattr(cli, "filter_catalog", lambda pattern="*": [liar])
     code, out, err = run_cli(["check-gradients"], capsys)
     assert code == 2
     assert out.splitlines()[0].startswith("FAIL LIAR")

@@ -555,6 +555,21 @@ def test_gradient_refuses_a_non_finite_entry(bad):
     assert cp.g_evals == 1
 
 
+def test_gradient_refuses_a_wrong_shape():
+    p = ProblemInstance(
+        name="WIDEG",
+        dim=2,
+        start=np.zeros(2),
+        value_fn=lambda x: 0.0,
+        grad_fn=lambda x: np.ones(3),
+    )
+    cp = CountingProblem(p)
+    cp.evaluate(p.start)
+    with pytest.raises(DimensionMismatch, match=r"^WIDEG: gradient has shape \(3,\)$"):
+        cp.gradient()
+    assert cp.g_evals == 1
+
+
 def test_gradient_returns_an_overflowing_square_as_inf():
     # every entry is finite but g'g = 4e400 is not: that is minimize's
     # NumericalFailure on an infinite norm, not a refused gradient

@@ -277,6 +277,26 @@ def test_numerical_failure_on_overflowing_gradient_norm():
     assert (r.f_evals, r.g_evals) == (1, 1)
 
 
+@pytest.mark.parametrize("settings", [{"method": "NEW", "tau": 0.5}, {"method": "FR"}])
+def test_numerical_failure_on_overflowing_slope(settings):
+    # f = c'x with c'c = 1.5e308: the first step, -c, takes alpha = 1; the
+    # second direction's d'g, -(1 + tau) c'c under NEW and -2 c'c under FR,
+    # overflows to -inf, which the line search refuses as no descent
+    c = np.array([math.sqrt(1.5e308), 0.0])
+    p = ProblemInstance(
+        name="LINEAR",
+        dim=2,
+        start=np.zeros(2),
+        value_fn=lambda x: float(x @ c),
+        grad_fn=lambda x: c.copy(),
+    )
+    r = minimize(p, SolverConfig(record_trace=True, **settings))
+    assert r.status is Status.NUMERICAL_FAILURE
+    assert (r.iters, r.f_evals, r.g_evals) == (1, 2, 2)
+    assert [t.alpha for t in r.trace] == [1.0]
+    assert math.isfinite(r.final_f) and math.isfinite(r.final_gnorm)
+
+
 def test_overflowing_bb_step_falls_back_to_one():
     # nearly flat and started far out: y = g - g_prev mostly rounds to 0 and
     # the FR directions grow until s's overflows while s'y > guard; that BB

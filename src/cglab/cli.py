@@ -5,13 +5,15 @@ run, CSV/JSON artifacts, digest on stdout), ``sweep-tau`` (NEW-update tau
 sweep, digest on stdout), ``check-gradients`` (analytic vs
 finite-difference audit), and ``list-problems``.
 
-Exit codes: 0 success, 1 bad arguments or unusable output directory, 2 a
-run or check failed.  A flag that sets a library parameter is passed, under
-that parameter's name, only when given, so each such default has the library
-as its one owner; ``suite --methods`` and ``sweep-tau --taus`` set each grid
-column's method or tau.  ``--print-config`` shows the effective solver
-config, one per grid column, without running anything.  Artifacts go to
-``--output``, or ``./results`` without it.  Abbreviated flags are refused.
+Exit codes: 0 success, 2 a run or check failed, and 1 a ``_CliError``, printed
+as one ``error:`` line: bad arguments, an empty selection (the grid and
+``check-gradients`` share one selection rule), or an unusable output directory
+or artifact write.  A flag that sets a library parameter is passed, under that
+parameter's name, only when given, so each such default has the library as its
+one owner.  ``suite --methods`` and ``sweep-tau --taus``, listed in ``--help``
+after the grid flags, set each column's method or tau, and ``run_suite``
+labels the columns (``suite``'s by method id).  ``--print-config`` prints each
+column's solver config and exits.  Abbreviated flags are refused.
 """
 
 from __future__ import annotations
@@ -99,7 +101,7 @@ _SOLVER_FIELDS = {
 
 
 class _CliError(Exception):
-    """Bad arguments; maps to exit code 1."""
+    """A refusal: ``main`` prints it as one ``error:`` line and exits 1."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -124,13 +126,9 @@ def _add_solver_options(p: argparse.ArgumentParser, swept: str = "") -> None:
     )
 
 
-def _add_output_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--output", default="results", help="artifact directory (default ./results)"
-    )
-
-
-def _add_problem_filter(p: argparse.ArgumentParser) -> None:
+def _add_grid_options(p: argparse.ArgumentParser, swept: str = "") -> None:
+    """The flags ``suite`` and ``sweep-tau`` share: the problem filter, the
+    solver settings but ``swept`` and the artifact directory."""
     p.add_argument(
         "--problems",
         dest="pattern",
@@ -139,6 +137,10 @@ def _add_problem_filter(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--min-dim", type=_checked("min_dim", int, 1), dest="min_dim")
     p.add_argument("--max-dim", type=_checked("max_dim", int, 1), dest="max_dim")
+    _add_solver_options(p, swept)
+    p.add_argument(
+        "--output", default="results", help="artifact directory (default ./results)"
+    )
 
 
 def _checked(name: str, parse, *bounds):
@@ -177,16 +179,15 @@ def _build_parser() -> _Parser:
         "--trace", action="store_true", help="include the iteration trace in the JSON"
     )
     _add_solver_options(p_solve)
+    p_solve.set_defaults(run=cmd_solve)
 
     p_suite = sub.add_parser("suite", help="run the solver-by-problem grid")
-    _add_problem_filter(p_suite)
+    _add_grid_options(p_suite)
     p_suite.add_argument(
         "--methods",
         default=",".join(m.value for m in MethodId),
         help="comma-separated method ids",
     )
-    _add_solver_options(p_suite)
-    _add_output_options(p_suite)
     p_suite.add_argument(
         "--time-repeats",
         type=_checked("time_repeats", int, 1),
@@ -194,14 +195,14 @@ def _build_parser() -> _Parser:
         help="runs per converged pair for the wall-time median",
     )
     p_suite.add_argument("--parallelism", type=_serial, help="must be 1: runs are serial")
+    p_suite.set_defaults(run=cmd_suite)
 
     p_sweep = sub.add_parser("sweep-tau", help="sweep the NEW update's tau")
-    _add_problem_filter(p_sweep)
+    _add_grid_options(p_sweep, swept="tau")
     p_sweep.add_argument(
         "--taus", help="comma-separated tau values (default: the standard 20-point grid)"
     )
-    _add_solver_options(p_sweep, swept="tau")
-    _add_output_options(p_sweep)
+    p_sweep.set_defaults(run=cmd_sweep_tau)
 
     p_check = sub.add_parser(
         "check-gradients", help="compare analytic gradients with finite differences"
@@ -209,8 +210,10 @@ def _build_parser() -> _Parser:
     p_check.add_argument("--problems", dest="pattern", metavar="GLOB")
     p_check.add_argument("--seed", type=_checked("seed", int, 0))
     p_check.add_argument("--tol", type=_checked("tol", float))
+    p_check.set_defaults(run=cmd_check_gradients)
 
-    sub.add_parser("list-problems", help="print the catalog as NAME<TAB>DIM")
+    p_list = sub.add_parser("list-problems", help="print the catalog as NAME<TAB>DIM")
+    p_list.set_defaults(run=cmd_list_problems)
     return parser
 
 
@@ -226,6 +229,15 @@ def _solver_config(args, **fixed) -> SolverConfig:
         return SolverConfig(**_given(args, "method", *_SOLVER_FIELDS), **fixed)
     except ValueError as e:
         raise _CliError(str(e))
+
+
+def _selected(args, default) -> list[ProblemInstance]:
+    """The instances the filter flags given select, else ``default()``; none is refused."""
+    selection = _given(args, "pattern", "min_dim", "max_dim")
+    problems = filter_catalog(**selection) if selection else default()
+    if not problems:
+        raise _CliError("no catalog problems match the filter")
+    return problems
 
 
 def _print_config(cfg: SolverConfig) -> None:
@@ -262,9 +274,9 @@ def cmd_solve(args) -> int:
     return 0 if result.status is Status.CONVERGED else 2
 
 
-def _run_grid(args, title, flag, labels, configs, write_artifacts, **run_options) -> int:
-    """The body of ``suite`` and ``sweep-tau``: one labelled column per config,
-    run by ``run_suite(..., **run_options)``.
+def _run_grid(args, title, flag, configs, write_artifacts, **run_options) -> int:
+    """The body of ``suite`` and ``sweep-tau``: one column per config, run and
+    labelled by ``run_suite(..., **run_options)``.
 
     ``write_artifacts(out_dir, matrices, curves, runs, rows)`` writes the files;
     ``curves`` is the f_evals profile, and ``rows`` holds (label, solved runs,
@@ -279,26 +291,22 @@ def _run_grid(args, title, flag, labels, configs, write_artifacts, **run_options
         for cfg in configs:
             _print_config(cfg)
         return 0
-    selection = _given(args, "pattern", "min_dim", "max_dim")
-    problems = filter_catalog(**selection) if selection else desk_suite()
-    if not problems:
-        raise _CliError("no catalog problems match the filter")
+    problems = _selected(args, desk_suite)
     out_dir = _output_dir(args)
-    matrices, runs = run_suite(problems, configs, labels=labels, **run_options)
+    matrices, runs = run_suite(problems, configs, **run_options)
     try:
         curves = performance_profile(matrices["f_evals"])
     except EmptyMatrix:
         raise _CliError(f"no run converged ({len(runs)} attempted); no artifacts written")
     wins = win_fractions(curves)
     rows = []
-    for label, col in zip(labels, matrices["f_evals"].costs.T):
+    for label, col in zip(matrices["f_evals"].solvers, matrices["f_evals"].costs.T):
         solved = col[np.isfinite(col)]
         rows.append((label, solved.size, int(solved.sum()), wins[label]))
     try:
         write_artifacts(out_dir, matrices, curves, runs, rows)
     except OSError as e:
-        print(f"error: cannot write artifacts: {e}", file=sys.stderr)
-        return 1
+        raise _CliError(f"cannot write artifacts: {e}")
     print(f"{title}: {len(problems)} problems, artifacts in {out_dir}/")
     print(f"{'solver':12} {'solved':>6} {'f_evals':>10} {'win rate':>8}")
     for label, solved, total, win in rows:
@@ -333,15 +341,8 @@ def cmd_suite(args) -> int:
         raise _CliError(f"bad --methods value: {e}")
     base = _solver_config(args)
     configs = [dataclasses.replace(base, method=m) for m in methods]
-    labels = [m.value for m in methods]
     return _run_grid(
-        args,
-        "suite",
-        "--methods",
-        labels,
-        configs,
-        _write_suite_artifacts,
-        **_given(args, "time_repeats"),
+        args, "suite", "--methods", configs, _write_suite_artifacts, **_given(args, "time_repeats")
     )
 
 
@@ -365,7 +366,9 @@ def cmd_sweep_tau(args) -> int:
         write_cost_csv(matrices["f_evals"], out_dir / "cost_fevals.csv")
 
     labels = [f"tau={t!r}" for t in taus]
-    return _run_grid(args, "tau sweep", "--taus", labels, configs, write_sweep, time_repeats=1)
+    return _run_grid(
+        args, "tau sweep", "--taus", configs, write_sweep, time_repeats=1, labels=labels
+    )
 
 
 def run_gradient_check(
@@ -497,9 +500,7 @@ def _audit(instances: list[ProblemInstance], seed: int, tol: float) -> list[str]
 
 
 def cmd_check_gradients(args) -> int:
-    instances = filter_catalog(**_given(args, "pattern"))
-    if not instances:
-        raise _CliError("no catalog problems match the filter")
+    instances = _selected(args, filter_catalog)
     lines, failures = run_gradient_check(instances, **_given(args, "seed", "tol"))
     print("\n".join(lines))
     if failures:
@@ -514,29 +515,15 @@ def cmd_list_problems(_args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "solve": cmd_solve,
-    "suite": cmd_suite,
-    "sweep-tau": cmd_sweep_tau,
-    "check-gradients": cmd_check_gradients,
-    "list-problems": cmd_list_problems,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
+        return args.run(args)
     except _CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except SystemExit as e:  # --help
         return int(e.code or 0)
-    try:
-        return _COMMANDS[args.command](args)
-    except _CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
 
 
 def entry() -> None:

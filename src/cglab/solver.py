@@ -330,18 +330,11 @@ class RunResult:
     trace: tuple[IterationRecord, ...] = field(default=(), repr=False)
 
     def to_dict(self, with_trace: bool = True) -> dict:
-        """JSON-ready mapping; field names are part of the output contract."""
-        out = {
-            "status": self.status.value,
-            "iters": self.iters,
-            "f_evals": self.f_evals,
-            "g_evals": self.g_evals,
-            "final_f": self.final_f,
-            "final_gnorm": self.final_gnorm,
-            "wall_time": self.wall_time,
-        }
+        """JSON-ready mapping in field order; its keys and their order are a contract."""
+        out = {**vars(self), "status": self.status.value}
+        trace = out.pop("trace")
         if with_trace:
-            out["trace"] = [vars(r).copy() for r in self.trace]
+            out["trace"] = [vars(r).copy() for r in trace]
         return out
 
 

@@ -8,7 +8,10 @@ import dataclasses
 import errno
 import json
 import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -240,8 +243,8 @@ def test_suite_artifacts(tmp_path, capsys):
     out_dir = tmp_path / "run"
     code, _, _ = run_cli(suite_args(out_dir, ["--methods", "NEW,FR"]), capsys)
     assert code == 0
-    for name in SUITE_ARTIFACTS:
-        assert (out_dir / name).is_file(), name
+    # exactly the artifacts: no write probe or other file is left behind
+    assert sorted(f.name for f in out_dir.iterdir()) == sorted(SUITE_ARTIFACTS)
 
     header = (out_dir / "cost_fevals.csv").read_text().splitlines()[0]
     assert header == "problem,dim,NEW,FR"
@@ -409,6 +412,7 @@ def test_sweep_tau(tmp_path, capsys):
         capsys,
     )
     assert code == 0
+    assert sorted(f.name for f in out_dir.iterdir()) == ["cost_fevals.csv", "sweep.csv"]
     lines = (out_dir / "sweep.csv").read_text().splitlines()
     assert lines[0] == "tau,solved,total_fevals,wins_vs_self"
     assert len(lines) == 3
@@ -834,8 +838,34 @@ def test_help_exits_zero(capsys):
     code, out, _ = run_cli(["--help"], capsys)
     assert code == 0
     assert "cglab" in out
-    code, _, _ = run_cli(["solve", "--help"], capsys)
-    assert code == 0
+    # each subparser carries its own handler, so each must parse --help alone
+    for command in ("solve", "suite", "sweep-tau", "check-gradients", "list-problems"):
+        code, out, err = run_cli([command, "--help"], capsys)
+        assert (code, err) == (0, ""), command
+        assert out.startswith(f"usage: cglab {command} "), command
+
+
+def test_module_entry_point(tmp_path):
+    # ``python -m cglab.cli`` runs entry(), whose exit status is main's
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+
+    def module(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "cglab.cli", *argv],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+
+    proc = module("list-problems")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert len(proc.stdout.splitlines()) == 69
+    proc = module("check-gradients", "--tol", "0")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
 
 
 def test_missing_subcommand_exit_one(capsys):

@@ -424,6 +424,7 @@ def test_lookup_and_build_errors():
             with pytest.raises(ValueError, match=rf"^{name} dim must be .*got {dim!r}$"):
                 build(name, dim)
     assert build("TRIDIA", np.int64(50)).key == "TRIDIA-50"
+    assert repr(build("TRIDIA", 50)) == "ProblemInstance(TRIDIA, n=50)"
     with pytest.raises(ValueError, match="^DQRTIC dim must be an integer >= 1, got 2.5$"):
         build("DQRTIC", 2.5)
     with pytest.raises(ValueError, match="^WOODS dim must be a multiple of 4, got 10$"):

@@ -354,6 +354,18 @@ def test_result_serialization_shape():
         "restarted",
     ]
     assert r.to_dict(with_trace=False).get("trace") is None
+    # the order solve prints, which to_dict takes from the field order
+    assert list(d) == [
+        "status",
+        "iters",
+        "f_evals",
+        "g_evals",
+        "final_f",
+        "final_gnorm",
+        "wall_time",
+        "trace",
+    ]
+    assert "trace" not in r.to_dict(with_trace=False)
 
 
 # ---------------------------------------------------------------------------

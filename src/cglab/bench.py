@@ -5,14 +5,15 @@ iterations, wall time); non-converged runs become infinite-cost cells, and
 a run that converges at its start costs 0 iterations.  The profile of a
 solver is the CDF of its per-problem cost ratios relative to the best
 solver on each problem (a cost equal to the best has ratio 1), so its
-value at t = 1 is its win fraction (``win_fractions`` reads it off the
-curves) and the limit at large t is its solve fraction.  ``write_lines``
-writes every artifact file.
+value at t = 1 is its win fraction (``win_fractions`` reads that column
+of the profile table) and the limit at large t is its solve fraction.
+``write_lines`` writes every artifact file.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,7 +24,7 @@ __all__ = [
     "CostMatrix",
     "EmptyMatrix",
     "METRICS",
-    "ProfileCurve",
+    "Profile",
     "SuiteRun",
     "performance_profile",
     "run_suite",
@@ -66,22 +67,12 @@ class CostMatrix:
         )
 
 
-@dataclass(frozen=True)
-class ProfileCurve:
-    """One solver's profile as a right-continuous step function."""
+class Profile(NamedTuple):
+    """A profile table: ``fractions[s, k]`` is solver s's rho_s(``ts[k]``)."""
 
-    solver: str
-    points: tuple[tuple[float, float], ...]  # sorted (t, fraction)
-
-    def at(self, t: float) -> float:
-        """Fraction of problems solved within ratio t."""
-        frac = 0.0
-        for ti, fi in self.points:
-            if ti <= t:
-                frac = fi
-            else:
-                break
-        return frac
+    solvers: tuple[str, ...]
+    ts: np.ndarray  # the sorted breakpoints and grid; ts[0] == 1
+    fractions: np.ndarray  # shape (len(solvers), len(ts))
 
 
 @dataclass(frozen=True)
@@ -147,18 +138,18 @@ def run_suite(
 _T_GRID = 2.0 ** np.linspace(0.0, 5.0, 41)
 
 
-def performance_profile(m: CostMatrix) -> list[ProfileCurve]:
-    """Profile curves rho_s(t) = |{p : r_{p,s} <= t}| / |P|.
+def performance_profile(m: CostMatrix) -> Profile:
+    """The table rho_s(t) = |{p : r_{p,s} <= t}| / |P| for every solver s.
 
     The ratio r_{p,s} is cost over the best cost on problem p, and 1 for a
     finite cost equal to that best, so a row of zero costs is a tie that
     every solver wins.  Failed cells, all-failed rows and positive costs in
     a row whose best is 0 have inf ratios, and all-failed rows still count
-    in every curve's denominator.  Curves are evaluated at every breakpoint
+    in every solver's denominator.  The one t grid is every breakpoint
     (finite ratio) plus the fixed grid ``_T_GRID``, so step positions are
-    exact; ties at a problem's minimum count for every tying solver.  The
-    last point is at the largest finite ratio or beyond, so its fraction is
-    the solver's solve fraction.
+    exact and t = 1 is its first point; ties at a problem's minimum count
+    for every tying solver.  The last t is the largest finite ratio or
+    beyond, so the last column is each solver's solve fraction.
     """
     costs = m.costs
     if not np.isfinite(costs).any():  # an empty matrix too
@@ -168,26 +159,14 @@ def performance_profile(m: CostMatrix) -> list[ProfileCurve]:
     # a cell at its row's finite best is 1.0, as x / x is; a best of 0 divides nothing
     above = (costs > best) & (best > 0.0)
     ratios = np.divide(costs, best, out=np.where(won, 1.0, np.inf), where=above)
-    finite = ratios[np.isfinite(ratios)]
-    ts = np.unique(np.concatenate([finite, _T_GRID]))
-    n_problems = ratios.shape[0]
-
-    curves = []
-    for si, solver in enumerate(m.solvers):
-        col = ratios[:, si]
-        fracs = (col[None, :] <= ts[:, None]).sum(axis=1) / n_problems
-        curves.append(
-            ProfileCurve(
-                solver=solver,
-                points=tuple((float(t), float(f)) for t, f in zip(ts, fracs)),
-            )
-        )
-    return curves
+    ts = np.unique(np.concatenate([ratios[np.isfinite(ratios)], _T_GRID]))
+    fractions = (ratios.T[:, None, :] <= ts[:, None]).sum(-1) / ratios.shape[0]
+    return Profile(m.solvers, ts, fractions)
 
 
-def win_fractions(curves: list[ProfileCurve]) -> dict[str, float]:
-    """Each curve's rho_s(1), its solver's (co-)win fraction: t = 1 is the first point."""
-    return {c.solver: c.at(1.0) for c in curves}
+def win_fractions(profile: Profile) -> dict[str, float]:
+    """Each solver's rho_s(1), its (co-)win fraction: the column at t = 1, the first."""
+    return dict(zip(profile.solvers, profile.fractions[:, 0].tolist()))
 
 
 def write_lines(path, lines: list[str]) -> None:
@@ -213,10 +192,10 @@ def write_cost_csv(m: CostMatrix, path) -> None:
     write_lines(path, lines)
 
 
-def write_profile_csv(curves: list[ProfileCurve], path) -> None:
-    """`solver,t,fraction` rows for all curves, ready for plotting."""
+def write_profile_csv(profile: Profile, path) -> None:
+    """`solver,t,fraction` rows, solver by solver, ready for plotting."""
+    ts = profile.ts.tolist()
     lines = ["solver,t,fraction"]
-    for curve in curves:
-        for t, frac in curve.points:
-            lines.append(f"{curve.solver},{t!r},{frac!r}")
+    for solver, fractions in zip(profile.solvers, profile.fractions.tolist()):
+        lines += [f"{solver},{t!r},{f!r}" for t, f in zip(ts, fractions)]
     write_lines(path, lines)

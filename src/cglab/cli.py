@@ -270,7 +270,7 @@ def cmd_solve(args) -> int:
         keys = ", ".join(p.key for p in matches)
         raise _CliError(f"filter matches {len(matches)} problems ({keys}); narrow it")
     result = minimize(matches[0], cfg)
-    print(json.dumps(result.to_dict(with_trace=True), indent=2))
+    print(json.dumps(result.to_dict(with_trace=True), indent=2, allow_nan=False))
     return 0 if result.status is Status.CONVERGED else 2
 
 
@@ -278,8 +278,8 @@ def _run_grid(args, title, flag, configs, write_artifacts, **run_options) -> int
     """The body of ``suite`` and ``sweep-tau``: one column per config, run and
     labelled by ``run_suite(..., **run_options)``.
 
-    ``write_artifacts(out_dir, matrices, curves, runs, rows)`` writes the files;
-    ``curves`` is the f_evals profile, and ``rows`` holds (label, solved runs,
+    ``write_artifacts(out_dir, matrices, profile, runs, rows)`` writes the files;
+    ``profile`` is the f_evals profile, and ``rows`` holds (label, solved runs,
     f_evals summed over them, win rate) per column, the digest on stdout.  A
     grid where no run converged has no profile, so it is refused.
     """
@@ -295,16 +295,16 @@ def _run_grid(args, title, flag, configs, write_artifacts, **run_options) -> int
     out_dir = _output_dir(args)
     matrices, runs = run_suite(problems, configs, **run_options)
     try:
-        curves = performance_profile(matrices["f_evals"])
+        profile = performance_profile(matrices["f_evals"])
     except EmptyMatrix:
         raise _CliError(f"no run converged ({len(runs)} attempted); no artifacts written")
-    wins = win_fractions(curves)
+    wins = win_fractions(profile)
     rows = []
     for label, col in zip(matrices["f_evals"].solvers, matrices["f_evals"].costs.T):
         solved = col[np.isfinite(col)]
         rows.append((label, solved.size, int(solved.sum()), wins[label]))
     try:
-        write_artifacts(out_dir, matrices, curves, runs, rows)
+        write_artifacts(out_dir, matrices, profile, runs, rows)
     except OSError as e:
         raise _CliError(f"cannot write artifacts: {e}")
     print(f"{title}: {len(problems)} problems, artifacts in {out_dir}/")
@@ -314,12 +314,12 @@ def _run_grid(args, title, flag, configs, write_artifacts, **run_options) -> int
     return 0
 
 
-def _write_suite_artifacts(out_dir, matrices, curves, runs, rows) -> None:
+def _write_suite_artifacts(out_dir, matrices, profile, runs, rows) -> None:
     for metric, stem in (("f_evals", "fevals"), ("iters", "iters"), ("time", "time")):
         write_cost_csv(matrices[metric], out_dir / f"cost_{stem}.csv")
-        if metric != "f_evals":  # the grid built the f_evals curves for the wins
-            curves = performance_profile(matrices[metric])
-        write_profile_csv(curves, out_dir / f"profile_{stem}.csv")
+        if metric != "f_evals":  # the grid built the f_evals profile for the wins
+            profile = performance_profile(matrices[metric])
+        write_profile_csv(profile, out_dir / f"profile_{stem}.csv")
     wins = {label: win for label, _, _, win in rows}
     records = [
         {
@@ -331,7 +331,8 @@ def _write_suite_artifacts(out_dir, matrices, curves, runs, rows) -> None:
         for r in runs
     ]
     for name, payload in (("wins.json", wins), ("runs.json", records)):
-        write_lines(out_dir / name, [json.dumps(payload, indent=2, sort_keys=True)])
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+        write_lines(out_dir / name, [text])
 
 
 def cmd_suite(args) -> int:
@@ -358,7 +359,7 @@ def cmd_sweep_tau(args) -> int:
     except ValueError as e:
         raise _CliError(f"bad --taus value: {e}")
 
-    def write_sweep(out_dir, matrices, curves, runs, rows):
+    def write_sweep(out_dir, matrices, profile, runs, rows):
         lines = ["tau,solved,total_fevals,wins_vs_self"]
         for t, (_, solved, total, win) in zip(taus, rows):
             lines.append(f"{t!r},{solved},{total},{win!r}")

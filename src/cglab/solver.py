@@ -330,12 +330,23 @@ class RunResult:
     trace: tuple[IterationRecord, ...] = field(default=(), repr=False)
 
     def to_dict(self, with_trace: bool = True) -> dict:
-        """JSON-ready mapping in field order; its keys and their order are a contract."""
-        out = {**vars(self), "status": self.status.value}
+        """JSON-ready mapping in field order; its keys and their order are a contract.
+
+        A non-finite float is None, JSON's null, which strict JSON allows
+        where NaN and Infinity are not; the status says why it is missing.
+        """
+        out = _finite_or_none({**vars(self), "status": self.status.value})
         trace = out.pop("trace")
         if with_trace:
-            out["trace"] = [vars(r).copy() for r in trace]
+            out["trace"] = [_finite_or_none(vars(r)) for r in trace]
         return out
+
+
+def _finite_or_none(fields: dict) -> dict:
+    return {
+        k: None if isinstance(v, float) and not math.isfinite(v) else v
+        for k, v in fields.items()
+    }
 
 
 @np.errstate(over="ignore", invalid="ignore")

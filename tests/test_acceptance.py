@@ -178,13 +178,11 @@ def test_criterion_6_desk_convergence(desk_suite_matrices, report):
     total = len(desk_suite())
     slowest_new = max(r.wall_time for r in by_solver["NEW"])
 
-    curves = {
-        c.solver: c for c in performance_profile(matrices["f_evals"])
-    }
-    t_checked = [t for t, _ in curves["NEW"].points if t >= 4.0]
-    dominates = all(
-        curves["NEW"].at(t) >= curves["FR"].at(t) for t in t_checked
-    )
+    profile = performance_profile(matrices["f_evals"])
+    rows = dict(zip(profile.solvers, profile.fractions))
+    checked = profile.ts >= 4.0
+    t_checked = profile.ts[checked].tolist()
+    dominates = bool((rows["NEW"][checked] >= rows["FR"][checked]).all())
 
     ok = (
         solved["NEW"] >= 0.9 * total
@@ -193,7 +191,7 @@ def test_criterion_6_desk_convergence(desk_suite_matrices, report):
         and bool(t_checked)
         and dominates
     )
-    wins = win_fractions(performance_profile(matrices["f_evals"]))
+    wins = win_fractions(profile)
     hz_note = (
         f"NEW-vs-HZ (report only): solved {solved['NEW']} vs {solved['HZ']}, "
         f"f_evals wins {wins['NEW']:.2f} vs {wins['HZ']:.2f}"
@@ -252,9 +250,10 @@ def test_criterion_7_profile_reference(report):
             metric="f_evals",
         )
         ts, expected = _reference_profile(costs, _T_GRID)
-        for si, curve in enumerate(performance_profile(m)):
-            assert [t for t, _ in curve.points] == ts, f"case {case}"
-            assert list(curve.points) == expected[si], f"case {case}"
+        profile = performance_profile(m)
+        assert profile.ts.tolist() == ts, f"case {case}"
+        for si, fractions in enumerate(profile.fractions.tolist()):
+            assert list(zip(ts, fractions)) == expected[si], f"case {case}"
             compared += 1
     report(
         7,

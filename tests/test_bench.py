@@ -7,6 +7,7 @@ properties with randomized matrices containing failed cells.
 """
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -78,36 +79,45 @@ def ref_breakpoints(costs, grid):
     return sorted(vals)
 
 
+def rho(profile, solver, t):
+    """The table's step function for ``solver`` at t >= 1: its fraction at
+    the last t on the grid that is <= t."""
+    k = np.searchsorted(profile.ts, t, side="right") - 1
+    return profile.fractions[profile.solvers.index(solver), k]
+
+
 def test_profile_hand_example():
     m = matrix([[1.0, 2.0], [4.0, 2.0]], solvers=["A", "B"])
-    curves = {c.solver: c for c in performance_profile(m)}
-    assert curves["A"].at(1.0) == 0.5
-    assert curves["B"].at(1.0) == 0.5
-    assert curves["A"].at(2.0) == 1.0
-    assert curves["B"].at(2.0) == 1.0
-    assert curves["A"].at(1.5) == 0.5
-    assert win_fractions(performance_profile(m)) == {"A": 0.5, "B": 0.5}
+    profile = performance_profile(m)
+    assert profile.solvers == ("A", "B")
+    assert profile.fractions.shape == (2, len(profile.ts))
+    assert rho(profile, "A", 1.0) == 0.5
+    assert rho(profile, "B", 1.0) == 0.5
+    assert rho(profile, "A", 2.0) == 1.0
+    assert rho(profile, "B", 2.0) == 1.0
+    assert rho(profile, "A", 1.5) == 0.5
+    assert win_fractions(profile) == {"A": 0.5, "B": 0.5}
 
 
 def test_profile_single_solver():
     m = matrix([[3.0], [7.0], [11.0]])
-    (curve,) = performance_profile(m)
-    assert all(f == 1.0 for _, f in curve.points)
+    profile = performance_profile(m)
+    assert profile.fractions.shape == (1, len(profile.ts))
+    assert (profile.fractions == 1.0).all()
 
 
 def test_profile_failed_solver_stays_at_zero():
     m = matrix([[1.0, np.inf], [2.0, np.inf]], solvers=["OK", "BAD"])
-    curves = {c.solver: c for c in performance_profile(m)}
-    assert all(f == 0.0 for _, f in curves["BAD"].points)
-    assert all(f == 1.0 for _, f in curves["OK"].points)
-    assert win_fractions(performance_profile(m)) == {"OK": 1.0, "BAD": 0.0}
+    profile = performance_profile(m)
+    assert (profile.fractions[1] == 0.0).all()  # BAD
+    assert (profile.fractions[0] == 1.0).all()  # OK
+    assert win_fractions(profile) == {"OK": 1.0, "BAD": 0.0}
 
 
 def test_all_failed_row_counts_in_denominator():
     m = matrix([[1.0, 2.0], [np.inf, np.inf]], solvers=["A", "B"])
-    curves = {c.solver: c for c in performance_profile(m)}
-    assert curves["A"].points[-1][1] == 0.5
-    assert curves["B"].points[-1][1] == 0.5
+    profile = performance_profile(m)
+    assert profile.fractions[:, -1].tolist() == [0.5, 0.5]  # A, B
 
 
 def test_ties_count_for_all():
@@ -131,9 +141,9 @@ def test_cost_matrix_validation():
     # a zero cost is a run that needed none: it wins, and a positive cost
     # beside it has an infinite ratio, with no divide-by-zero warning
     m = matrix([[0.0, 1.0]], solvers=["A", "B"], metric="iters")
-    a, b = performance_profile(m)
-    assert win_fractions([a, b]) == {"A": 1.0, "B": 0.0}
-    assert b.points[-1][1] == 0.0  # B's ratio is beyond every t
+    profile = performance_profile(m)
+    assert win_fractions(profile) == {"A": 1.0, "B": 0.0}
+    assert profile.fractions[1, -1] == 0.0  # B's ratio is beyond every t
     with pytest.raises(ValueError):
         matrix([[-1.0, 1.0]])
     # only +inf marks a failed run; a NaN cell would drop its whole row as
@@ -173,15 +183,16 @@ def cost_matrices(draw):
 @given(cost_matrices())
 def test_profile_matches_brute_force(costs):
     m = matrix(costs)
-    curves = performance_profile(m)
+    profile = performance_profile(m)
     ts = ref_breakpoints(costs, _T_GRID)
     expected = ref_profile(costs, ts)
-    for si, curve in enumerate(curves):
-        assert [t for t, _ in curve.points] == ts
-        assert list(curve.points) == expected[si]
+    assert profile.ts.tolist() == ts
+    assert profile.fractions.shape == (len(m.solvers), len(ts))
+    for si, fractions in enumerate(profile.fractions.tolist()):
+        assert list(zip(ts, fractions)) == expected[si]
     # a win is a cell equal to its row's finite minimum (ties win for all);
     # the fraction's bits are what wins.json holds
-    wins = win_fractions(curves)
+    wins = win_fractions(profile)
     for si, solver in enumerate(m.solvers):
         won = sum(
             1
@@ -194,13 +205,13 @@ def test_profile_matches_brute_force(costs):
 @given(cost_matrices())
 def test_profile_is_valid_cdf(costs):
     m = matrix(costs)
-    for curve in performance_profile(m):
-        fracs = [f for _, f in curve.points]
+    profile = performance_profile(m)
+    for fracs in profile.fractions.tolist():
         assert all(0.0 <= f <= 1.0 for f in fracs)
         assert all(b >= a for a, b in zip(fracs, fracs[1:]))
     solved = np.isfinite(costs).sum(axis=0) / costs.shape[0]
-    for si, curve in enumerate(performance_profile(m)):
-        assert curve.points[-1][1] == solved[si]
+    for si in range(len(m.solvers)):
+        assert profile.fractions[si, -1] == solved[si]
 
 
 @given(cost_matrices())
@@ -217,13 +228,13 @@ def test_win_fractions_sum_at_least_one(costs):
 @given(cost_matrices(), st.integers(-6, 6))
 def test_profile_scale_invariance(costs, scale_pow):
     # multiplying one problem row by a power of two leaves every ratio, and
-    # hence every curve, bit-identical
+    # hence the whole table, bit-identical
     scaled = costs.copy()
     scaled[0] = scaled[0] * 2.0**scale_pow
     base = performance_profile(matrix(costs))
     after = performance_profile(matrix(scaled))
-    for a, b in zip(base, after):
-        assert a.points == b.points
+    assert base.ts.tolist() == after.ts.tolist()
+    assert base.fractions.tolist() == after.fractions.tolist()
 
 
 @given(cost_matrices())
@@ -235,9 +246,61 @@ def test_cellwise_dominance_orders_curves(costs):
         np.isfinite(costs[:, 0]), costs[:, 0] * 2.0, np.inf
     )
     m = matrix(dominated)
-    curves = performance_profile(m)
-    for (_, f0), (_, f1) in zip(curves[0].points, curves[1].points):
+    profile = performance_profile(m)
+    for f0, f1 in zip(profile.fractions[0].tolist(), profile.fractions[1].tolist()):
         assert f0 >= f1
+
+
+PINNED_PROFILES = {
+    # name: (costs, metric, sha256 of write_profile_csv's bytes, win_fractions)
+    "ties": (
+        [[5.0, 5.0, 6.0], [1.0, 3.0, 1.0], [7.0, 7.0, 7.0]],
+        "f_evals",
+        "879bfb7c7182b51f987d9f948d178d051aee3625e2437c5b99095504a19bacbf",
+        {"S0": 1.0, "S1": 0.6666666666666666, "S2": 0.6666666666666666},
+    ),
+    "zero_row": (
+        [[0.0, 0.0], [2.0, 4.0]],
+        "iters",
+        "53772fb49cfea5f7dc66f4569e50c89e6782c8060e8a6813817169079aad3328",
+        {"S0": 1.0, "S1": 0.5},
+    ),
+    "positive_beside_zero_best": (
+        [[0.0, 3.0], [2.0, 2.0], [5.0, 0.0]],
+        "iters",
+        "771e6cc8c0e03a71ab7dc5491c648067e26a0cae0c28499cad275fb562cd9930",
+        {"S0": 0.6666666666666666, "S1": 0.6666666666666666},
+    ),
+    "failed_cells": (
+        [[1.0, np.inf, 4.0], [3.0, 4.0, np.inf], [np.inf, 9.0, 3.0]],
+        "f_evals",
+        "839e127d7eb859edbcbe06c2f71484a44b63852618918a839d0c2bfc52a342af",
+        {"S0": 0.6666666666666666, "S1": 0.0, "S2": 0.3333333333333333},
+    ),
+    "all_failed_row": (
+        [[1.0, 2.0], [np.inf, np.inf], [6.0, 3.0]],
+        "f_evals",
+        "4e06abf24ae6799cffcfbe28f52da4237bc64aa626bed935a9d385a54422d052",
+        {"S0": 0.3333333333333333, "S1": 0.3333333333333333},
+    ),
+    "float_times": (
+        [[0.125, 0.3, np.inf], [0.7, 0.2, 0.21], [1e-05, 3e-05, 1e-05]],
+        "time",
+        "f7af66b9b00e926cc467ac16885f00d8524424e6856a3a06974e2296f48bb584",
+        {"S0": 0.6666666666666666, "S1": 0.3333333333333333, "S2": 0.3333333333333333},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_PROFILES))
+def test_profile_bytes_pinned(case, tmp_path):
+    # profile_*.csv bytes and wins.json values as literals, on the cases a
+    # change to how the profile is held could get wrong; artifacts keep both
+    costs, metric, digest, wins = PINNED_PROFILES[case]
+    profile = performance_profile(matrix(costs, metric=metric))
+    write_profile_csv(profile, tmp_path / "profile.csv")
+    assert hashlib.sha256((tmp_path / "profile.csv").read_bytes()).hexdigest() == digest
+    assert win_fractions(profile) == wins
 
 
 def test_run_suite_cell_values():
@@ -313,8 +376,9 @@ def test_run_suite_time_cell_is_plain_median(walls, expected, monkeypatch):
     configs = [SolverConfig(), SolverConfig(method=MethodId.FR)]
     matrices, _ = run_suite([build("TRIDIA", 50)], configs, time_repeats=len(walls))
     assert matrices["time"].costs.tolist() == [[expected, expected]]
-    curves = performance_profile(matrices["time"])
-    assert [c.points[0] for c in curves] == [(1.0, 1.0), (1.0, 1.0)]
+    profile = performance_profile(matrices["time"])
+    assert profile.ts[0] == 1.0
+    assert profile.fractions[:, 0].tolist() == [1.0, 1.0]
 
 
 def test_run_suite_failed_cell_in_all_metrics():
@@ -381,12 +445,14 @@ def test_csv_outputs(tmp_path):
     assert cost_path.read_text().splitlines()[1] == "P0,10,0.125,0.5"
 
     profile_path = tmp_path / "profile.csv"
-    curves = performance_profile(m)
-    write_profile_csv(curves, profile_path)
+    profile = performance_profile(m)
+    write_profile_csv(profile, profile_path)
     lines = profile_path.read_text().splitlines()
     assert lines[0] == "solver,t,fraction"
     parsed = [line.split(",") for line in lines[1:]]
     assert {row[0] for row in parsed} == {"NEW", "FR"}
-    for curve in curves:
-        rows = [row for row in parsed if row[0] == curve.solver]
-        assert [(float(t), float(f)) for _, t, f in rows] == list(curve.points)
+    for solver, fractions in zip(profile.solvers, profile.fractions.tolist()):
+        rows = [row for row in parsed if row[0] == solver]
+        assert [(float(t), float(f)) for _, t, f in rows] == list(
+            zip(profile.ts.tolist(), fractions)
+        )

@@ -8,6 +8,7 @@ identities the counters must satisfy.
 """
 
 import dataclasses
+import json
 import math
 import warnings
 from fractions import Fraction
@@ -30,8 +31,10 @@ from cglab.solver import (
     _BB_GUARD,
     _HZ_ETA,
     _STEP_FLOOR,
+    IterationRecord,
     MethodId,
     NotDescent,
+    RunResult,
     SolverConfig,
     Status,
     StepFloorReached,
@@ -366,6 +369,35 @@ def test_result_serialization_shape():
         "trace",
     ]
     assert "trace" not in r.to_dict(with_trace=False)
+
+
+def strict_json(text):
+    """``json.loads`` that refuses NaN, Infinity and -Infinity, as RFC 8259 does."""
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_result_non_finite_floats_are_null():
+    # f and the gradient overflow at the start: the run ends NumericalFailure
+    # with both NaN, which strict JSON cannot hold, so to_dict writes null
+    p = quadratic_instance(np.eye(2) * 1e300, start=np.full(2, 1e200))
+    r = minimize(p, SolverConfig())
+    assert r.status is Status.NUMERICAL_FAILURE
+    assert math.isnan(r.final_f) and math.isnan(r.final_gnorm)
+    d = strict_json(json.dumps(r.to_dict()))
+    assert (d["status"], d["final_f"], d["final_gnorm"]) == ("NumericalFailure", None, None)
+    # a trace record's non-finite floats too; finite ones and bools are kept
+    record = IterationRecord(0, math.inf, 1.0, -math.inf, math.nan, 0.0, 0.5, 1.0, 1, True)
+    r = RunResult(Status.NUMERICAL_FAILURE, 1, 2, 1, 2.5, math.inf, 0.0, trace=(record,))
+    d = strict_json(json.dumps(r.to_dict()))
+    assert d["final_f"] == 2.5 and d["final_gnorm"] is None
+    assert d["trace"] == [
+        {"k": 0, "f": None, "gnorm": 1.0, "dnorm": None, "dg": None, "beta": 0.0,
+         "alpha": 0.5, "alpha_bar": 1.0, "backtracks": 1, "restarted": True}
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .audit import fd_gradient
 from .bench import (
     EmptyMatrix,
     performance_profile,
@@ -47,7 +48,6 @@ from .problems import (
     ProblemInstance,
     catalog,
     desk_suite,
-    fd_gradient,
     filter_catalog,
 )
 from .solver import MethodId, SolverConfig, Status, minimize

@@ -20,11 +20,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cglab.audit
 import cglab.problems
+from cglab.audit import _FD_BUDGET, _PAIRWISE_LEAF, _pairwise_split, fd_gradient
 from cglab.problems import (
-    _FD_BUDGET,
-    _PAIRWISE_LEAF,
-    _pairwise_split,
     _scalar_pow,
     CountingProblem,
     DimensionMismatch,
@@ -36,7 +35,6 @@ from cglab.problems import (
     build,
     catalog,
     desk_suite,
-    fd_gradient,
     filter_catalog,
     quadratic_instance,
 )
@@ -812,7 +810,7 @@ def test_fd_gradient_batch_walks_leaf_groups(monkeypatch):
     points = np.random.default_rng(103).uniform(-3.0, 3.0, (5, p.dim))
     expected = np.array([fd_gradient(p, x) for x in points])
     per_row = (2 * (3 + 2 * 127 + 1) + 1) * 128
-    real = cglab.problems._moved_sums
+    real = cglab.audit._moved_sums
     walks = []
 
     def spy(base, moves, span, lo, hi, buf):
@@ -820,7 +818,7 @@ def test_fd_gradient_batch_walks_leaf_groups(monkeypatch):
             walks.append(len(base))
         return real(base, moves, span, lo, hi, buf)
 
-    monkeypatch.setattr(cglab.problems, "_moved_sums", spy)
+    monkeypatch.setattr(cglab.audit, "_moved_sums", spy)
     # the block path under the same budgets: POWER-1000 at 6 points, each
     # coordinate 2 rows of 1000 per point counted twice, 24,000 entries
     power = build("POWER", 1000)
@@ -841,7 +839,7 @@ def test_fd_gradient_batch_walks_leaf_groups(monkeypatch):
         (4 * per_row, [4, 4, 2], [11] * 91),
         (10 * per_row, [10], [27] * 38),
     ):
-        monkeypatch.setattr(cglab.problems, "_FD_BUDGET", budget)
+        monkeypatch.setattr(cglab.audit, "_FD_BUDGET", budget)
         walks.clear()
         assert fd_gradient(p, points).tobytes() == expected.tobytes(), budget
         assert walks == groups, budget
@@ -1083,7 +1081,7 @@ def test_term_path_with_partial_columns(monkeypatch, budget):
     # columns that skip coordinates (1, 8 and 10 are read by no term),
     # against the coordinate loop; the term path's bits must not depend on
     # _FD_BUDGET, which sizes its groups of rows
-    monkeypatch.setattr(cglab.problems, "_FD_BUDGET", budget)
+    monkeypatch.setattr(cglab.audit, "_FD_BUDGET", budget)
     w = np.arange(1.0, 5.0)
 
     def elem(a, b):
@@ -1106,7 +1104,7 @@ def test_term_path_with_shared_coordinates(monkeypatch, budget):
     # x_1 is in LIARWHD and NONDIA; x_10 is read by outer alone.  The bits
     # must not depend on _FD_BUDGET, which sizes the shared coordinates'
     # blocks and the groups of rows.
-    monkeypatch.setattr(cglab.problems, "_FD_BUDGET", budget)
+    monkeypatch.setattr(cglab.audit, "_FD_BUDGET", budget)
     w = np.arange(1.0, 5.0)
 
     def elem(a, b, x3, _x10):
@@ -1156,7 +1154,7 @@ def test_fd_blocks_restore_the_base(monkeypatch, path):
     # k = _FD_BUDGET // (4 n) coordinates per block, n = 11: 3 on the block
     # path, and 1 for the term path's two shared coordinates
     k = 1 if path == "term" else 3
-    monkeypatch.setattr(cglab.problems, "_FD_BUDGET", 4 * 11 * k)
+    monkeypatch.setattr(cglab.audit, "_FD_BUDGET", 4 * 11 * k)
     rng = np.random.default_rng(43)
     points = [rng.uniform(-3.0, 3.0, 11) for _ in range(2)]
     # back to back, so that a call sees nothing a previous call left behind

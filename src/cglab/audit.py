@@ -232,10 +232,8 @@ def _moved_sums(base, moves, span, lo, hi, buf):
         sums = np.empty((2, g, m))
         sums[:] = left_base[:, None]
         sums[..., : left.shape[-1]] = left
-        padded = np.empty((2, g, m))
-        padded[:] = right_base[:, None]
-        padded[..., right_a - a :] = right
-        sums += padded
+        sums[..., : right_a - a] += right_base[:, None]
+        sums[..., right_a - a :] += right
         return left_base + right_base, a, sums
     # a leaf: a C-ordered block of g m rows moved up, g m moved down and the
     # g rows of base.  Coordinate i = o + stride j moves term j of column o,

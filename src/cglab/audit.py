@@ -1,8 +1,5 @@
-"""The central-difference gradient oracle that ``check-gradients`` audits
-the catalog's hand-derived gradients against.
-
-It reads only the problems layer, so the solver and the bench never load it.
-"""
+"""The central-difference gradient oracle that ``check-gradients`` audits the
+catalog's hand-derived gradients against; it loads only the problems layer."""
 
 from __future__ import annotations
 

@@ -379,7 +379,8 @@ def run_gradient_check(
 
     Each instance is checked at its start point and 5 points drawn from a
     per-instance generator seeded by (seed, dim, name) so the report does
-    not depend on catalog order, all 6 in one :func:`fd_gradient` call.
+    not depend on catalog order, all 6 in one :func:`cglab.audit.fd_gradient`
+    call, looked up as this module's ``fd_gradient``.
     Returns (report lines, failing keys), both in the order of ``instances``.
     ``seed`` must be an integer >= 0 and ``tol`` a positive finite number;
     neither may be a bool.  A non-finite error fails its instance, and so

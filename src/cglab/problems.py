@@ -4,8 +4,8 @@ Each catalog entry is a dimension-parametric re-implementation of a classic
 CUTEst/More-Garbow-Hillstrom problem, written directly from its published
 algebraic definition (no SIF parsing).  Objectives and gradients are plain
 numpy expressions; fidelity of the hand-derived gradients is guarded by the
-central-difference oracle in :func:`fd_gradient`.  Families whose terms each
-read a few coordinates in a fixed pattern are written once, as an
+central-difference oracle :func:`cglab.audit.fd_gradient`.  Families whose
+terms each read a few coordinates in a fixed pattern are written once, as an
 :class:`ElementForm`, and the oracle reuses their terms.
 
 Evaluation counting lives in :class:`CountingProblem`, not the solver, so
@@ -82,13 +82,13 @@ class ElementForm:
     columns ``x[..., c]`` and the shared values ``x[..., i, None]``, and
     ``outer`` gets ``x[..., i][()]``, so for one point a shared value
     reaches ``elem`` as a ``(1,)`` array and ``outer`` as the numpy scalar
-    ``x[i]``.  :func:`fd_gradient` hands ``outer`` the ``(..., n)`` sums of
-    each point's perturbed rows with that point's shared values as a
-    ``(..., 1)`` array.  :attr:`value` is the objective the form defines, a
-    batch-aware ``value_fn`` with one expression for a point and a batch;
-    the terms are summed along their last axis with ``np.add.reduce``,
-    which is ``np.sum``'s own reduction and sums each row of a C-ordered
-    block as it sums that row alone.
+    ``x[i]``.  :func:`cglab.audit.fd_gradient` hands ``outer`` the
+    ``(..., n)`` sums of each point's perturbed rows with that point's
+    shared values as a ``(..., 1)`` array.  :attr:`value` is the objective
+    the form defines, a batch-aware ``value_fn`` with one expression for a
+    point and a batch; the terms are summed along their last axis with
+    ``np.add.reduce``, which is ``np.sum``'s own reduction and sums each row
+    of a C-ordered block as it sums that row alone.
 
     ``terms`` and ``stride`` are counts >= 1, and each offset and shared
     index a count >= 0 (see ``_check_scalar``); ``offsets`` holds at least
@@ -144,16 +144,18 @@ class ProblemInstance:
     bit-identical output.  ``value_fn`` also evaluates batches: given a
     C-ordered ``(..., n)`` array it returns the ``(...)`` array of values,
     and each entry has the same bits as the 1-D call on that row
-    (:func:`fd_gradient` relies on this; a Fortran-ordered batch sums in
-    another order).  The catalog's objectives keep it by construction: each
-    evaluates a point with its batch expression, as a batch of one.
+    (:func:`cglab.audit.fd_gradient` relies on this; a Fortran-ordered
+    batch sums in another order).  The catalog's objectives keep it by
+    construction: each evaluates a point with its batch expression, as a
+    batch of one.
     ``grad_fn`` takes one point.  ``dim`` is an integer
     >= 1 (a ``ValueError`` names it otherwise) and ``start`` has shape
     ``(dim,)``.  Instances are immutable and safe to share.
 
     ``elements``, if given, is the objective's :class:`ElementForm`, and
-    :func:`fd_gradient` evaluates through it instead of ``value_fn``.  Its
-    contract: ``elements.value`` has ``value_fn``'s bits at every point.
+    :func:`cglab.audit.fd_gradient` evaluates through it instead of
+    ``value_fn``.  Its contract: ``elements.value`` has ``value_fn``'s bits
+    at every point.
     It is a field of its own, not an attribute of ``value_fn``, so that a
     copy with ``value_fn`` wrapped (``dataclasses.replace``) keeps it.
     """

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cglab.audit
 import cglab.bench
 import cglab.cli as cli
 import cglab.problems
@@ -832,6 +833,28 @@ def test_run_gradient_check_rejects_bad_arguments(kwargs, name, monkeypatch):
     monkeypatch.setattr(cli, "fd_gradient", unreachable)
     with pytest.raises(ValueError, match=name):
         cli.run_gradient_check(catalog()[:1], **kwargs)
+
+
+def test_run_gradient_check_calls_the_oracle_by_its_cli_name(monkeypatch):
+    # the audit looks the oracle up as cli.fd_gradient on every call, the
+    # name the test above and the benchmark's tracer patch: one call per
+    # instance, with its 6 points, and the report of the unpatched audit
+    instances = [p for p in catalog() if p.key in ("POWER-50", "TRIDIA-50")]
+    assert cli.fd_gradient is cglab.audit.fd_gradient
+    expected = in_process_audit(monkeypatch, instances, 3)
+    calls = []
+
+    def counting(p, points):
+        calls.append((p.key, points.shape))
+        return cglab.audit.fd_gradient(p, points)
+
+    monkeypatch.setattr(cli, "fd_gradient", counting)
+    assert in_process_audit(monkeypatch, instances, 3) == expected
+    assert calls == [("POWER-50", (6, 50)), ("TRIDIA-50", (6, 50))]
+    lines, failures = expected
+    heads = [line.split(" rel_err=")[0] for line in lines]
+    assert heads == ["OK   POWER dim=50", "OK   TRIDIA dim=50"]
+    assert failures == []
 
 
 def test_help_exits_zero(capsys):

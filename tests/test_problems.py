@@ -1552,11 +1552,14 @@ def _cglab_modules_after(statement):
 
 def test_layers_load_bottom_up():
     # the package root is a docstring: it loads no layer and re-exports no
-    # name, so `import cglab.problems` leaves the solver, bench and CLI
-    # layers unloaded; the solver, which holds the whole iteration, loads
-    # only the problems layer, and the bench only the solver beneath it
+    # name, so `import cglab.problems` leaves the audit, solver, bench and
+    # CLI layers unloaded; the audit's oracle and the solver, which holds
+    # the whole iteration, load only the problems layer, and the bench only
+    # the solver beneath it, so no run loads the oracle
     assert _cglab_modules_after("import cglab") == ["cglab"]
     assert _cglab_modules_after("import cglab.problems") == ["cglab", "cglab.problems"]
+    audit = ["cglab", "cglab.audit", "cglab.problems"]
+    assert _cglab_modules_after("import cglab.audit") == audit
     solver = ["cglab", "cglab.problems", "cglab.solver"]
     assert _cglab_modules_after("import cglab.solver") == solver
     assert _cglab_modules_after("import cglab.bench") == sorted(solver + ["cglab.bench"])

@@ -7,11 +7,16 @@ solver is the CDF of its per-problem cost ratios relative to the best
 solver on each problem (a cost equal to the best has ratio 1), so its
 value at t = 1 is its win fraction (``win_fractions`` reads that column
 of the profile table) and the limit at large t is its solve fraction.
-``write_lines`` writes every artifact file.
+``write_lines`` writes every artifact file, and ``_map_shares`` fans a
+function out over forked processes.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -199,3 +204,70 @@ def write_profile_csv(profile: Profile, path) -> None:
     for solver, fractions in zip(profile.solvers, profile.fractions.tolist()):
         lines += [f"{solver},{t!r},{f!r}" for t, f in zip(ts, fractions)]
     write_lines(path, lines)
+
+
+def _map_shares(fn, items: list, most: int) -> list:
+    """``fn`` mapped over stride shares of ``items``, its results in input order.
+
+    ``fn`` takes a list of items and returns one result per item, in order.
+    ``items`` is split into ``count`` shares, one per available CPU but no
+    more than ``len(items)`` or ``most``; share j is the stride
+    ``items[j::count]``.  A forked child maps each share but share 0 and
+    pickles its results into a pipe.  It stays in-process (``count`` is 1)
+    when the platform has no ``os.fork`` or ``os.sched_getaffinity``, and
+    when the process runs more than one Python thread.  Once every child is
+    forked, the caller maps, in share order, each share no child delivered:
+    share 0, a share that could not fork and a share whose child failed, so
+    the caller sees that share's exception.  Every child is reaped before
+    this returns or raises.
+
+    ``os.fork``, not a ``multiprocessing`` pool: a problem instance holds
+    closures, which cannot be pickled, and a spawned or forkserver worker
+    re-imports cglab, which takes longer than the whole catalog's audit.
+    """
+    count = 1
+    # a thread of this process may hold a lock the child would wait on forever
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
+        count = max(1, min(len(os.sched_getaffinity(0)), len(items), most))
+    results = [None] * len(items)
+    children = {}  # share -> (pid, pipe read end) of each child not yet reaped
+    try:
+        for j in range(1, count):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # the caller maps this share
+                os.close(r)
+                os.close(w)
+                continue
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(r)
+                    with open(w, "wb") as fh:
+                        pickle.dump(fn(items[j::count]), fh)
+                    code = 0
+                finally:
+                    # no exception, atexit handler or buffered output of the
+                    # parent's may run or be flushed here
+                    os._exit(code)
+            os.close(w)
+            children[j] = pid, open(r, "rb")
+        for j in range(count):
+            status = 1  # no child delivers share 0 or a share that could not fork
+            if j in children:
+                pid, reader = children[j]
+                with reader:
+                    data = reader.read()
+                status = os.waitpid(pid, 0)[1]
+                del children[j]
+            if status:  # map the share here, which raises a failed share's error
+                results[j::count] = fn(items[j::count])
+            else:
+                results[j::count] = pickle.loads(data)
+    finally:
+        for pid, reader in children.values():
+            reader.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return results

@@ -22,17 +22,15 @@ import argparse
 import dataclasses
 import json
 import math
-import os
-import pickle
-import signal
 import sys
-import threading
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
 from .audit import fd_gradient
 from .bench import (
+    _map_shares,
     EmptyMatrix,
     performance_profile,
     run_suite,
@@ -250,9 +248,9 @@ def _output_dir(args) -> Path:
     path = Path(args.output)
     try:
         path.mkdir(parents=True, exist_ok=True)
-        probe = path / ".write-probe"
-        probe.write_text("")
-        probe.unlink()
+        # a uniquely named probe, so that no file of the user's is touched
+        with tempfile.TemporaryFile(dir=path):
+            pass
     except OSError as e:
         raise _CliError(f"output directory {path} is not writable: {e}")
     return path
@@ -387,89 +385,16 @@ def run_gradient_check(
     does a central difference that overflows, with ``rel_err=nan``; a
     gradient whose shape is not ``(dim,)`` raises :class:`DimensionMismatch`.
 
-    The instances are split into ``count`` shares, one per available CPU
-    but no more than one per instance or per ``_FORK_SHARE`` coordinates in
-    total; share j is the stride ``instances[j::count]``.  A forked child
-    audits each share but share 0; the report's bytes are those of one
-    in-process audit.  The audit stays in-process when there is one share,
-    when the platform has no ``os.fork`` or ``os.sched_getaffinity``, and
-    when the process runs more than one Python thread.  Once every child is
-    forked, the caller audits, in share order, each share no child
-    delivered: share 0, a share that could not fork and a share whose child
-    failed, so the caller sees that share's exception.  Every child is
-    reaped before this returns or raises.
+    The audit runs through :func:`cglab.bench._map_shares`, in no more than
+    one share per ``_FORK_SHARE`` coordinates in total; the report's bytes
+    are those of one in-process audit.
     """
     _check_scalar("seed", seed, 0)
     _check_scalar("tol", tol)
-    count = _process_count(instances)
-    lines = [""] * len(instances)
-    children = {}  # share -> (pid, pipe read end) of each child not yet reaped
-    try:
-        for j in range(1, count):
-            child = _fork_audit(instances[j::count], seed, tol)
-            if child is not None:
-                children[j] = child
-        for j in range(count):
-            status = 1  # no child delivers share 0 or a share that could not fork
-            if j in children:
-                pid, reader = children[j]
-                with reader:
-                    data = reader.read()
-                status = os.waitpid(pid, 0)[1]
-                del children[j]
-            if status:  # audit the share here, which raises a failed share's error
-                lines[j::count] = _audit(instances[j::count], seed, tol)
-            else:
-                lines[j::count] = pickle.loads(data)
-    finally:
-        for pid, reader in children.values():
-            reader.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+    most = sum(p.dim for p in instances) // _FORK_SHARE
+    lines = _map_shares(lambda share: _audit(share, seed, tol), instances, most)
     failures = [p.key for p, line in zip(instances, lines) if line.startswith("FAIL")]
     return lines, failures
-
-
-def _process_count(instances: list[ProblemInstance]) -> int:
-    """Processes the audit of ``instances`` runs in (1: in-process)."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    # a thread of this process may hold a lock the child would wait on forever
-    if threading.active_count() > 1:
-        return 1
-    coordinates = sum(p.dim for p in instances)
-    return max(1, min(len(os.sched_getaffinity(0)), len(instances), coordinates // _FORK_SHARE))
-
-
-def _fork_audit(instances: list[ProblemInstance], seed: int, tol: float):
-    """Fork a child that audits ``instances`` and pickles its report lines
-    into a pipe.  Returns (pid, the pipe's read end), or None when the
-    process cannot fork.
-
-    ``os.fork``, not a ``multiprocessing`` pool: an instance holds closures,
-    which cannot be pickled, and a spawned or forkserver worker re-imports
-    cglab, which takes longer than the whole catalog's audit.
-    """
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        return None
-    if pid == 0:
-        code = 1
-        try:
-            os.close(r)
-            with open(w, "wb") as fh:
-                pickle.dump(_audit(instances, seed, tol), fh)
-            code = 0
-        finally:
-            # no exception, atexit handler or buffered output of the parent's
-            # may run or be flushed here; the parent re-audits a failed share
-            os._exit(code)
-    os.close(w)
-    return pid, open(r, "rb")
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -8,6 +8,7 @@ properties with randomized matrices containing failed cells.
 
 import dataclasses
 import hashlib
+import os
 
 import numpy as np
 import pytest
@@ -456,3 +457,99 @@ def test_csv_outputs(tmp_path):
         assert [(float(t), float(f)) for _, t, f in rows] == list(
             zip(profile.ts.tolist(), fractions)
         )
+
+
+needs_fork = pytest.mark.skipif(
+    not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")),
+    reason="_map_shares forks only where os.fork and os.sched_getaffinity exist",
+)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Four CPUs to map over; the pids ``_map_shares`` forks."""
+    real_fork = os.fork
+    pids = []
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def tag_shares(share):
+    """Each item with the share it was mapped in and the pid that mapped it."""
+    return [(x, tuple(share), os.getpid()) for x in share]
+
+
+def assert_stride_shares(results, items, count):
+    parent = os.getpid()
+    assert [(x, share) for x, share, _ in results] == [
+        (x, tuple(items[i % count :: count])) for i, x in enumerate(items)
+    ]
+    # share 0 is the caller's; every other share is a child's
+    assert [pid == parent for *_, pid in results] == [i % count == 0 for i in range(len(items))]
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+@pytest.mark.parametrize("count", [1, 2, 3, 4])
+def test_map_shares_keeps_input_order(count, forks, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    items = [f"item{i}" for i in range(11)]  # no multiple of 2, 3 or 4
+    results = cglab.bench._map_shares(tag_shares, items, 11)
+    assert len(forks) == count - 1
+    assert_stride_shares(results, items, count)
+    assert_no_child_left()
+
+
+@needs_fork
+@pytest.mark.parametrize(
+    "n_items, most, count", [(2, 8, 2), (8, 3, 3), (8, 0, 1), (1, 8, 1), (0, 8, 1)]
+)
+def test_map_shares_caps_the_count(n_items, most, count, forks):
+    items = list(range(n_items))
+    results = cglab.bench._map_shares(tag_shares, items, most)
+    assert len(forks) == count - 1
+    assert_stride_shares(results, items, count)
+    assert_no_child_left()
+
+
+@needs_fork
+def test_map_shares_recomputes_a_failed_childs_share(forks):
+    parent = os.getpid()
+
+    def fails_in_share_1_child(share):
+        if os.getpid() != parent and 1 in share:
+            raise RuntimeError("child failed")
+        return tag_shares(share)
+
+    items = list(range(10))
+    results = cglab.bench._map_shares(fails_in_share_1_child, items, 10)
+    assert len(forks) == 3
+    assert [x for x, _, _ in results] == items
+    assert [x for x, _, pid in results if pid == parent] == [0, 1, 4, 5, 8, 9]
+    assert_no_child_left()
+
+
+@needs_fork
+@pytest.mark.parametrize("share", [1, 3, 0])  # forked shares, then the caller's
+def test_map_shares_raises_a_share_error_in_the_caller(share, forks):
+    def fails_on_share(items):
+        if share in items:
+            raise ValueError(f"share {share}")
+        return tag_shares(items)
+
+    with pytest.raises(ValueError, match=rf"^share {share}$"):
+        cglab.bench._map_shares(fails_on_share, list(range(10)), 10)
+    assert len(forks) == 3
+    assert_no_child_left()

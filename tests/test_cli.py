@@ -396,6 +396,16 @@ def test_unwritable_output_exit_one(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_write_probe_leaves_user_files_alone(tmp_path, capsys):
+    # a file of the user's that a fixed-name writability probe would clobber
+    keep = tmp_path / ".write-probe"
+    keep.write_bytes(b"keep\n")
+    code, _, _ = run_cli(suite_args(tmp_path, ["--methods", "NEW"]), capsys)
+    assert code == 0
+    assert keep.read_bytes() == b"keep\n"
+    assert (tmp_path / "cost_fevals.csv").is_file()
+
+
 def test_sweep_tau(tmp_path, capsys):
     out_dir = tmp_path / "sweep"
     code, out, _ = run_cli(

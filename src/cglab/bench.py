@@ -50,7 +50,11 @@ class EmptyMatrix(ValueError):
 
 @dataclass(frozen=True)
 class CostMatrix:
-    """Per-(problem, solver) costs >= 0 for one metric; inf marks a failed run."""
+    """Per-(problem, solver) costs >= 0 for one metric; inf marks a failed run.
+
+    No solver label or problem name may hold a comma or line break, which
+    would shift or split the rows of the CSVs they head.
+    """
 
     solvers: tuple[str, ...]
     problems: tuple[tuple[str, int], ...]
@@ -70,6 +74,15 @@ class CostMatrix:
         object.__setattr__(
             self, "problems", tuple((str(n), int(d)) for n, d in self.problems)
         )
+        _check_csv_fields("solver label", self.solvers)
+        _check_csv_fields("problem name", [n for n, _ in self.problems])
+
+
+def _check_csv_fields(kind: str, values) -> None:
+    """Refuse a value that would split or end a row of the CSVs it heads."""
+    for value in values:
+        if any(c in str(value) for c in ",\r\n"):
+            raise ValueError(f"{kind} {value!r} holds a comma or line break")
 
 
 class Profile(NamedTuple):
@@ -104,7 +117,8 @@ def run_suite(
     of a converged pair's counted run and ``time_repeats - 1`` repeats right
     after it (for an even count, the mean of the middle two).  ``labels``
     names the matrix columns and defaults to each config's method id; pass
-    explicit labels when configs share a method.
+    explicit labels when configs share a method.  A label or problem name
+    that ``CostMatrix`` would refuse is refused before the first run.
     """
     if not problems or not solver_configs:
         raise EmptyMatrix("need at least one problem and one solver")
@@ -115,6 +129,8 @@ def run_suite(
         raise ValueError("labels and solver_configs must have equal length")
     if len(set(labels)) != len(labels):
         raise ValueError(f"solver labels must be unique, got {labels}")
+    _check_csv_fields("solver label", labels)
+    _check_csv_fields("problem name", [p.name for p in problems])
 
     shape = (len(problems), len(solver_configs))
     cells: dict[str, np.ndarray] = {m: np.full(shape, FAILED) for m in METRICS}

@@ -272,14 +272,16 @@ def cmd_solve(args) -> int:
     return 0 if result.status is Status.CONVERGED else 2
 
 
-def _run_grid(args, title, flag, configs, write_artifacts, **run_options) -> int:
+def _run_grid(args, title, flag, configs, files, write_artifacts, **run_options) -> int:
     """The body of ``suite`` and ``sweep-tau``: one column per config, run and
     labelled by ``run_suite(..., **run_options)``.
 
-    ``write_artifacts(out_dir, matrices, profile, runs, rows)`` writes the files;
-    ``profile`` is the f_evals profile, and ``rows`` holds (label, solved runs,
-    f_evals summed over them, win rate) per column, the digest on stdout.  A
-    grid where no run converged has no profile, so it is refused.
+    ``write_artifacts(out_dir, matrices, profile, runs, rows)`` writes the
+    ``files``; ``profile`` is the f_evals profile, and ``rows`` holds (label,
+    solved runs, f_evals summed over them, win rate) per column, the digest on
+    stdout.  A grid where no run converged has no profile, so it is refused,
+    and so is an output directory that holds a file only the other grid
+    command writes, before anything runs or is made.
     """
     if not configs:
         raise _CliError(f"no values given in {flag}")
@@ -290,6 +292,9 @@ def _run_grid(args, title, flag, configs, write_artifacts, **run_options) -> int
             _print_config(cfg)
         return 0
     problems = _selected(args, desk_suite)
+    for name in sorted({*_SUITE_FILES, *_SWEEP_FILES}.difference(files)):
+        if (Path(args.output) / name).exists():
+            raise _CliError(f"{args.output} holds {name}, which {args.command} does not write")
     out_dir = _output_dir(args)
     matrices, runs = run_suite(problems, configs, **run_options)
     try:
@@ -312,12 +317,22 @@ def _run_grid(args, title, flag, configs, write_artifacts, **run_options) -> int
     return 0
 
 
+# The files each grid command writes, named once for its writer and for
+# _run_grid's refusal of a directory that holds the other command's files.
+_SUITE_CSVS = {  # metric -> (cost CSV, profile CSV)
+    "f_evals": ("cost_fevals.csv", "profile_fevals.csv"),
+    "iters": ("cost_iters.csv", "profile_iters.csv"),
+    "time": ("cost_time.csv", "profile_time.csv"),
+}
+_SUITE_FILES = (*(n for pair in _SUITE_CSVS.values() for n in pair), "wins.json", "runs.json")
+
+
 def _write_suite_artifacts(out_dir, matrices, profile, runs, rows) -> None:
-    for metric, stem in (("f_evals", "fevals"), ("iters", "iters"), ("time", "time")):
-        write_cost_csv(matrices[metric], out_dir / f"cost_{stem}.csv")
+    for metric, (cost_csv, profile_csv) in _SUITE_CSVS.items():
+        write_cost_csv(matrices[metric], out_dir / cost_csv)
         if metric != "f_evals":  # the grid built the f_evals profile for the wins
             profile = performance_profile(matrices[metric])
-        write_profile_csv(profile, out_dir / f"profile_{stem}.csv")
+        write_profile_csv(profile, out_dir / profile_csv)
     wins = {label: win for label, _, _, win in rows}
     records = [
         {
@@ -328,7 +343,7 @@ def _write_suite_artifacts(out_dir, matrices, profile, runs, rows) -> None:
         }
         for r in runs
     ]
-    for name, payload in (("wins.json", wins), ("runs.json", records)):
+    for name, payload in zip(_SUITE_FILES[-2:], (wins, records)):
         text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
         write_lines(out_dir / name, [text])
 
@@ -341,8 +356,17 @@ def cmd_suite(args) -> int:
     base = _solver_config(args)
     configs = [dataclasses.replace(base, method=m) for m in methods]
     return _run_grid(
-        args, "suite", "--methods", configs, _write_suite_artifacts, **_given(args, "time_repeats")
+        args,
+        "suite",
+        "--methods",
+        configs,
+        _SUITE_FILES,
+        _write_suite_artifacts,
+        **_given(args, "time_repeats"),
     )
+
+
+_SWEEP_FILES = ("sweep.csv", "cost_fevals.csv")  # sweep-tau's files, for write_sweep
 
 
 def cmd_sweep_tau(args) -> int:
@@ -358,15 +382,23 @@ def cmd_sweep_tau(args) -> int:
         raise _CliError(f"bad --taus value: {e}")
 
     def write_sweep(out_dir, matrices, profile, runs, rows):
+        summary_csv, cost_csv = _SWEEP_FILES
         lines = ["tau,solved,total_fevals,wins_vs_self"]
         for t, (_, solved, total, win) in zip(taus, rows):
             lines.append(f"{t!r},{solved},{total},{win!r}")
-        write_lines(out_dir / "sweep.csv", lines)
-        write_cost_csv(matrices["f_evals"], out_dir / "cost_fevals.csv")
+        write_lines(out_dir / summary_csv, lines)
+        write_cost_csv(matrices["f_evals"], out_dir / cost_csv)
 
     labels = [f"tau={t!r}" for t in taus]
     return _run_grid(
-        args, "tau sweep", "--taus", configs, write_sweep, time_repeats=1, labels=labels
+        args,
+        "tau sweep",
+        "--taus",
+        configs,
+        _SWEEP_FILES,
+        write_sweep,
+        time_repeats=1,
+        labels=labels,
     )
 
 

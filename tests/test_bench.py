@@ -9,6 +9,7 @@ properties with randomized matrices containing failed cells.
 import dataclasses
 import hashlib
 import os
+import re
 
 import numpy as np
 import pytest
@@ -29,6 +30,8 @@ from cglab.bench import (
 )
 from cglab.problems import build, quadratic_instance
 from cglab.solver import MethodId, RunResult, SolverConfig, Status
+
+from conftest import assert_no_child_left, needs_fork
 
 
 def matrix(costs, solvers=None, metric="f_evals"):
@@ -432,6 +435,24 @@ def test_run_suite_validation():
         run_suite([p], [SolverConfig(tau=0.1), SolverConfig(tau=0.2)])
 
 
+@pytest.mark.parametrize("char", [",", "\r", "\n"], ids=["comma", "cr", "lf"])
+def test_csv_fields_hold_no_comma_or_line_break(char, monkeypatch):
+    # such a label or name would shift or split the rows of the CSVs it heads:
+    # a label "a,b" made the header problem,dim,a,b over one data column
+    bad = f"a{char}b"
+    with pytest.raises(ValueError, match=rf"^solver label {re.escape(repr(bad))} holds"):
+        matrix([[1.0]], solvers=[bad])
+    with pytest.raises(ValueError, match=rf"^problem name {re.escape(repr(bad))} holds"):
+        CostMatrix(solvers=("NEW",), problems=((bad, 2),), costs=[[1.0]], metric="iters")
+    # run_suite refuses them before the first run
+    monkeypatch.setattr(cglab.bench, "minimize", lambda p, cfg: pytest.fail("a run started"))
+    p = build("TRIDIA", 50)
+    with pytest.raises(ValueError, match="^solver label"):
+        run_suite([p], [SolverConfig()], time_repeats=1, labels=[bad])
+    with pytest.raises(ValueError, match="^problem name"):
+        run_suite([dataclasses.replace(p, name=bad)], [SolverConfig()], time_repeats=1)
+
+
 def test_csv_outputs(tmp_path):
     m = matrix([[12.0, np.inf], [7.0, 9.0]], solvers=["NEW", "FR"])
     cost_path = tmp_path / "cost.csv"
@@ -459,29 +480,6 @@ def test_csv_outputs(tmp_path):
         )
 
 
-needs_fork = pytest.mark.skipif(
-    not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")),
-    reason="_map_shares forks only where os.fork and os.sched_getaffinity exist",
-)
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """Four CPUs to map over; the pids ``_map_shares`` forks."""
-    real_fork = os.fork
-    pids = []
-
-    def fork():
-        pid = real_fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-    monkeypatch.setattr(os, "fork", fork)
-    return pids
-
-
 def tag_shares(share):
     """Each item with the share it was mapped in and the pid that mapped it."""
     return [(x, tuple(share), os.getpid()) for x in share]
@@ -494,11 +492,6 @@ def assert_stride_shares(results, items, count):
     ]
     # share 0 is the caller's; every other share is a child's
     assert [pid == parent for *_, pid in results] == [i % count == 0 for i in range(len(items))]
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 @needs_fork

@@ -22,6 +22,8 @@ import cglab.cli as cli
 import cglab.problems
 from cglab.problems import DimensionMismatch, ProblemInstance, catalog
 
+from conftest import assert_no_child_left, needs_fork, strict_json
+
 
 def run_cli(argv, capsys):
     code = cli.main(argv)
@@ -42,7 +44,7 @@ def test_list_problems(capsys):
 def test_solve_converged_exit_zero(capsys):
     code, out, _ = run_cli(["solve", "--problem", "TRIDIA", "--dim", "50"], capsys)
     assert code == 0
-    payload = json.loads(out)
+    payload = strict_json(out)
     assert payload["status"] == "Converged"
     assert payload["iters"] > 0
     assert payload["g_evals"] == payload["iters"] + 1
@@ -242,14 +244,18 @@ def suite_args(out_dir, extra=()):
 
 def test_suite_artifacts(tmp_path, capsys):
     out_dir = tmp_path / "run"
-    code, _, _ = run_cli(suite_args(out_dir, ["--methods", "NEW,FR"]), capsys)
+    # --parallelism 1, the one value allowed, as the benchmark passes it
+    argv = suite_args(out_dir, ["--methods", "NEW,FR", "--parallelism", "1"])
+    code, _, _ = run_cli(argv, capsys)
     assert code == 0
     # exactly the artifacts: no write probe or other file is left behind
     assert sorted(f.name for f in out_dir.iterdir()) == sorted(SUITE_ARTIFACTS)
+    assert all((out_dir / name).stat().st_size > 0 for name in SUITE_ARTIFACTS)
 
-    header = (out_dir / "cost_fevals.csv").read_text().splitlines()[0]
-    assert header == "problem,dim,NEW,FR"
-    runs = json.loads((out_dir / "runs.json").read_text())
+    lines = (out_dir / "cost_fevals.csv").read_text().splitlines()
+    assert lines[0] == "problem,dim,NEW,FR"
+    assert [line.split(",")[:2] for line in lines[1:]] == [["TRIDIA", "50"], ["TRIDIA", "100"]]
+    runs = strict_json((out_dir / "runs.json").read_text())
     assert {r["solver"] for r in runs} == {"NEW", "FR"}
     assert all(r["problem"] == "TRIDIA" for r in runs)
     assert all("trace" not in r for r in runs)
@@ -406,6 +412,28 @@ def test_write_probe_leaves_user_files_alone(tmp_path, capsys):
     assert (tmp_path / "cost_fevals.csv").is_file()
 
 
+@pytest.mark.parametrize("first, second", [("suite", "sweep-tau"), ("sweep-tau", "suite")])
+def test_grid_refuses_the_other_commands_output(first, second, tmp_path, capsys, monkeypatch):
+    # a sweep's cost_fevals.csv would land next to a suite's profiles and
+    # wins.json, and a suite would leave a sweep's sweep.csv stale
+    grid = {
+        "suite": ["suite", "--methods", "NEW,FR", "--time-repeats", "1"],
+        "sweep-tau": ["sweep-tau", "--taus", "0.1,0.2"],
+    }
+    selection = ["--problems", "TRIDIA", "--max-dim", "50", "--output", str(tmp_path)]
+    assert run_cli([*grid[first], *selection], capsys)[0] == 0
+    before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+    with monkeypatch.context() as m:
+        m.setattr(cli, "run_suite", lambda *args, **kwargs: pytest.fail("a run started"))
+        code, out, err = run_cli([*grid[second], *selection], capsys)
+    assert (code, out) == (1, "")
+    foreign = "cost_iters.csv" if first == "suite" else "sweep.csv"
+    assert err == f"error: {tmp_path} holds {foreign}, which {second} does not write\n"
+    assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
+    # a command may write over its own artifacts
+    assert run_cli([*grid[first], *selection], capsys)[0] == 0
+
+
 def test_sweep_tau(tmp_path, capsys):
     out_dir = tmp_path / "sweep"
     code, out, _ = run_cli(
@@ -503,7 +531,12 @@ def test_sweep_tau_print_config_per_tau(capsys):
 def test_sweep_tau_has_no_single_tau_flag(tmp_path, capsys):
     # --tau would be replaced by every --taus value, and no abbreviation of
     # --taus is accepted in its place
-    for argv in (["--tau", "0.5", "--taus", "0.1"], ["--tau", "0.5"]):
+    # --print-config shows settings: a refused flag is refused there too
+    for argv in (
+        ["--tau", "0.5", "--taus", "0.1"],
+        ["--tau", "0.5"],
+        ["--tau", "0.5", "--print-config"],
+    ):
         code, out, err = run_cli(
             ["sweep-tau", *argv, "--output", str(tmp_path / "out")], capsys
         )
@@ -560,12 +593,13 @@ def test_grid_setting_out_of_range_exit_one(command, flag, value, tmp_path, caps
 
 
 def test_check_gradients_ok(capsys):
-    code, out, err = run_cli(["check-gradients", "--problems", "TRIDIA"], capsys)
-    assert code == 0
-    assert err == ""
-    lines = out.splitlines()
-    assert len(lines) == sum(1 for p in catalog() if p.name == "TRIDIA")
-    assert all(line.startswith("OK  ") for line in lines)
+    tridia = sum(1 for p in catalog() if p.name == "TRIDIA")
+    for argv, count in ((["--problems", "TRIDIA"], tridia), ([], 69), (["--seed", "1"], 69)):
+        code, out, err = run_cli(["check-gradients", *argv], capsys)
+        assert (code, err) == (0, ""), argv
+        lines = out.splitlines()
+        assert len(lines) == count
+        assert all(line.startswith("OK  ") for line in lines)
 
 
 def test_check_gradients_deterministic(capsys):
@@ -678,38 +712,10 @@ def test_run_gradient_check_function():
     assert "POWER dim=50" in lines[0]
 
 
-needs_fork = pytest.mark.skipif(
-    not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")),
-    reason="the audit forks only where os.fork and os.sched_getaffinity exist",
-)
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """Three CPUs for the audit to split over; the pids it forks."""
-    real_fork = os.fork
-    pids = []
-
-    def fork():
-        pid = real_fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    monkeypatch.setattr(os, "fork", fork)
-    return pids
-
-
 def in_process_audit(monkeypatch, instances, seed):
     with monkeypatch.context() as m:
         m.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         return cli.run_gradient_check(instances, seed=seed)
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 @needs_fork
@@ -728,6 +734,7 @@ def test_split_audit_matches_in_process_audit(cpus, seed, forks, monkeypatch):
 
 @needs_fork
 def test_split_audit_keeps_failures_in_place(forks, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     instances = catalog()
     # share j of 3 holds instances j, j + 3, ...: the first of share 1, the
     # last of share 2 and the second of share 0
@@ -745,7 +752,8 @@ def test_split_audit_keeps_failures_in_place(forks, monkeypatch):
 
 @needs_fork
 @pytest.mark.parametrize("share", [1, 2, 0])  # forked shares, then the caller's
-def test_split_audit_raises_a_share_error_in_the_caller(share, forks):
+def test_split_audit_raises_a_share_error_in_the_caller(share, forks, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     instances = catalog()
     i = share + 3  # the second instance of share j of 3 is j + 3
     p = instances[i]

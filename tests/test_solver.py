@@ -43,6 +43,8 @@ from cglab.solver import (
     theory_report,
 )
 
+from conftest import strict_json
+
 
 def test_config_defaults_match_protocol():
     cfg = SolverConfig()
@@ -369,15 +371,6 @@ def test_result_serialization_shape():
         "trace",
     ]
     assert "trace" not in r.to_dict(with_trace=False)
-
-
-def strict_json(text):
-    """``json.loads`` that refuses NaN, Infinity and -Infinity, as RFC 8259 does."""
-
-    def refuse(name):
-        raise ValueError(f"{name} is not JSON")
-
-    return json.loads(text, parse_constant=refuse)
 
 
 def test_result_non_finite_floats_are_null():

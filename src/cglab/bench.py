@@ -5,8 +5,8 @@ iterations, wall time); non-converged runs become infinite-cost cells, and
 a run that converges at its start costs 0 iterations.  The profile of a
 solver is the CDF of its per-problem cost ratios relative to the best
 solver on each problem (a cost equal to the best has ratio 1), so its
-value at t = 1 is its win fraction (``win_fractions`` reads that column
-of the profile table) and the limit at large t is its solve fraction.
+value at t = 1, the column ``win_fractions`` reads, is its win fraction
+and at large t its solve fraction, less positive costs beside a 0 best.
 ``write_lines`` writes every artifact file, and ``_map_shares`` fans a
 function out over forked processes.
 """
@@ -17,7 +17,7 @@ import os
 import pickle
 import signal
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -52,8 +52,8 @@ class EmptyMatrix(ValueError):
 class CostMatrix:
     """Per-(problem, solver) costs >= 0 for one metric; inf marks a failed run.
 
-    No solver label or problem name may hold a comma or line break, which
-    would shift or split the rows of the CSVs they head.
+    Solver labels are unique, and no label or problem name may hold a comma
+    or line break, which would shift or split the rows of the CSVs they head.
     """
 
     solvers: tuple[str, ...]
@@ -74,6 +74,8 @@ class CostMatrix:
         object.__setattr__(
             self, "problems", tuple((str(n), int(d)) for n, d in self.problems)
         )
+        if len(set(self.solvers)) != len(self.solvers):
+            raise ValueError(f"solver labels must be unique, got {list(self.solvers)}")
         _check_csv_fields("solver label", self.solvers)
         _check_csv_fields("problem name", [n for n, _ in self.problems])
 
@@ -127,13 +129,12 @@ def run_suite(
         labels = [cfg.method.value for cfg in solver_configs]
     if len(labels) != len(solver_configs):
         raise ValueError("labels and solver_configs must have equal length")
-    if len(set(labels)) != len(labels):
-        raise ValueError(f"solver labels must be unique, got {labels}")
-    _check_csv_fields("solver label", labels)
-    _check_csv_fields("problem name", [p.name for p in problems])
-
     shape = (len(problems), len(solver_configs))
-    cells: dict[str, np.ndarray] = {m: np.full(shape, FAILED) for m in METRICS}
+    header = CostMatrix(
+        solvers=tuple(labels), problems=tuple((p.name, p.dim) for p in problems),
+        costs=np.full(shape, FAILED), metric=METRICS[0],
+    )
+    cells = {m: header.costs.copy() for m in METRICS}
     runs = []
     for i, j in np.ndindex(shape):
         p, cfg = problems[i], solver_configs[j]
@@ -147,11 +148,7 @@ def run_suite(
         cells["iters"][i, j] = first.iters
         cells["time"][i, j] = float(np.median(times))
 
-    keys = tuple((p.name, p.dim) for p in problems)
-    matrices = {
-        m: CostMatrix(solvers=tuple(labels), problems=keys, costs=cells[m], metric=m)
-        for m in METRICS
-    }
+    matrices = {m: replace(header, costs=cells[m], metric=m) for m in METRICS}
     return matrices, runs
 
 
@@ -170,7 +167,7 @@ def performance_profile(m: CostMatrix) -> Profile:
     (finite ratio) plus the fixed grid ``_T_GRID``, so step positions are
     exact and t = 1 is its first point; ties at a problem's minimum count
     for every tying solver.  The last t is the largest finite ratio or
-    beyond, so the last column is each solver's solve fraction.
+    beyond, so the last column is each solver's share of finite ratios.
     """
     costs = m.costs
     if not np.isfinite(costs).any():  # an empty matrix too

@@ -12,6 +12,9 @@ the verdicts always appear) and then asserts.  Criteria:
 7. performance profiles vs a brute-force reference
 8. byte-identical suite artifacts across two serial runs
 9. accepted Armijo step equals the brute-force grid maximum
+
+The brute-force references of criteria 7 and 9 are ``reference_profile``
+and ``reference_armijo`` in ``conftest.py``, which the unit suites share.
 """
 
 import json
@@ -23,14 +26,9 @@ import pytest
 import cglab.cli as cli
 from cglab.bench import _T_GRID, performance_profile, run_suite, win_fractions
 from cglab.problems import CountingProblem, catalog, desk_suite, quadratic_instance
-from cglab.solver import (
-    _STEP_FLOOR,
-    MethodId,
-    SolverConfig,
-    Status,
-    armijo_backtrack,
-    minimize,
-)
+from cglab.solver import MethodId, SolverConfig, Status, armijo_backtrack, minimize
+
+from conftest import reference_armijo, reference_profile
 
 TAU = 0.002
 RHO = 0.5
@@ -205,34 +203,6 @@ def test_criterion_6_desk_convergence(desk_suite_matrices, report):
     )
 
 
-def _reference_profile(costs, grid):
-    """Loop-based Dolan-More profile, independent of the library code."""
-    n_p, n_s = costs.shape
-    ratios = []
-    for pi in range(n_p):
-        row = [float(c) for c in costs[pi]]
-        best = min(row)
-        if best == float("inf"):
-            ratios.append([float("inf")] * n_s)
-        else:
-            ratios.append(
-                [c / best if c != float("inf") else float("inf") for c in row]
-            )
-    points = set(float(t) for t in grid)
-    points.add(1.0)
-    points.update(r for row in ratios for r in row if r != float("inf"))
-    ts = sorted(points)
-    curves = []
-    for si in range(n_s):
-        curves.append(
-            [
-                (t, sum(1 for pi in range(n_p) if ratios[pi][si] <= t) / n_p)
-                for t in ts
-            ]
-        )
-    return ts, curves
-
-
 def test_criterion_7_profile_reference(report):
     rng = np.random.default_rng(7)
     from cglab.bench import CostMatrix
@@ -249,7 +219,7 @@ def test_criterion_7_profile_reference(report):
             costs=costs,
             metric="f_evals",
         )
-        ts, expected = _reference_profile(costs, _T_GRID)
+        ts, expected = reference_profile(costs, _T_GRID)
         profile = performance_profile(m)
         assert profile.ts.tolist() == ts, f"case {case}"
         for si, fractions in enumerate(profile.fractions.tolist()):
@@ -290,23 +260,6 @@ def test_criterion_8_suite_determinism(tmp_path, report):
     )
 
 
-def _brute_force_armijo(value_fn, x, f, g, d, alpha_bar, cfg):
-    """Largest alpha_bar*rho^i meeting the sufficient-decrease test."""
-    dg = float(d @ g)
-    i = 0
-    while True:
-        alpha = float(alpha_bar) * cfg.rho**i
-        if alpha < _STEP_FLOOR:
-            return None
-        with np.errstate(over="ignore", invalid="ignore"):
-            trial = x + alpha * d
-        if np.isfinite(trial).all():
-            f_trial = float(value_fn(trial))
-            if np.isfinite(f_trial) and f_trial <= f + cfg.c1 * alpha * dg:
-                return alpha
-        i += 1
-
-
 def test_criterion_9_armijo_maximality(report):
     rng = np.random.default_rng(99)
     cfg = SolverConfig()
@@ -325,9 +278,10 @@ def test_criterion_9_armijo_maximality(report):
         p = quadratic_instance(a, start=x)
         counting = CountingProblem(p)
         f = counting.evaluate(x)
-        expected = _brute_force_armijo(p.value_fn, x, f, g, d, alpha_bar, cfg)
+        dg = float(np.dot(d, g))
+        expected = reference_armijo(p.value_fn, x, f, dg, d, alpha_bar, cfg)
         assert expected is not None
-        out = armijo_backtrack(counting, x, f, float(np.dot(d, g)), d, alpha_bar, cfg)
+        out = armijo_backtrack(counting, x, f, dg, d, alpha_bar, cfg)
         assert out.alpha == expected, f"instance {checked}"
         checked += 1
     report(

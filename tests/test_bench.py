@@ -1,9 +1,10 @@
 """Benchmark-layer tests.
 
-The profile computation is checked against a brute-force pure-Python
-reference (independent ratio and counting code), hand examples pin the
+The profile computation is checked against the brute-force pure-Python
+reference ``reference_profile`` in ``conftest.py`` (independent ratio and
+counting code, shared with acceptance criterion 7), hand examples pin the
 small cases, and hypothesis covers the CDF/scale-invariance/dominance
-properties with randomized matrices containing failed cells.
+properties with randomized matrices containing failed cells and zero rows.
 """
 
 import dataclasses
@@ -31,7 +32,7 @@ from cglab.bench import (
 from cglab.problems import build, quadratic_instance
 from cglab.solver import MethodId, RunResult, SolverConfig, Status
 
-from conftest import assert_no_child_left, needs_fork
+from conftest import assert_no_child_left, needs_fork, reference_profile
 
 
 def matrix(costs, solvers=None, metric="f_evals"):
@@ -42,45 +43,6 @@ def matrix(costs, solvers=None, metric="f_evals"):
     return CostMatrix(
         solvers=tuple(solvers), problems=tuple(problems), costs=costs, metric=metric
     )
-
-
-# brute-force reference: explicit loops, pure python floats
-def ref_profile(costs, t_values):
-    n_p, n_s = costs.shape
-    ratios = []
-    for pi in range(n_p):
-        row = [float(c) for c in costs[pi]]
-        best = min(row)
-        if best == float("inf"):
-            ratios.append([float("inf")] * n_s)
-        else:
-            ratios.append(
-                [c / best if c != float("inf") else float("inf") for c in row]
-            )
-    curves = []
-    for si in range(n_s):
-        pts = []
-        for t in t_values:
-            count = sum(1 for pi in range(n_p) if ratios[pi][si] <= t)
-            pts.append((float(t), count / n_p))
-        curves.append(pts)
-    return curves
-
-
-def ref_breakpoints(costs, grid):
-    vals = set()
-    n_p, n_s = costs.shape
-    for pi in range(n_p):
-        row = [float(c) for c in costs[pi]]
-        best = min(row)
-        if best == float("inf"):
-            continue
-        for c in row:
-            if c != float("inf"):
-                vals.add(c / best)
-    vals.update(float(t) for t in grid)
-    vals.add(1.0)
-    return sorted(vals)
 
 
 def rho(profile, solver, t):
@@ -162,6 +124,10 @@ def test_cost_matrix_validation():
             solvers=("A",), problems=(("P", 1), ("Q", 1)), costs=np.ones((1, 1)),
             metric="iters",
         )
+    # a repeated label would head two columns whose profiles win_fractions
+    # folds into one key, losing one of them
+    with pytest.raises(ValueError, match="solver labels must be unique"):
+        matrix([[1.0, 2.0], [1.0, 3.0]], solvers=["A", "A"])
 
 
 def test_default_grid():
@@ -179,6 +145,8 @@ def cost_matrices(draw):
     costs = rng.integers(1, 500, size=(n_p, n_s)).astype(float)
     fail_mask = rng.random((n_p, n_s)) < 0.25
     costs[fail_mask] = np.inf
+    # a start with g = 0 costs 0 iterations under every method: a zero row
+    costs[rng.random(n_p) < 0.15] = 0.0
     if not np.isfinite(costs).any():
         costs[0, 0] = 7.0
     return costs
@@ -188,8 +156,7 @@ def cost_matrices(draw):
 def test_profile_matches_brute_force(costs):
     m = matrix(costs)
     profile = performance_profile(m)
-    ts = ref_breakpoints(costs, _T_GRID)
-    expected = ref_profile(costs, ts)
+    ts, expected = reference_profile(costs, _T_GRID)
     assert profile.ts.tolist() == ts
     assert profile.fractions.shape == (len(m.solvers), len(ts))
     for si, fractions in enumerate(profile.fractions.tolist()):
@@ -302,6 +269,9 @@ def test_profile_bytes_pinned(case, tmp_path):
     # change to how the profile is held could get wrong; artifacts keep both
     costs, metric, digest, wins = PINNED_PROFILES[case]
     profile = performance_profile(matrix(costs, metric=metric))
+    # the shared reference agrees on each case, the zero-best ones included
+    _, expected = reference_profile(np.asarray(costs), _T_GRID)
+    assert [list(zip(profile.ts.tolist(), f)) for f in profile.fractions.tolist()] == expected
     write_profile_csv(profile, tmp_path / "profile.csv")
     assert hashlib.sha256((tmp_path / "profile.csv").read_bytes()).hexdigest() == digest
     assert win_fractions(profile) == wins

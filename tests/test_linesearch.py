@@ -2,7 +2,9 @@
 
 The central property is maximality: the accepted step must be the largest
 point of the geometric trial grid satisfying the sufficient-decrease test,
-bit-for-bit equal to a brute-force scan of the same grid.
+bit-for-bit equal to a brute-force scan of the same grid,
+``reference_armijo`` in ``conftest.py`` (shared with acceptance
+criterion 9).
 """
 
 import numpy as np
@@ -17,13 +19,14 @@ from cglab.problems import (
 )
 from cglab.solver import (
     _BB_GUARD,
-    _STEP_FLOOR,
     NotDescent,
     SolverConfig,
     StepFloorReached,
     armijo_backtrack,
     initial_step,
 )
+
+from conftest import reference_armijo
 
 CFG = SolverConfig()
 
@@ -180,26 +183,6 @@ def test_initial_step_falls_back_when_quotient_not_finite_positive(s, y):
         assert initial_step(np.array(s), np.array(y)) == 1.0
 
 
-def brute_force_armijo(p, x, f, g, d, alpha_bar, cfg, max_i=300):
-    """Independent scan of the grid {alpha_bar * rho**i}: the largest
-    passing step, computed with the closed-form power instead of the
-    implementation's running product."""
-    dg = float(np.dot(d, g))
-    best = None
-    for i in range(max_i):
-        alpha = alpha_bar * cfg.rho**i
-        if alpha < _STEP_FLOOR:
-            break
-        trial = x + alpha * d
-        if not np.isfinite(trial).all():
-            continue
-        f_trial = float(p.instance.value_fn(trial))
-        if np.isfinite(f_trial) and f_trial <= f + cfg.c1 * alpha * dg:
-            if best is None or alpha > best:
-                best = alpha
-    return best
-
-
 @given(
     n=st.integers(1, 5),
     seed=st.integers(0, 10_000),
@@ -219,9 +202,9 @@ def test_accepted_step_is_maximal_on_quadratics(n, seed, log_alpha):
     f = p.value_fn(x)
     alpha_bar = float(2.0**log_alpha)
 
-    cp = CountingProblem(p)
-    out = armijo_backtrack(cp, x, f, float(np.dot(d, g)), d, alpha_bar, CFG)
-    expected = brute_force_armijo(cp, x, f, g, d, alpha_bar, CFG)
+    dg = float(np.dot(d, g))
+    out = armijo_backtrack(CountingProblem(p), x, f, dg, d, alpha_bar, CFG)
+    expected = reference_armijo(p.value_fn, x, f, dg, d, alpha_bar, CFG)
     assert expected is not None
     assert out.alpha == expected  # exact equality, same trial grid
     assert out.alpha == alpha_bar * CFG.rho**out.backtracks
